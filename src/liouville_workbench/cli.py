@@ -8,8 +8,7 @@ data sets and their figure surfaces).
 All CSV artifacts start with a comment line recording the spec hash, grid
 sizes, and the numerical tolerances in force, followed by a header row.
 Numbers are always written with the %.12e format so identical inputs yield
-byte-identical files.  LIOUVILLE_WORKBENCH_THREADS is accepted for
-compatibility with batch environments; results do not depend on it.
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import sys
 import numpy as np
 
 from . import catalog
-from .closed_form_solver import evaluate_field, singular_curve
+from .closed_form_solver import SINGULAR_ATOL, evaluate_field, singular_curve
 from .errors import EmptyCurve, NearSingular, NoFiniteTime
 from .generalized_integrator import (
     DRIFT_RTOL,
@@ -51,7 +50,7 @@ from .regularity_analyzer import VERDICT_FINITE, classify, lp_norm
 from .verification import gamma_identity, pde_residual, r_invariance, schwarzian
 
 _TOL_BANNER = (
-    f"singular_atol=1e-08 invert_rtol={INVERT_RTOL:.0e} compat_rtol={COMPAT_RTOL:.0e} "
+    f"singular_atol={SINGULAR_ATOL:.0e} invert_rtol={INVERT_RTOL:.0e} compat_rtol={COMPAT_RTOL:.0e} "
     f"zero_set_rtol={ZERO_SET_RTOL:.0e} feature_atol={FEATURE_ATOL:.0e} "
     f"drift_rtol={DRIFT_RTOL:.0e}"
 )
@@ -302,8 +301,7 @@ def _cmd_reproduce(args) -> int:
     for k in (1, 2, 3, 4):
         spec = catalog.example_spec(k, n_alpha=n)
         profile = build_psi0(spec)
-        horizon = 10.0 if spec.g.kind != "singular_boundary" else 1.0 - 1e-9
-        B = build_G(spec, t_max=horizon)
+        B = build_G(spec, t_max=_clamped_t_max(spec, 10.0))
         report = classify(profile, B, spec)
         if report.verdict == VERDICT_FINITE:
             t_hi = 0.98 * report.t_star
@@ -393,15 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("LIOUVILLE_WORKBENCH_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"error: LIOUVILLE_WORKBENCH_THREADS={threads!r} is not a positive integer",
-                  file=sys.stderr)
-            return 2
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -23,12 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import EmptyCurve, NearSingular, NoFiniteTime
+from .errors import EmptyCurve, NearSingular
 from .problem_model import (
     BoundaryIntegral,
     ProblemSpec,
     Psi0Profile,
-    invert_G,
 )
 
 SINGULAR_ATOL = 1e-8   # D at or below this counts as singular (or past the curve)
@@ -158,31 +157,26 @@ def evaluate_field(profile: Psi0Profile, B: BoundaryIntegral, spec: ProblemSpec,
 def singular_curve(profile: Psi0Profile, B: BoundaryIntegral) -> SingularCurve:
     """Sample t~(alpha) = G^{-1}(2 / psi0(alpha)) over {psi0 > CURVE_RTOL * M0}.
 
-    Samples whose target lies beyond the reach of G (past G_infinity, or past
-    the sampled horizon when no closed form is available) are dropped: those
-    alpha never meet the singular set in the covered time range.  Raises
+    Samples whose target G never reaches (at or past G_infinity, or past the
+    last node of tabulated g) are dropped: those alpha never meet the
+    singular set.  All targets are inverted in one array call.  Raises
     EmptyCurve when psi0 is nonpositive everywhere.
     """
     if profile.M0 <= 0:
         raise EmptyCurve("psi0 <= 0 everywhere; the singular set is empty")
     grid = profile.psi0.nodes
     psi = profile.psi0.values
-    keep = psi > CURVE_RTOL * profile.M0
-    if not np.any(keep):
+    idx = np.flatnonzero(psi > CURVE_RTOL * profile.M0)
+    if idx.size == 0:
         raise EmptyCurve("no grid point clears the curve threshold")
 
-    kept_idx, times = [], []
-    for i in np.flatnonzero(keep):
-        try:
-            times.append(invert_G(B, 2.0 / psi[i]))
-        except (NoFiniteTime, ValueError):
-            continue
-        kept_idx.append(i)
-    if len(kept_idx) < 2:
+    t_all = B.invert(2.0 / psi[idx])
+    reached = ~np.isnan(t_all)
+    if np.count_nonzero(reached) < 2:
         raise EmptyCurve("fewer than two curve samples reachable within the time horizon")
-    kept_idx = np.array(kept_idx)
+    kept_idx = idx[reached]
     alpha_s = grid[kept_idx]
-    t_s = np.array(times)
+    t_s = t_all[reached]
 
     slope = np.gradient(t_s, alpha_s)
     fd_sign = np.sign(slope).astype(int)

@@ -28,15 +28,16 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 from scipy.integrate import cumulative_simpson, simpson
 
 from .problem_model import (
     FunctionDescriptor,
     GridFunction,
     ProblemSpec,
-    _bisect,
     _first_zero,
+    invert_power_integral,
+    power_integral,
+    power_integral_limit,
 )
 
 DRIFT_RTOL = 1e-6
@@ -333,85 +334,6 @@ def compute_H0_alpha0(spec: ProblemSpec, F: Nonlinearity) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# powers of g: running integrals and limits
-
-
-def power_integral(desc: FunctionDescriptor, power: float, t) -> float | np.ndarray:
-    """integral_0^t g(s)^power ds, in closed form when the catalog allows."""
-    t_arr = np.asarray(t, dtype=float)
-    if power == 0.0:
-        out = t_arr.copy()
-    elif desc.kind == "constant":
-        out = desc.params["value"] ** power * t_arr
-    elif desc.kind == "exponential":
-        amp, rate = desc.params["amplitude"], desc.params["rate"]
-        rp = rate * power
-        if rp == 0.0:
-            out = amp**power * t_arr
-        else:
-            out = amp**power * np.expm1(rp * t_arr) / rp
-    elif desc.kind == "singular_boundary":
-        beta, tb = desc.params["beta"], desc.params["t_b"]
-        k = power * (1.0 + beta)
-        if k == 1.0:
-            out = -tb * np.log(1.0 - t_arr / tb)
-        else:
-            out = tb / (k - 1.0) * ((1.0 - t_arr / tb) ** (1.0 - k) - 1.0)
-    elif desc.kind == "polynomial" and float(power).is_integer() and power > 0:
-        coeffs = (1.0,)
-        for _ in range(int(power)):
-            coeffs = npoly.polymul(coeffs, desc.poly_coeffs())
-        anti = npoly.polyint(coeffs)
-        out = npoly.polyval(t_arr, anti)
-    else:
-        # no closed form: Simpson on a dense grid per query
-        out = np.empty(t_arr.shape if t_arr.ndim else (1,))
-        for i, ti in enumerate(np.atleast_1d(t_arr)):
-            if ti == 0.0:
-                out[i] = 0.0
-                continue
-            s = np.linspace(0.0, float(ti), 4097)
-            out[i] = simpson(np.asarray(desc(s)) ** power, x=s)
-        if not t_arr.ndim:
-            return float(out[0])
-    return out if t_arr.ndim else float(out)
-
-
-def power_integral_limit(desc: FunctionDescriptor, power: float) -> tuple[float, bool]:
-    """Limit of integral_0^t g^power as t approaches the end of g's life.
-
-    Returns (value, estimated); estimated marks a tail extrapolation rather
-    than a closed form.  For the singular family the limit is taken at t_b.
-    """
-    if power == 0.0:
-        return math.inf, False
-    if desc.kind in ("constant", "polynomial"):
-        return math.inf, False
-    if desc.kind == "exponential":
-        amp, rate = desc.params["amplitude"], desc.params["rate"]
-        rp = rate * power
-        if rp < 0:
-            return -(amp**power) / rp, False
-        return math.inf, False
-    if desc.kind == "singular_boundary":
-        beta, tb = desc.params["beta"], desc.params["t_b"]
-        k = power * (1.0 + beta)
-        if k < 1.0:
-            return tb / (1.0 - k), False
-        return math.inf, False
-    # sampled data: integrate the available window and extrapolate a
-    # geometric tail
-    horizon = desc.params["nodes"][-1] if desc.kind == "table" else 100.0
-    base = float(power_integral(desc, power, horizon))
-    g_end = float(desc(horizon)) ** power
-    g_mid = float(desc(horizon / 2.0)) ** power
-    if g_end >= 0.5 * g_mid:
-        return math.inf, True
-    k = math.log(g_mid / g_end) / (horizon / 2.0)
-    return base + g_end / k, True
-
-
-# ---------------------------------------------------------------------------
 # envelopes and the blow-up dichotomy
 
 
@@ -498,130 +420,73 @@ def blowup_bounds(spec: ProblemSpec, F: Nonlinearity, trajectory: Trajectory) ->
 
     gc_lim, est_c = power_integral_limit(spec.g, c)
     gd_lim, est_d = power_integral_limit(spec.g, d)
+    report = dict(H0=H0, alpha0=alpha0, H0_alpha0=H0_a0, c=c, d=d, monotonicity=mono,
+                  int_gc_limit=gc_lim, int_gd_limit=gd_lim,
+                  limits_estimated=est_c or est_d, state_times=times)
+    not_applicable = dict(predicted="NotApplicable", crossing_time=None,
+                          lower_envelope=None, upper_envelope=None,
+                          min_lower_margin=None, min_upper_margin=None, violations=())
 
     if not ok or alpha0 is None:
-        return BoundsReport(
-            H0=H0, alpha0=alpha0, H0_alpha0=H0_a0, c=c, d=d,
-            hypotheses_ok=False, monotonicity=mono, t_star_bound=None,
-            predicted="NotApplicable", int_gc_limit=gc_lim, int_gd_limit=gd_lim,
-            limits_estimated=est_c or est_d, crossing_time=None,
-            state_times=times, domain_nodes=np.array([]),
-            lower_envelope=None, upper_envelope=None,
-            min_lower_margin=None, min_upper_margin=None, violations=(),
-        )
+        return BoundsReport(**report, **not_applicable, hypotheses_ok=False,
+                            t_star_bound=None, domain_nodes=np.array([]))
 
     t_star_bound = 2.0 / (c * H0_a0)
     grid = trajectory.alpha
     domain = (grid > 0) & (grid <= alpha0 + 1e-12)
     dom_nodes = grid[domain]
-    H0_dom = H0.values[domain]
-    u0_dom = np.asarray(spec.u0(dom_nodes))
-
+    report.update(hypotheses_ok=ok, t_star_bound=t_star_bound, domain_nodes=dom_nodes)
     if mono == "mixed":
-        return BoundsReport(
-            H0=H0, alpha0=alpha0, H0_alpha0=H0_a0, c=c, d=d,
-            hypotheses_ok=ok, monotonicity=mono, t_star_bound=t_star_bound,
-            predicted="NotApplicable", int_gc_limit=gc_lim, int_gd_limit=gd_lim,
-            limits_estimated=est_c or est_d, crossing_time=None,
-            state_times=times, domain_nodes=dom_nodes,
-            lower_envelope=None, upper_envelope=None,
-            min_lower_margin=None, min_upper_margin=None, violations=(),
-        )
+        return BoundsReport(**report, **not_applicable)
 
-    blow_threshold = 2.0 / (c * H0_a0)
-    global_threshold = 2.0 / (d * H0_a0)
-
-    if mono == "nondecreasing":
-        predicted = "FiniteBlowup"
-        crossing = t_star_bound
-        lower = np.empty((times.size, dom_nodes.size))
-        for i, (s, t) in enumerate(zip(trajectory.states, times)):
-            arg = 1.0 - 0.5 * c * H0_dom * t
-            gt = float(spec.g(t))
+    def envelope(I, e):
+        # g u0 (1 - (e/2) H0 I)^(-2/e) at each stored time, infinite once the
+        # bracket closes; row by row, so no temporary spans all times
+        env = np.empty((times.size, dom_nodes.size))
+        for i in range(times.size):
+            arg = 1.0 - 0.5 * e * H0_dom * I[i]
             with np.errstate(over="ignore"):
-                lower[i] = np.where(arg > 0, gt * u0_dom / np.maximum(arg, 1e-300) ** (2.0 / c),
-                                    np.inf)
-        upper = None
+                env[i] = np.where(arg > 0, g_t[i] * u0_dom / np.maximum(arg, 1e-300) ** (2.0 / e),
+                                  np.inf)
+        return env
+
+    g_t = np.asarray(spec.g(times))
+    u0_dom = np.asarray(spec.u0(dom_nodes))
+    H0_dom = H0.values[domain]
+    global_threshold = 2.0 / (d * H0_a0)
+    if mono == "nondecreasing":
+        predicted, crossing = "FiniteBlowup", t_star_bound
+        lower, upper = envelope(times, c), None
     else:
-        if gd_lim > blow_threshold:
+        crossing = None
+        if gd_lim > t_star_bound:   # the blow-up threshold 2/(c H0(alpha0)) on int g^d
             predicted = "FiniteBlowup"
-            crossing = _invert_power_integral(spec.g, d, blow_threshold)
+            crossing = float(invert_power_integral(spec.g, d, t_star_bound))
+            crossing = None if math.isnan(crossing) else crossing  # tabulated g ended first
         elif gc_lim <= global_threshold:
             predicted = "Global"
-            crossing = None
         else:
             predicted = "Indeterminate"
-            crossing = None
-        Ic = np.asarray(power_integral(spec.g, c, times))
-        Id = np.asarray(power_integral(spec.g, d, times))
-        lower = np.empty((times.size, dom_nodes.size))
-        upper = np.empty((times.size, dom_nodes.size))
-        for i, t in enumerate(times):
-            gt = float(spec.g(t))
-            arg_lo = 1.0 - 0.5 * c * H0_dom * Id[i]
-            arg_hi = 1.0 - 0.5 * d * H0_dom * Ic[i]
-            with np.errstate(over="ignore"):
-                lower[i] = np.where(arg_lo > 0,
-                                    gt * u0_dom / np.maximum(arg_lo, 1e-300) ** (2.0 / c),
-                                    np.inf)
-                upper[i] = np.where(arg_hi > 0,
-                                    gt * u0_dom / np.maximum(arg_hi, 1e-300) ** (2.0 / d),
-                                    np.inf)
+        lower = envelope(np.asarray(power_integral(spec.g, d, times)), c)
+        upper = envelope(np.asarray(power_integral(spec.g, c, times)), d)
 
     u_states = np.array([s.u[domain] for s in trajectory.states])
-    violations = []
-    finite_lo = np.isfinite(lower)
-    margins_lo = np.where(finite_lo, (u_states - lower) / np.where(finite_lo, lower, 1.0),
-                          np.nan)
-    min_lo = float(np.nanmin(margins_lo)) if np.any(finite_lo) else None
-    bad = np.argwhere(margins_lo < 0)
-    for i, j in bad[:1000]:
-        violations.append((float(dom_nodes[j]), float(times[i]),
-                           float(margins_lo[i, j]), "lower"))
-    if upper is not None:
-        finite_hi = np.isfinite(upper)
-        margins_hi = np.where(finite_hi, (upper - u_states) / np.where(finite_hi, upper, 1.0),
-                              np.nan)
-        min_hi = float(np.nanmin(margins_hi)) if np.any(finite_hi) else None
-        bad = np.argwhere(margins_hi < 0)
-        for i, j in bad[:1000]:
-            violations.append((float(dom_nodes[j]), float(times[i]),
-                               float(margins_hi[i, j]), "upper"))
-    else:
-        min_hi = None
+    violations, min_margins = [], []
+    for side, env in (("lower", lower), ("upper", upper)):
+        if env is None:
+            min_margins.append(None)
+            continue
+        finite = np.isfinite(env)
+        sign = 1.0 if side == "lower" else -1.0   # lower: u above env; upper: u below
+        margins = np.where(finite, sign * (u_states - env) / np.where(finite, env, 1.0), np.nan)
+        min_margins.append(float(np.nanmin(margins)) if np.any(finite) else None)
+        for i, j in np.argwhere(margins < 0)[:1000]:
+            violations.append((float(dom_nodes[j]), float(times[i]), float(margins[i, j]), side))
 
-    return BoundsReport(
-        H0=H0, alpha0=alpha0, H0_alpha0=H0_a0, c=c, d=d,
-        hypotheses_ok=ok, monotonicity=mono, t_star_bound=t_star_bound,
-        predicted=predicted, int_gc_limit=gc_lim, int_gd_limit=gd_lim,
-        limits_estimated=est_c or est_d, crossing_time=crossing,
-        state_times=times, domain_nodes=dom_nodes,
-        lower_envelope=lower, upper_envelope=upper,
-        min_lower_margin=min_lo, min_upper_margin=min_hi,
-        violations=tuple(violations),
-    )
-
-
-def _invert_power_integral(desc: FunctionDescriptor, power: float, target: float) -> float:
-    """Solve integral_0^t g^power = target (the integral is increasing in t)."""
-    if desc.kind == "exponential":
-        amp, rate = desc.params["amplitude"], desc.params["rate"]
-        rp = rate * power
-        if rp != 0.0:
-            return float(math.log1p(rp * target / amp**power) / rp)
-    if desc.kind == "singular_boundary":
-        beta, tb = desc.params["beta"], desc.params["t_b"]
-        k = power * (1.0 + beta)
-        if k != 1.0:
-            return float(tb * (1.0 - (1.0 + (k - 1.0) * target / tb) ** (1.0 / (1.0 - k))))
-        return float(tb * (1.0 - math.exp(-target / tb)))
-    hi = 1.0
-    while float(power_integral(desc, power, hi)) < target:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ValueError("power integral never reaches the requested target")
-    fun = lambda t: float(power_integral(desc, power, t)) - target
-    return float(_bisect(fun, 0.0, hi, -target, fun(hi), tol=1e-13))
+    return BoundsReport(**report, predicted=predicted, crossing_time=crossing,
+                        lower_envelope=lower, upper_envelope=upper,
+                        min_lower_margin=min_margins[0], min_upper_margin=min_margins[1],
+                        violations=tuple(violations))
 
 
 # ---------------------------------------------------------------------------

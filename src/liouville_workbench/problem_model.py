@@ -12,18 +12,23 @@ module is built from two primitives:
     G(t)        = integral_0^t    g(s) ds,      G(0) = 0.
 
 Data functions are represented by a small closed-form catalog plus linearly
-interpolated tables.  The catalog covers the standard worked examples exactly
-(polynomial data, the singular boundary family (1-t)^-(1+beta), exponential
-decay) while tables admit arbitrary sampled data.
+interpolated tables.  Each kind carries its own value, derivative, integral
+of any power and limit of that integral (one table, _KINDS), so the worked
+examples (polynomial data, the singular boundary family (1-t)^-(1+beta),
+exponential decay, trigonometric data) are integrated exactly while tables
+admit arbitrary sampled data.
 
-Quadrature is composite Simpson on uniform grids, replaced by the exact
-antiderivative whenever the integrand is polynomial.  Both choices keep the
-defining normalizations psi0(0) = 0 and G(0) = 0 exact.
+psi0 is composite Simpson on a uniform grid, replaced by the exact
+antiderivative whenever the integrand is polynomial; G is the kind's closed
+form, or per-interval Simpson on request.  Both keep psi0(0) = 0 and
+G(0) = 0 exact.  Every inverse (G^-1, the inverse of a power integral, the
+first zero of f) goes through one array inverter, _solve_increasing.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -33,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import cumulative_simpson, simpson
+from scipy.special import exprel
 
 from .errors import NoFiniteTime
 
@@ -43,8 +49,12 @@ ZERO_SET_RTOL = 1e-6      # zero set of psi0, relative to max |psi0|
 FEATURE_ATOL = 1e-9       # argmax membership after parabolic refinement
 INVERT_RTOL = 1e-12       # |G(t) - target| <= INVERT_RTOL * (1 + target)
 
-_KINDS = ("constant", "polynomial", "trigonometric", "singular_boundary",
-          "table", "exponential")
+# the inverter: bisection steps before Newton, Newton step cap, and the
+# farthest time a bracket may grow to
+_BISECTIONS = 12
+_NEWTON_STEPS = 60
+_T_REACH = 1e15
+_EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +97,230 @@ class GridFunction:
 # function descriptors
 
 
+class _Kind:
+    """What one descriptor kind does; every method takes the params dict p.
+
+    integral(p, power, t) is int_0^t value^power, by dense Simpson unless the
+    kind has a closed form; limit(p, power) is its limit at end(p), the end
+    of the data's life, as (value, estimated).  params and scale validate or
+    rescale p in place.
+    """
+
+    def integral(self, p, power, t):
+        s = np.multiply.outer(t, np.linspace(0.0, 1.0, 4097))
+        return simpson(np.asarray(self.value(p, s)) ** power, axis=-1) * (t / 4096.0)
+
+    def limit(self, p, power):
+        # constants, polynomials and positive trigonometric data (almost
+        # periodic, positive mean) all integrate to infinity
+        return math.inf, False
+
+    def end(self, p):
+        return math.inf
+
+
+class _Polynomial(_Kind):
+    def params(self, p):
+        p["coeffs"] = tuple(float(c) for c in p["coeffs"])
+        if not p["coeffs"]:
+            raise ValueError("polynomial needs at least one coefficient")
+
+    def coeffs(self, p):
+        return p["coeffs"]
+
+    def value(self, p, x):
+        return npoly.polyval(x, self.coeffs(p))
+
+    def derivative(self, p, x):
+        return npoly.polyval(x, npoly.polyder(self.coeffs(p)))
+
+    def integral(self, p, power, t):
+        if not (float(power).is_integer() and power > 0):
+            return super().integral(p, power, t)
+        return npoly.polyval(t, _polynomial_antiderivative(self.coeffs(p), int(power)))
+
+    def scale(self, p, factor):
+        p["coeffs"] = tuple(c * factor for c in p["coeffs"])
+
+
+class _Constant(_Polynomial):
+    # the degree-0 polynomial, stored as {"value": v}
+
+    def params(self, p):
+        p["value"] = float(p["value"])
+
+    def coeffs(self, p):
+        return (p["value"],)
+
+    def scale(self, p, factor):
+        p["value"] *= factor
+
+
+@functools.lru_cache(maxsize=64)
+def _polynomial_antiderivative(coeffs, power):
+    # a tuple, because every caller shares the cached value
+    return tuple(npoly.polyint(npoly.polypow(coeffs, power)).tolist())
+
+
+class _Trigonometric(_Kind):
+    def params(self, p):
+        p["terms"] = tuple(
+            (float(t[0]), float(t[1]), float(t[2]) if len(t) > 2 else 0.0) for t in p["terms"]
+        )
+        if not p["terms"]:
+            raise ValueError("trigonometric needs at least one term")
+        p["offset"] = float(p.get("offset", 0.0))
+
+    def value(self, p, x):
+        out = np.full_like(x, p["offset"])
+        for amp, freq, phase in p["terms"]:
+            out = out + amp * np.sin(2.0 * np.pi * freq * x + phase)
+        return out
+
+    def derivative(self, p, x):
+        out = np.zeros_like(x)
+        for amp, freq, phase in p["terms"]:
+            w = 2.0 * np.pi * freq
+            out = out + amp * w * np.cos(w * x + phase)
+        return out
+
+    def integral(self, p, power, t):
+        if power != 1.0:
+            return super().integral(p, power, t)
+        # A (cos(phase) - cos(2 pi k t + phase)) / (2 pi k), written with
+        # sinc(kt) = sin(pi k t)/(pi k t) so that k -> 0 gives A sin(phase) t
+        out = p["offset"] * t
+        for amp, freq, phase in p["terms"]:
+            out = out + amp * t * np.sinc(freq * t) * np.sin(np.pi * freq * t + phase)
+        return out
+
+    def scale(self, p, factor):
+        p["offset"] *= factor
+        p["terms"] = tuple((a * factor, f, ph) for a, f, ph in p["terms"])
+
+
+class _SingularBoundary(_Kind):
+    # g^power = (1 - t/t_b)^-(e + 1) with e = power (1 + beta) - 1
+
+    def params(self, p):
+        p["beta"] = float(p["beta"])
+        p["t_b"] = float(p.get("t_b", 1.0))
+        if p["beta"] <= 0:
+            raise ValueError("singular_boundary exponent beta must be positive")
+        if p["t_b"] <= 0:
+            raise ValueError("singular_boundary blow-up time t_b must be positive")
+
+    def value(self, p, x):
+        beta, tb = p["beta"], p["t_b"]
+        if np.any(x >= tb):
+            raise ValueError(
+                f"singular_boundary data is finite only on [0, t_b={tb}); "
+                f"got t up to {float(np.max(x))}"
+            )
+        return (1.0 - x / tb) ** (-(1.0 + beta))
+
+    def derivative(self, p, x):
+        beta, tb = p["beta"], p["t_b"]
+        return (1.0 + beta) / tb * (1.0 - x / tb) ** (-(2.0 + beta))
+
+    def integral(self, p, power, t):
+        tb, e = p["t_b"], power * p["beta"] + (power - 1.0)
+        if e == 0.0:
+            return -tb * np.log(1.0 - t / tb)
+        return (tb / e) * ((1.0 - t / tb) ** (-e) - 1.0)
+
+    def limit(self, p, power):
+        e = power * p["beta"] + (power - 1.0)
+        return (-p["t_b"] / e if e < 0 else math.inf), False
+
+    def end(self, p):
+        return p["t_b"]
+
+    def scale(self, p, factor):
+        raise ValueError("the singular_boundary family is already normalized; cannot rescale")
+
+
+class _Table(_Kind):
+    def params(self, p):
+        nodes = np.asarray(p["nodes"], dtype=float)
+        values = np.asarray(p["values"], dtype=float)
+        if nodes.shape != values.shape or nodes.ndim != 1:
+            raise ValueError("table nodes/values must be equal-length 1-d sequences")
+        if not np.all(np.diff(nodes) > 0):
+            raise ValueError("table nodes must be strictly increasing")
+        p["nodes"] = tuple(nodes.tolist())
+        p["values"] = tuple(values.tolist())
+
+    def value(self, p, x):
+        nodes = np.asarray(p["nodes"])
+        if np.any(x < nodes[0] - 1e-12) or np.any(x > nodes[-1] + 1e-12):
+            raise ValueError("evaluation outside the table's declared domain")
+        return np.interp(x, nodes, np.asarray(p["values"]))
+
+    def derivative(self, p, x):
+        nodes, values = np.asarray(p["nodes"]), np.asarray(p["values"])
+        slopes = np.diff(values) / np.diff(nodes)
+        return slopes[np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(slopes) - 1)]
+
+    def integral(self, p, power, t):
+        if power != 1.0:
+            return super().integral(p, power, t)
+        nodes, values = np.asarray(p["nodes"]), np.asarray(p["values"])
+        # trapezoids are exact for the linear interpolant
+        cum = np.concatenate(([0.0], np.cumsum(np.diff(nodes) * (values[:-1] + values[1:]) / 2.0)))
+
+        def area(x):  # int_{nodes[0]}^x
+            i = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(nodes) - 2)
+            return cum[i] + (x - nodes[i]) * (values[i] + self.value(p, x)) / 2.0
+
+        return area(t) - area(0.0)
+
+    def limit(self, p, power):
+        # no data past the last node: extrapolate a geometric tail and flag it
+        horizon = p["nodes"][-1]
+        g_end = float(self.value(p, horizon)) ** power
+        g_mid = float(self.value(p, horizon / 2.0)) ** power
+        if g_end >= 0.5 * g_mid:
+            return math.inf, True
+        k = math.log(g_mid / g_end) / (horizon / 2.0)
+        return float(self.integral(p, power, horizon)) + g_end / k, True
+
+    def end(self, p):
+        return p["nodes"][-1]
+
+    def scale(self, p, factor):
+        p["values"] = tuple(v * factor for v in p["values"])
+
+
+class _Exponential(_Kind):
+    def params(self, p):
+        p["amplitude"] = float(p["amplitude"])
+        p["rate"] = float(p["rate"])
+
+    def value(self, p, x):
+        return p["amplitude"] * np.exp(p["rate"] * x)
+
+    def derivative(self, p, x):
+        return p["amplitude"] * p["rate"] * np.exp(p["rate"] * x)
+
+    def integral(self, p, power, t):
+        # A^power (e^{rp t} - 1)/rp with rp = rate * power; exprel stays exact
+        # as rp -> 0, where expm1(rp t)/rp loses every digit
+        return p["amplitude"] ** power * t * exprel(p["rate"] * power * t)
+
+    def limit(self, p, power):
+        amp, rp = p["amplitude"], p["rate"] * power
+        return (-(amp**power) / rp if rp < 0 else math.inf), False
+
+    def scale(self, p, factor):
+        p["amplitude"] *= factor
+
+
+_KINDS = {"constant": _Constant(), "polynomial": _Polynomial(),
+          "trigonometric": _Trigonometric(), "singular_boundary": _SingularBoundary(),
+          "table": _Table(), "exponential": _Exponential()}
+
+
 @dataclass(frozen=True)
 class FunctionDescriptor:
     """One entry of the data catalog: a kind tag plus kind-specific parameters.
@@ -107,132 +341,40 @@ class FunctionDescriptor:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown descriptor kind {self.kind!r}; expected one of {_KINDS}")
+            raise ValueError(f"unknown descriptor kind {self.kind!r}; "
+                             f"expected one of {tuple(_KINDS)}")
         p = dict(self.params)
-        if self.kind == "constant":
-            p["value"] = float(p["value"])
-        elif self.kind == "polynomial":
-            coeffs = [float(c) for c in p["coeffs"]]
-            if not coeffs:
-                raise ValueError("polynomial needs at least one coefficient")
-            p["coeffs"] = tuple(coeffs)
-        elif self.kind == "trigonometric":
-            terms = tuple(
-                (float(t[0]), float(t[1]), float(t[2]) if len(t) > 2 else 0.0)
-                for t in p["terms"]
-            )
-            if not terms:
-                raise ValueError("trigonometric needs at least one term")
-            p["terms"] = terms
-            p["offset"] = float(p.get("offset", 0.0))
-        elif self.kind == "singular_boundary":
-            p["beta"] = float(p["beta"])
-            p["t_b"] = float(p.get("t_b", 1.0))
-            if p["beta"] <= 0:
-                raise ValueError("singular_boundary exponent beta must be positive")
-            if p["t_b"] <= 0:
-                raise ValueError("singular_boundary blow-up time t_b must be positive")
-        elif self.kind == "table":
-            nodes = np.asarray(p["nodes"], dtype=float)
-            values = np.asarray(p["values"], dtype=float)
-            if nodes.shape != values.shape or nodes.ndim != 1:
-                raise ValueError("table nodes/values must be equal-length 1-d sequences")
-            if not np.all(np.diff(nodes) > 0):
-                raise ValueError("table nodes must be strictly increasing")
-            p["nodes"] = tuple(nodes.tolist())
-            p["values"] = tuple(values.tolist())
-        elif self.kind == "exponential":
-            p["amplitude"] = float(p["amplitude"])
-            p["rate"] = float(p["rate"])
+        _KINDS[self.kind].params(p)
         object.__setattr__(self, "params", p)
 
     # evaluation -----------------------------------------------------------
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        p = self.params
-        if self.kind == "constant":
-            out = np.full_like(x, p["value"])
-        elif self.kind == "polynomial":
-            out = npoly.polyval(x, p["coeffs"])
-        elif self.kind == "trigonometric":
-            out = np.full_like(x, p["offset"])
-            for amp, freq, phase in p["terms"]:
-                out = out + amp * np.sin(2.0 * np.pi * freq * x + phase)
-        elif self.kind == "singular_boundary":
-            beta, tb = p["beta"], p["t_b"]
-            if np.any(x >= tb):
-                raise ValueError(
-                    f"singular_boundary data is finite only on [0, t_b={tb}); "
-                    f"got t up to {float(np.max(x))}"
-                )
-            out = (1.0 - x / tb) ** (-(1.0 + beta))
-        elif self.kind == "table":
-            nodes = np.asarray(p["nodes"])
-            if np.any(x < nodes[0] - 1e-12) or np.any(x > nodes[-1] + 1e-12):
-                raise ValueError("evaluation outside the table's declared domain")
-            out = np.interp(x, nodes, np.asarray(p["values"]))
-        else:  # exponential
-            out = p["amplitude"] * np.exp(p["rate"] * x)
+        out = _KINDS[self.kind].value(self.params, np.asarray(x, dtype=float))
         if not np.all(np.isfinite(out)):
             raise ValueError(f"{self.kind} descriptor produced non-finite samples")
-        return out if out.ndim else float(out)
+        return out if np.ndim(out) else float(out)
 
     def derivative(self, x):
         """Pointwise derivative (piecewise slope for tables)."""
-        x = np.asarray(x, dtype=float)
-        p = self.params
-        if self.kind == "constant":
-            out = np.zeros_like(x)
-        elif self.kind == "polynomial":
-            out = npoly.polyval(x, npoly.polyder(p["coeffs"]))
-        elif self.kind == "trigonometric":
-            out = np.zeros_like(x)
-            for amp, freq, phase in p["terms"]:
-                w = 2.0 * np.pi * freq
-                out = out + amp * w * np.cos(w * x + phase)
-        elif self.kind == "singular_boundary":
-            beta, tb = p["beta"], p["t_b"]
-            out = (1.0 + beta) / tb * (1.0 - x / tb) ** (-(2.0 + beta))
-        elif self.kind == "table":
-            nodes = np.asarray(p["nodes"])
-            values = np.asarray(p["values"])
-            slopes = np.diff(values) / np.diff(nodes)
-            idx = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(slopes) - 1)
-            out = slopes[idx]
-        else:  # exponential
-            out = p["amplitude"] * p["rate"] * np.exp(p["rate"] * x)
-        return out if out.ndim else float(out)
+        out = _KINDS[self.kind].derivative(self.params, np.asarray(x, dtype=float))
+        return out if np.ndim(out) else float(out)
 
     def scaled(self, factor: float) -> "FunctionDescriptor":
         """Return the descriptor multiplied pointwise by a constant."""
         p = dict(self.params)
-        if self.kind == "constant":
-            p["value"] *= factor
-        elif self.kind == "polynomial":
-            p["coeffs"] = tuple(c * factor for c in p["coeffs"])
-        elif self.kind == "trigonometric":
-            p["offset"] *= factor
-            p["terms"] = tuple((a * factor, f, ph) for a, f, ph in p["terms"])
-        elif self.kind == "singular_boundary":
-            raise ValueError("the singular_boundary family is already normalized; cannot rescale")
-        elif self.kind == "table":
-            p["values"] = tuple(v * factor for v in p["values"])
-        else:
-            p["amplitude"] *= factor
+        _KINDS[self.kind].scale(p, factor)
         return FunctionDescriptor(self.kind, p)
 
     # polynomial plumbing ----------------------------------------------------
 
     def is_polynomial(self) -> bool:
-        return self.kind in ("constant", "polynomial")
+        return isinstance(_KINDS[self.kind], _Polynomial)
 
     def poly_coeffs(self):
-        if self.kind == "constant":
-            return (self.params["value"],)
-        if self.kind == "polynomial":
-            return self.params["coeffs"]
-        raise ValueError(f"{self.kind} descriptor has no polynomial coefficients")
+        if not self.is_polynomial():
+            raise ValueError(f"{self.kind} descriptor has no polynomial coefficients")
+        return _KINDS[self.kind].coeffs(self.params)
 
     # serialization ----------------------------------------------------------
 
@@ -248,6 +390,69 @@ class FunctionDescriptor:
             if isinstance(v, tuple):
                 p[k] = [list(e) if isinstance(e, tuple) else e for e in v]
         return {"kind": self.kind, "params": p}
+
+
+def power_integral(desc: FunctionDescriptor, power: float, t) -> float | np.ndarray:
+    """integral_0^t g(s)^power ds, in closed form where the kind has one."""
+    out = _KINDS[desc.kind].integral(desc.params, power, np.asarray(t, dtype=float))
+    return out if np.ndim(out) else float(out)
+
+
+def power_integral_limit(desc: FunctionDescriptor, power: float) -> tuple[float, bool]:
+    """Limit of integral_0^t g^power as t approaches the end of g's life.
+
+    Returns (value, estimated).  Only tables estimate: they have no data past
+    their last node, so a geometric tail is fitted there and flagged.  For
+    the singular family the limit is taken at t_b.
+    """
+    value, estimated = _KINDS[desc.kind].limit(desc.params, power)
+    return float(value), estimated
+
+
+def invert_power_integral(desc: FunctionDescriptor, power: float, y):
+    """Elementwise t with integral_0^t g^power = y; NaN where it never gets there."""
+    return _solve_increasing(lambda t: power_integral(desc, power, t),
+                             lambda t: np.asarray(desc(t)) ** power, y,
+                             _KINDS[desc.kind].end(desc.params))
+
+
+def _solve_increasing(fun, slope, y, end=math.inf):
+    """Elementwise t in [0, end] with fun(t) = y, for increasing fun with fun(0) <= y.
+
+    Brackets every target by doubling from t = min(1, end), bisects the
+    brackets as whole arrays, then polishes with Newton steps on the exact
+    slope, falling back to the bracket midpoint whenever a step leaves the
+    bracket.  Each element is iterated on its own values only, so an array
+    call agrees with scalar calls element by element.  Targets that fun does
+    not reach by end (or by _T_REACH) come back NaN.
+    """
+    y = np.asarray(y, dtype=float)
+    end = min(end, _T_REACH)
+    lo, hi = np.zeros_like(y), np.full_like(y, min(1.0, end))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        short = fun(hi) < y
+        while np.any(grow := short & (hi < end)):
+            lo = np.where(grow, hi, lo)
+            hi = np.where(grow, np.minimum(2.0 * hi, end), hi)
+            short = fun(hi) < y
+        for _ in range(_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            below = fun(mid) < y
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        t, done = 0.5 * (lo + hi), short
+        for _ in range(_NEWTON_STEPS):
+            r = fun(t) - y
+            lo, hi = np.where(r < 0, t, lo), np.where(r > 0, t, hi)
+            new = t - r / slope(t)
+            new = np.where(done, t, np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi)))
+            # converged: the step is at the rounding level of t, or the
+            # residual is at the rounding level of y (where g is small)
+            done = done | (np.abs(new - t) <= 4.0 * _EPS * np.abs(new)) \
+                | (np.abs(r) <= 4.0 * _EPS * np.abs(y))
+            t = new
+            if np.all(done):
+                break
+    return np.where(short, np.nan, t)
 
 
 def constant(value) -> FunctionDescriptor:
@@ -393,41 +598,25 @@ class Psi0Profile:
         return self.psi0(alpha)
 
 
-def _bisect(fun, a, b, fa, fb, tol=1e-15, max_iter=200):
-    # plain bisection; assumes fun(a), fun(b) straddle zero
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    for _ in range(max_iter):
-        mid = 0.5 * (a + b)
-        fm = fun(mid)
-        if fm == 0.0 or (b - a) <= tol * max(1.0, abs(mid)):
-            return mid
-        if (fa < 0) != (fm < 0):
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
-
-
 def _first_zero(desc: FunctionDescriptor, grid: np.ndarray) -> float | None:
-    """First zero of a sampled function in the open interior, by bisection."""
+    """First zero of a sampled function in the open interior (0, 1)."""
     vals = np.asarray(desc(grid))
-    scale = np.max(np.abs(vals))
-    if scale == 0:
+    if np.max(np.abs(vals)) == 0:
         return None
-    for i in range(len(grid) - 1):
-        a, b = grid[i], grid[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if 0 < b and a < 1:
-            if fa == 0.0 and 0 < a < 1:
-                return float(a)
-            if fa * fb < 0:
-                return float(_bisect(lambda x: float(desc(x)), a, b, fa, fb))
-    if vals[-1] == 0.0:
+    a, b, fa, fb = grid[:-1], grid[1:], vals[:-1], vals[1:]
+    at_node = (fa == 0.0) & (a > 0) & (a < 1)
+    hits = np.flatnonzero(at_node | ((fa * fb < 0) & (b > 0) & (a < 1)))
+    if hits.size == 0:
         return None  # a zero exactly at alpha=1 is not "in (0,1)"
-    return None
+    i = hits[0]
+    if at_node[i]:
+        return float(a[i])
+    # sign * f rises through zero on [a_i, b_i]
+    sign = math.copysign(1.0, fb[i])
+    s = _solve_increasing(lambda s: sign * np.asarray(desc(a[i] + s)),
+                          lambda s: sign * np.asarray(desc.derivative(a[i] + s)),
+                          0.0, end=b[i] - a[i])
+    return float(a[i] + s)
 
 
 def _parabolic_vertex(x0, h, ym, y0, yp):
@@ -520,66 +709,53 @@ def build_psi0(spec: ProblemSpec, method: str = "auto") -> Psi0Profile:
 class BoundaryIntegral:
     """Sampled G(t) = int_0^t g, its limit, and a monotone inverse.
 
-    analytic_form, when set, names an exact antiderivative used for both
-    evaluation and inversion:
-      ("polynomial", coeffs)            ascending antiderivative coefficients
-      ("singular_boundary", beta, t_b)  G = (t_b/beta)((1 - t/t_b)^-beta - 1)
-      ("exponential", A, r)             G = A (e^{rt} - 1)/r
-    `estimated` flags a G_infinity obtained by tail extrapolation rather than
-    a closed form.
+    G holds samples on [0, t_max].  A quadrature-built G (`sampled`)
+    interpolates them there and continues past t_max as
+    G(t_max) + I(t) - I(t_max), with I the kind's closed-form integral; any
+    other G is that closed form outright.  `estimated` flags a G_infinity
+    obtained by tail extrapolation (tables only) rather than a closed form.
     """
 
     G: GridFunction
     G_infinity: float
-    analytic_form: tuple | None = None
-    g_desc: FunctionDescriptor | None = None
+    g_desc: FunctionDescriptor
     estimated: bool = False
+    sampled: bool = False
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
-        if self.analytic_form is not None:
-            tag = self.analytic_form[0]
-            if tag == "polynomial":
-                out = npoly.polyval(t, self.analytic_form[1])
-            elif tag == "singular_boundary":
-                _, beta, tb = self.analytic_form
-                out = (tb / beta) * ((1.0 - t / tb) ** (-beta) - 1.0)
-            else:
-                _, amp, rate = self.analytic_form
-                out = amp * np.expm1(rate * t) / rate
-            return out if out.ndim else float(out)
-        return self.G(t)
+        if not self.sampled:
+            out = power_integral(self.g_desc, 1.0, t)
+        else:
+            tm, G_end = self.t_max, self.G.values[-1]
+            ahead = np.maximum(t, tm)
+            out = np.where(t <= tm, self.G(t), G_end + power_integral(self.g_desc, 1.0, ahead)
+                           - power_integral(self.g_desc, 1.0, tm))
+        return out if np.ndim(out) else float(out)
+
+    def invert(self, y):
+        """Elementwise t with G(t) = y; NaN where G never gets there (at or
+        past G_infinity, or past the last node of tabulated g)."""
+        y = np.asarray(y, dtype=float)
+        t = np.full(y.shape, np.nan)
+        reach = y < self.G_infinity
+        t[reach] = _solve_increasing(self.value, self.g_desc, y[reach],
+                                     _KINDS[self.g_desc.kind].end(self.g_desc.params))
+        return t
 
     @property
     def t_max(self) -> float:
         return float(self.G.nodes[-1])
 
 
-def _g_infinity(desc: FunctionDescriptor, G_vals, t_grid):
-    """Closed-form limit of G when the catalog permits, else a flagged estimate."""
-    if desc.kind in ("constant", "polynomial", "singular_boundary"):
-        return np.inf, False  # positive polynomial or blow-up family: divergent
-    if desc.kind == "exponential":
-        amp, rate = desc.params["amplitude"], desc.params["rate"]
-        if rate < 0:
-            return -amp / rate, False
-        return np.inf, False
-    # table / trigonometric: extrapolate the tail and flag the estimate
-    g_end = float(desc(t_grid[-1]))
-    g_mid = float(desc(t_grid[len(t_grid) // 2]))
-    if g_end >= 0.5 * g_mid:
-        # no decay visible; treat as divergent
-        return np.inf, True
-    # geometric tail model g ~ g_end * exp(-k (t - t_end))
-    k = math.log(g_mid / g_end) / (t_grid[-1] - t_grid[len(t_grid) // 2])
-    return float(G_vals[-1] + g_end / k), True
-
-
 def build_G(spec, t_max: float, n_t: int = 1025, method: str = "auto") -> BoundaryIntegral:
     """Strictly increasing sampled G on [0, t_max] with G(0) = 0 exact.
 
-    Accepts a ProblemSpec or a bare FunctionDescriptor for g.  For the
-    singular boundary family t_max must stay below the blow-up time t_b.
+    Accepts a ProblemSpec or a bare FunctionDescriptor for g.  method "auto"
+    samples the kind's closed form; "quadrature" integrates g by Simpson's
+    rule on each grid interval, so every increment of a positive g is
+    positive.  For the singular boundary family t_max must stay below the
+    blow-up time t_b.
     """
     desc = spec.g if isinstance(spec, ProblemSpec) else spec
     if method not in ("auto", "quadrature"):
@@ -591,97 +767,38 @@ def build_G(spec, t_max: float, n_t: int = 1025, method: str = "auto") -> Bounda
             f"t_max={t_max} reaches the boundary blow-up time t_b={desc.params['t_b']}"
         )
     t_grid = np.linspace(0.0, t_max, n_t)
-    analytic = None
-    if method == "auto" and desc.is_polynomial():
-        anti = npoly.polyint(desc.poly_coeffs())
-        vals = npoly.polyval(t_grid, anti)
-        vals[0] = 0.0
-        analytic = ("polynomial", tuple(anti.tolist()))
-    elif method == "auto" and desc.kind == "singular_boundary":
-        beta, tb = desc.params["beta"], desc.params["t_b"]
-        vals = (tb / beta) * ((1.0 - t_grid / tb) ** (-beta) - 1.0)
-        vals[0] = 0.0
-        analytic = ("singular_boundary", beta, tb)
-    elif method == "auto" and desc.kind == "exponential":
-        amp, rate = desc.params["amplitude"], desc.params["rate"]
-        if rate == 0.0:
-            anti = (0.0, amp)
-            vals = npoly.polyval(t_grid, anti)
-            analytic = ("polynomial", anti)
-        else:
-            vals = amp * np.expm1(rate * t_grid) / rate
-            analytic = ("exponential", amp, rate)
+    if method == "auto":
+        vals = np.asarray(power_integral(desc, 1.0, t_grid))
     else:
-        g_samples = np.asarray(desc(t_grid))
-        if np.min(g_samples) <= 0:
+        g_nodes = np.asarray(desc(t_grid))
+        g_mids = np.asarray(desc(0.5 * (t_grid[:-1] + t_grid[1:])))
+        if min(np.min(g_nodes), np.min(g_mids)) <= 0:
             raise ValueError("g must be strictly positive on [0, t_max]")
-        vals = cumulative_simpson(g_samples, dx=t_grid[1] - t_grid[0], initial=0.0)
+        steps = (t_grid[1] - t_grid[0]) / 6.0 * (g_nodes[:-1] + 4.0 * g_mids + g_nodes[1:])
+        vals = np.concatenate(([0.0], np.cumsum(steps)))
     if not np.all(np.diff(vals) > 0):
         raise ValueError("G is not strictly increasing; g must be positive")
-    G_inf, estimated = _g_infinity(desc, vals, t_grid)
-    return BoundaryIntegral(G=GridFunction(t_grid, vals), G_infinity=G_inf,
-                            analytic_form=analytic, g_desc=desc, estimated=estimated)
+    G_inf, estimated = power_integral_limit(desc, 1.0)
+    return BoundaryIntegral(G=GridFunction(t_grid, vals), G_infinity=G_inf, g_desc=desc,
+                            estimated=estimated, sampled=method == "quadrature")
 
 
 def invert_G(B: BoundaryIntegral, target: float) -> float:
     """Solve G(t) = target for the monotone accumulated boundary integral.
 
-    Closed-form inversion when an analytic form is available, bisection on the
-    sampled interpolant otherwise.  A target at or past G_infinity raises
-    NoFiniteTime, the numerical signal for global existence.
+    A target at or past G_infinity raises NoFiniteTime, the numerical signal
+    for global existence; one that G reaches only past the last node of
+    tabulated g raises ValueError.
     """
     target = float(target)
     if target < 0:
         raise ValueError("inversion target must be nonnegative")
-    if target == 0.0:
-        return 0.0
     if target >= B.G_infinity:
         raise NoFiniteTime(target, B.G_infinity)
-
-    tol = INVERT_RTOL * (1.0 + target)
-    if B.analytic_form is not None:
-        tag = B.analytic_form[0]
-        if tag == "singular_boundary":
-            _, beta, tb = B.analytic_form
-            return float(tb * (1.0 - (1.0 + beta * target / tb) ** (-1.0 / beta)))
-        if tag == "exponential":
-            _, amp, rate = B.analytic_form
-            return float(math.log1p(rate * target / amp) / rate)
-        # polynomial: roots of the antiderivative shifted by the target
-        coeffs = np.array(B.analytic_form[1])
-        coeffs[0] -= target
-        roots = np.roots(coeffs[::-1])
-        real = roots[np.abs(roots.imag) < 1e-9].real
-        candidates = sorted(r for r in real if r >= -1e-12)
-        for r in candidates:
-            if abs(float(B.value(r)) - target) <= max(tol, 1e-9 * (1 + target)):
-                return float(max(r, 0.0))
-        # numerically awkward root constellation: fall through to bisection
-
-    # bisection; expand the bracket beyond the sampled domain only when an
-    # analytic form makes evaluation there meaningful
-    value = B.value
-    hi = B.t_max
-    if B.analytic_form is None:
-        if target > float(value(hi)):
-            raise ValueError(
-                f"target {target} exceeds sampled G({hi}) = {float(value(hi)):.6g}; "
-                "rebuild with a larger t_max"
-            )
-    else:
-        while float(value(hi)) < target:
-            hi *= 2.0
-    lo, f_lo, f_hi = 0.0, -target, float(value(hi)) - target
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = float(value(mid)) - target
-        if abs(fm) <= tol:
-            return mid
-        if (f_lo < 0) != (fm < 0):
-            hi, f_hi = mid, fm
-        else:
-            lo, f_lo = mid, fm
-    return 0.5 * (lo + hi)
+    t = float(B.invert(target))
+    if math.isnan(t):
+        raise ValueError(f"G does not reach {target} within the data range of g")
+    return t
 
 
 # ---------------------------------------------------------------------------

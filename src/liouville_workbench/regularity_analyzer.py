@@ -190,50 +190,33 @@ def classify(profile: Psi0Profile, B: BoundaryIntegral, spec: ProblemSpec) -> Re
     suff_b = _sufficient_blowup(spec, grid, profile.alpha0)
 
     if spec.g.kind == "singular_boundary":
-        base = singular_boundary_report(profile, spec)
-        return _with_conditions(base, suff_g, suff_b)
+        return dataclasses.replace(singular_boundary_report(profile, spec),
+                                   sufficient_global=suff_g, sufficient_blowup=suff_b)
 
     M0 = _effective_M0(profile)
-    estimated = B.estimated
+    flags = dict(sufficient_global=suff_g, sufficient_blowup=suff_b,
+                 g_infinity_estimated=B.estimated)
     if M0 == 0.0:
-        return RegularityReport(
-            verdict=VERDICT_GLOBAL,
-            sufficient_global=suff_g, sufficient_blowup=suff_b,
-            g_infinity_estimated=estimated,
-        )
+        return RegularityReport(verdict=VERDICT_GLOBAL, **flags)
     target = 2.0 / M0
     if B.G_infinity < target:
-        return RegularityReport(
-            verdict=VERDICT_GLOBAL,
-            sufficient_global=suff_g, sufficient_blowup=suff_b,
-            g_infinity_estimated=estimated,
-            notes=(f"M0={M0:.6g} positive but G_infinity={B.G_infinity:.6g} "
-                   f"stays below 2/M0={target:.6g}",),
-        )
+        note = (f"M0={M0:.6g} positive but G_infinity={B.G_infinity:.6g} "
+                f"stays below 2/M0={target:.6g}")
+        return RegularityReport(verdict=VERDICT_GLOBAL, notes=(note,), **flags)
     if B.G_infinity == target:
-        return RegularityReport(
-            verdict=VERDICT_GLOBAL,
-            sufficient_global=suff_g, sufficient_blowup=suff_b,
-            g_infinity_estimated=estimated,
-            notes=("G_infinity equals 2/M0 exactly: the norm grows without bound "
-                   "but no finite blow-up time exists",),
-        )
+        note = ("G_infinity equals 2/M0 exactly: the norm grows without bound "
+                "but no finite blow-up time exists")
+        return RegularityReport(verdict=VERDICT_GLOBAL, notes=(note,), **flags)
     t_star = invert_G(B, target)
-    g_star = float(spec.g(t_star))
-    final_profile, limits = _finite_profile(profile, spec, g_star, M0)
+    final_profile, limits = _finite_profile(profile, spec, float(spec.g(t_star)), M0)
     return RegularityReport(
         verdict=VERDICT_FINITE,
         t_star=t_star,
         blowup_locations=profile.argmax_set,
         final_profile=final_profile,
         profile_limits=limits,
-        sufficient_global=suff_g, sufficient_blowup=suff_b,
-        g_infinity_estimated=estimated,
+        **flags,
     )
-
-
-def _with_conditions(report: RegularityReport, suff_g: bool, suff_b: bool) -> RegularityReport:
-    return dataclasses.replace(report, sufficient_global=suff_g, sufficient_blowup=suff_b)
 
 
 def singular_boundary_report(profile: Psi0Profile, spec: ProblemSpec) -> RegularityReport:

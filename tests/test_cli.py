@@ -48,6 +48,17 @@ class TestClassify:
         assert "FiniteBlowup" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_quadrature_singular_examples(self, k, tmp_path, capsys):
+        path = tmp_path / f"ex{k}.json"
+        path.write_text(json.dumps(catalog.example_spec_dict(k)))
+        verdicts = []
+        for method in ("auto", "quadrature"):
+            rc = main(["classify", "--spec", str(path), "--method", method])
+            assert rc == 0
+            verdicts.append(capsys.readouterr().out.splitlines()[0])
+        assert verdicts[0] == verdicts[1]
+
 class TestSolve:
     def test_writes_field_with_hash_header(self, spec2_path, tmp_path, capsys):
         rc = main(["solve", "--spec", spec2_path, "--t-max", "1.0",
@@ -154,14 +165,3 @@ class TestErrors:
         rc = main(["classify", "--spec", "/nonexistent/spec.json"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_thread_env_guard(self, spec2_path, capsys, monkeypatch):
-        monkeypatch.setenv("LIOUVILLE_WORKBENCH_THREADS", "zero")
-        rc = main(["classify", "--spec", spec2_path])
-        assert rc == 2
-        assert "LIOUVILLE_WORKBENCH_THREADS" in capsys.readouterr().err
-
-    def test_thread_env_accepted(self, spec2_path, capsys, monkeypatch):
-        monkeypatch.setenv("LIOUVILLE_WORKBENCH_THREADS", "2")
-        rc = main(["classify", "--spec", spec2_path])
-        assert rc == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from liouville_workbench import (
+    FunctionDescriptor,
     ProblemSpec,
     blowup_bounds,
     compute_H0_alpha0,
@@ -186,6 +187,19 @@ class TestBounds:
         want = 32.0 * math.log(4.0 / 3.0)
         assert report.crossing_time == pytest.approx(want, rel=1e-9)
         assert traj.stop_reason == "blowup_cap"
+
+    def test_crossing_past_table_data_is_absent(self):
+        # int g^d reaches the threshold 2/(c H0(alpha0)) = 8 only past t = 8,
+        # where the table has no data; the limit itself is a flagged estimate
+        g = FunctionDescriptor("table", {"nodes": [0.0, 1.0, 2.0, 4.0, 8.0],
+                                         "values": [1.0, 0.8, 0.6, 0.4, 0.3]})
+        spec = ProblemSpec(f=polynomial(1.0, -2.0), u0=constant(1.0), g=g, n_alpha=65)
+        traj = integrate_general(spec, identity_F(), t_end=1.0, dt=0.01)
+        report = blowup_bounds(spec, identity_F(), traj)
+        assert report.monotonicity == "nonincreasing"
+        assert report.predicted == "FiniteBlowup"
+        assert report.limits_estimated
+        assert report.crossing_time is None
 
     def test_detect_blowup_times(self):
         spec = quadratic_F_spec(g=exponential(1.0, -1.0 / 32.0))

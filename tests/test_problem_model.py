@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from liouville_workbench import (
     BoundaryIntegral,
@@ -222,11 +223,22 @@ class TestBoundaryIntegral:
         B = build_G(spec, t_max=3.0, method="quadrature")
         assert invert_G(B, 2.0) == pytest.approx(1.0, rel=1e-6)
 
-    def test_quadrature_beyond_samples_rejected(self, problem):
-        spec, _, _ = problem(1)
-        B = build_G(spec, t_max=2.0, method="quadrature")
+    def test_quadrature_beyond_samples_rejected(self):
+        # a table has no data past its last node, so G cannot be continued there
+        table = FunctionDescriptor(
+            "table", {"nodes": [0.0, 1.0, 2.0], "values": [1.0, 2.0, 3.0]})
+        B = build_G(table, t_max=2.0, method="quadrature")
         with pytest.raises(ValueError):
             invert_G(B, B.value(2.0) + 1.0)
+        with pytest.raises(ValueError):
+            B.value(2.5)
+
+    def test_quadrature_continues_past_samples(self, problem):
+        # G = t^2 + t: past t_max the samples continue by the closed form
+        spec, _, _ = problem(1)
+        B = build_G(spec, t_max=2.0, method="quadrature")
+        assert B.value(3.0) == pytest.approx(12.0, rel=1e-13)
+        assert invert_G(B, 12.0) == pytest.approx(3.0, rel=1e-13)
 
     def test_rejects_t_max_past_boundary(self):
         with pytest.raises(ValueError):
@@ -246,6 +258,17 @@ class TestBoundaryIntegral:
         assert B.estimated
         assert B.G_infinity == pytest.approx(1.0, rel=1e-2)
 
+
+    def test_trigonometric_closed_form_matches_simpson(self):
+        # the k = 0 term is the constant 0.3 sin(0.7)
+        g = FunctionDescriptor("trigonometric", {
+            "offset": 1.0, "terms": [[0.5, 0.25, 1.0], [-0.2, 1.5, 0.3], [0.3, 0.0, 0.7]]})
+        B = build_G(g, t_max=7.0)
+        assert not B.estimated and math.isinf(B.G_infinity)
+        for t in (0.3, 2.5, 7.0, 40.0):
+            s = np.linspace(0.0, t, 200001)
+            want = simpson(g(s), x=s)
+            assert B.value(t) == pytest.approx(want, rel=1e-12)
 
 class TestCompatibility:
     def test_examples_are_compatible(self, problem):

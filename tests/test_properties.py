@@ -7,12 +7,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from liouville_workbench import (
+    FunctionDescriptor,
     GridFunction,
     ProblemSpec,
     build_G,
     build_psi0,
     constant,
     evaluate_field,
+    exponential,
     identity_F,
     integrate_general,
     invert_G,
@@ -21,7 +23,9 @@ from liouville_workbench import (
     polynomial,
     power_F,
     schwarzian,
+    singular_boundary,
 )
+from liouville_workbench.problem_model import INVERT_RTOL
 
 COMMON = dict(max_examples=25, derandomize=True, deadline=None)
 
@@ -45,6 +49,34 @@ def balanced_quadratic_f(draw):
     return polynomial(a + b, -2.0 * a - 6.0 * b, 6.0 * b)
 
 
+
+@st.composite
+def positive_g(draw):
+    """Positive boundary data of every descriptor kind."""
+    kind = draw(st.sampled_from(["constant", "polynomial", "trigonometric",
+                                 "singular_boundary", "table", "exponential"]))
+    if kind == "constant":
+        return constant(draw(st.floats(0.5, 2.0)))
+    if kind == "polynomial":
+        return polynomial(draw(st.floats(0.5, 2.0)), draw(st.floats(0.0, 3.0)),
+                          draw(st.floats(0.0, 1.0)))
+    if kind == "trigonometric":
+        offset = draw(st.floats(1.0, 2.0))
+        terms = draw(st.lists(st.tuples(st.floats(-0.45, 0.45), st.floats(0.1, 2.0),
+                                        st.floats(0.0, 2.0 * math.pi)),
+                              min_size=1, max_size=2))
+        return FunctionDescriptor("trigonometric", {
+            "offset": offset, "terms": [[a * offset, k, ph] for a, k, ph in terms]})
+    if kind == "singular_boundary":
+        return singular_boundary(draw(st.floats(0.3, 2.0)), draw(st.floats(0.5, 2.0)))
+    if kind == "table":
+        steps = draw(st.lists(st.floats(0.2, 2.0), min_size=2, max_size=7))
+        values = draw(st.lists(st.floats(0.2, 3.0), min_size=len(steps) + 1,
+                               max_size=len(steps) + 1))
+        nodes = np.concatenate(([0.0], np.cumsum(steps)))
+        return FunctionDescriptor("table", {"nodes": nodes.tolist(), "values": values})
+    return exponential(draw(st.floats(0.5, 2.0)), draw(st.floats(-1.0, 1.0)))
+
 class TestAccumulators:
     @given(g=positive_linear_g(), frac=st.floats(0.01, 0.99))
     @settings(**COMMON)
@@ -53,6 +85,21 @@ class TestAccumulators:
         target = frac * float(B.value(5.0))
         t = invert_G(B, target)
         assert abs(float(B.value(t)) - target) <= 1e-10 * (1.0 + target)
+
+    @given(g=positive_g(), method=st.sampled_from(["auto", "quadrature"]),
+           fracs=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6))
+    @settings(**COMMON)
+    def test_inverse_round_trips_every_kind(self, g, method, fracs):
+        # targets up to G at the end of g's data, or twice past the sampled
+        # window when g lives forever
+        end = g.params.get("t_b", g.params.get("nodes", [math.inf])[-1])
+        t_max = 0.9 * end if math.isfinite(end) else 5.0
+        t_far = 0.99 * end if math.isfinite(end) else 2.0 * t_max
+        B = build_G(g, t_max=t_max, method=method)
+        ys = np.array(fracs) * B.value(t_far)
+        ts = B.invert(ys)
+        assert np.all(np.abs(B.value(ts) - ys) <= INVERT_RTOL * (1.0 + ys))
+        np.testing.assert_array_equal(ts, [invert_G(B, y) for y in ys])
 
     @given(f=balanced_quadratic_f())
     @settings(**COMMON)

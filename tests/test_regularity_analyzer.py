@@ -86,6 +86,22 @@ class TestClassify:
         assert any("borderline" in n or "equals" in n for n in report.notes)
 
 
+    @pytest.mark.parametrize("method", ["auto", "quadrature"])
+    @pytest.mark.parametrize("t_max", [10.0, 12.0, 100.0])
+    def test_periodic_g_blows_up_whatever_the_horizon(self, method, t_max):
+        # g = (1 + 0.9 cos(pi t / 2)) / 1.9 after normalization, so
+        # G(t) = (t + (1.8/pi) sin(pi t / 2)) / 1.9 reaches 2/M0 = 80 at t = 152
+        with pytest.warns(UserWarning):
+            spec = ProblemSpec(f=polynomial(0.1, -0.2), u0=constant(1.0),
+                               g=FunctionDescriptor("trigonometric", {
+                                   "offset": 1.0, "terms": [[0.9, 0.25, math.pi / 2]]}))
+        report = classify(build_psi0(spec, method=method),
+                          build_G(spec, t_max=t_max, method=method), spec)
+        assert report.verdict == "FiniteBlowup"
+        assert report.t_star == pytest.approx(152.0, rel=1e-9 if method == "auto" else 3e-6)
+        assert not report.g_infinity_estimated
+
+
 class TestSingularBoundaryReport:
     def test_example4_interior_blowup_first(self, problem):
         spec, profile, _ = problem(4)
