@@ -1,6 +1,8 @@
 """Numerical workbench for the periodic initial-boundary value problem of a
 sign-changing Liouville-type equation and its generalization."""
 
+import types
+
 from .errors import EmptyCurve, NearSingular, NoFiniteTime
 from .problem_model import (
     BoundaryIntegral,
@@ -66,59 +68,6 @@ from . import catalog
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundaryIntegral",
-    "BoundsReport",
-    "CompatibilityReport",
-    "CuspModel",
-    "EmptyCurve",
-    "FunctionDescriptor",
-    "GeneralizedState",
-    "GridFunction",
-    "NearSingular",
-    "NoFiniteTime",
-    "Nonlinearity",
-    "ProblemSpec",
-    "Psi0Profile",
-    "RegularityReport",
-    "ResidualReport",
-    "SingularCurve",
-    "SolutionField",
-    "Trajectory",
-    "blowup_bounds",
-    "build_G",
-    "build_psi0",
-    "catalog",
-    "check_compatibility",
-    "classify",
-    "compute_H0_alpha0",
-    "constant",
-    "denominator",
-    "detect_blowup",
-    "evaluate_field",
-    "evaluate_u",
-    "exponential",
-    "extract_features",
-    "fit_cusp",
-    "gamma_identity",
-    "identity_F",
-    "integrate_general",
-    "invert_G",
-    "jump_transport",
-    "load_problem_spec",
-    "lp_asymptotic_constant",
-    "lp_blowup_fit",
-    "lp_norm",
-    "pde_residual",
-    "polynomial",
-    "power_F",
-    "power_integral",
-    "power_integral_limit",
-    "r_invariance",
-    "schwarzian",
-    "singular_boundary",
-    "singular_boundary_report",
-    "singular_curve",
-    "spec_hash",
-    "table_F",
-]
+# the public names are exactly what is imported above
+__all__ = sorted(name for name, value in globals().items() if not name.startswith("_")
+                 and not isinstance(value, types.ModuleType)) + ["catalog"]

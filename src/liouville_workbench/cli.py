@@ -45,6 +45,7 @@ from .problem_model import (
     check_compatibility,
     load_problem_spec,
     spec_hash,
+    write_csv,
 )
 from .regularity_analyzer import VERDICT_FINITE, classify, lp_norm
 from .verification import gamma_identity, pde_residual, r_invariance, schwarzian
@@ -187,14 +188,10 @@ def _cmd_lp_scan(args) -> int:
     fld = evaluate_field(profile, B, spec, spec.alpha_grid(), t_grid)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "lp_scan.csv")
-    with open(path, "w") as fh:
-        fh.write(f"# {_comment(spec, t_max=t_max, p=args.p)}\n")
-        fh.write("t,p,norm\n")
-        for t in t_grid:
-            for p in ps:
-                norm = lp_norm(fld, p, float(t))
-                p_txt = "inf" if p == math.inf else f"{p:.12e}"
-                fh.write(f"{t:.12e},{p_txt},{norm:.12e}\n")
+    p_txt = ["inf" if p == math.inf else f"{p:.12e}" for p in ps]
+    write_csv(path, _comment(spec, t_max=t_max, p=args.p), "t,p,norm", "%.12e,%s,%.12e",
+              (np.repeat(t_grid, len(ps)), p_txt * len(t_grid),
+               [lp_norm(fld, p, float(t)) for t in t_grid for p in ps]))
     print(f"lp scan: {len(t_grid)} times x {len(ps)} exponents -> {path}")
     return 0
 

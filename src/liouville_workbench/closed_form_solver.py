@@ -28,6 +28,7 @@ from .problem_model import (
     BoundaryIntegral,
     ProblemSpec,
     Psi0Profile,
+    write_csv,
 )
 
 SINGULAR_ATOL = 1e-8   # D at or below this counts as singular (or past the curve)
@@ -61,14 +62,10 @@ class SolutionField:
         return self.singular_mask[idx]
 
     def to_csv(self, path, comment: str | None = None):
-        with open(path, "w") as fh:
-            if comment:
-                fh.write(f"# {comment}\n")
-            fh.write("alpha,t,u,masked\n")
-            for i, t in enumerate(self.t_nodes):
-                for j, a in enumerate(self.alpha_nodes):
-                    fh.write(f"{a:.12e},{t:.12e},{self.values[i, j]:.12e},"
-                             f"{int(self.singular_mask[i, j])}\n")
+        nt, na = self.values.shape
+        write_csv(path, comment, "alpha,t,u,masked", "%.12e,%.12e,%.12e,%d",
+                  (np.tile(self.alpha_nodes, nt), np.repeat(self.t_nodes, na),
+                   self.values, self.singular_mask))
 
 
 @dataclass(frozen=True)
@@ -86,12 +83,8 @@ class SingularCurve:
     slope_mismatches: int = 0
 
     def to_csv(self, path, comment: str | None = None):
-        with open(path, "w") as fh:
-            if comment:
-                fh.write(f"# {comment}\n")
-            fh.write("alpha,t_tilde,slope_sign\n")
-            for a, t, s in zip(self.alpha_samples, self.t_samples, self.slope_sign):
-                fh.write(f"{a:.12e},{t:.12e},{int(s)}\n")
+        write_csv(path, comment, "alpha,t_tilde,slope_sign", "%.12e,%.12e,%d",
+                  (self.alpha_samples, self.t_samples, self.slope_sign))
 
 
 # ---------------------------------------------------------------------------

@@ -28,16 +28,19 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from .problem_model import (
+    COMPAT_RTOL,
     FunctionDescriptor,
     GridFunction,
     ProblemSpec,
     _first_zero,
+    cumulative_simpson,
     invert_power_integral,
     power_integral,
     power_integral_limit,
+    simpson,
+    write_csv,
 )
 
 DRIFT_RTOL = 1e-6
@@ -163,13 +166,9 @@ class Trajectory:
         return np.array([s.t for s in self.states])
 
     def to_csv(self, path, comment: str | None = None):
-        with open(path, "w") as fh:
-            if comment:
-                fh.write(f"# {comment}\n")
-            fh.write("t,alpha,u\n")
-            for s in self.states:
-                for a, v in zip(self.alpha, s.u):
-                    fh.write(f"{s.t:.12e},{a:.12e},{v:.12e}\n")
+        write_csv(path, comment, "t,alpha,u", "%.12e,%.12e,%.12e",
+                  (np.repeat(self.state_times, self.alpha.size),
+                   np.tile(self.alpha, len(self.states)), [s.u for s in self.states]))
 
 
 # ---------------------------------------------------------------------------
@@ -189,61 +188,68 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
                       store_every: int | None = None) -> Trajectory:
     """RK4 time integration of the method-of-lines system.
 
-    psi is recomputed by cumulative Simpson at every Runge-Kutta stage.  The
-    run stops at t_end or as soon as max u reaches blowup_cap; when the
-    sup-norm grows by more than 10% in a single step the step size is cut
-    10x and the step retried.  Raises on nonpositive u (numerical failure)
-    and on incompatible data (nonzero integral of f F(u0)).
+    psi is recomputed by cumulative Simpson at every Runge-Kutta stage; g and
+    g'/g are evaluated once per stage time and shared by the stages.  The run
+    stops at t_end or as soon as max u reaches blowup_cap; when the sup-norm
+    grows by more than 10% in a single step the step size is cut 10x and the
+    step retried.  Raises on nonpositive u (numerical failure) and on
+    incompatible data (nonzero integral of f F(u0)).
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
     grid = spec.alpha_grid()
     h = grid[1] - grid[0]
     defect = _compatibility_defect(spec, F, grid)
-    if defect > 1e-8:
+    if defect > COMPAT_RTOL:
         raise ValueError(
             f"data incompatible with periodic boundary values: "
             f"relative defect of integral f F(u0) is {defect:.3e}"
         )
 
     g_desc = spec.g
+    f_grid = np.asarray(spec.f(grid))
+    psi_buf = np.empty_like(grid)
 
-    def rhs(t, u):
-        if np.any(u <= 0.0):
+    def psi_of(u):
+        return cumulative_simpson(f_grid * np.asarray(F(u)), h, out=psi_buf)
+
+    def g_and_ratio(t):
+        # scalar calls: an array call would round some data kinds (powers of
+        # singular g) differently in the last bit
+        g_t = float(g_desc(t))
+        return g_t, float(g_desc.derivative(t)) / g_t
+
+    def check_positive(t, u):
+        if u.min() <= 0.0:
             j = int(np.argmin(u))
-            raise RuntimeError(
-                f"u became nonpositive at t={t:.6g}, alpha={grid[j]:.6g} "
-                f"(u={u[j]:.3e}); reduce dt or the blow-up cap"
-            )
-        gt = float(g_desc(t))
-        psi = cumulative_simpson(np.asarray(spec.f(grid)) * np.asarray(F(u)),
-                                 dx=h, initial=0.0)
-        return u * (float(g_desc.derivative(t)) / gt + psi), psi
+            raise RuntimeError(f"u became nonpositive at t={t:.6g}, alpha={grid[j]:.6g} "
+                               f"(u={u[j]:.3e}); reduce dt or the blow-up cap")
 
-    def pinned(u, t):
-        u = u.copy()
-        u[0] = float(g_desc(t))
-        return u
+    def rhs(t, u, g_ratio):
+        # g_ratio is g'(t)/g(t)
+        check_positive(t, u)
+        return u * (g_ratio + psi_of(u))
 
-    u = pinned(np.asarray(spec.u0(grid), dtype=float), 0.0)
     t = 0.0
-    _, psi_now = rhs(t, u)
+    g_t, r_t = g_and_ratio(t)
+    u = np.array(spec.u0(grid), dtype=float)
+    u[0] = g_t
 
     states = []
     t_dense, umax_dense, argmax_dense, drift_dense = [], [], [], []
 
-    def record_dense(t, u):
+    def record_dense(t, u, g_t):
         j = int(np.argmax(u))
         t_dense.append(t)
         umax_dense.append(float(u[j]))
         argmax_dense.append(j)
-        drift_dense.append(abs(float(u[-1]) - float(g_desc(t))) / float(g_desc(t)))
+        drift_dense.append(abs(float(u[-1]) - g_t) / g_t)
 
     if store_every is None:
         store_every = max(1, int(round(t_end / dt / 256)))
-    states.append(GeneralizedState(0.0, u.copy(), psi_now.copy(),
+    states.append(GeneralizedState(0.0, u.copy(), psi_of(u).copy(),
                                    abs(float(u[-1]) - 1.0)))
-    record_dense(0.0, u)
+    record_dense(0.0, u, g_t)
 
     stop_reason = "t_end"
     dt_min = dt * 1e-12
@@ -252,37 +258,34 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
     while t < t_end - 1e-12 * (1.0 + t_end):
         step = min(dt, t_end - t)
         while True:
+            _, r_half = g_and_ratio(t + 0.5 * step)
+            g_next, r_next = g_and_ratio(t + step)
             # stage inputs are NOT pinned: at alpha = 0 the semi-discrete
             # system already evolves u' = u g'/g exactly (psi(0) = 0), and
             # overwriting Runge-Kutta intermediates with boundary values
             # would cost two orders of accuracy; only the accepted state is
             # projected back onto the boundary condition
-            k1, _ = rhs(t, u)
-            k2, _ = rhs(t + 0.5 * step, u + 0.5 * step * k1)
-            k3, _ = rhs(t + 0.5 * step, u + 0.5 * step * k2)
-            k4, _ = rhs(t + step, u + step * k3)
-            u_new = pinned(u + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), t + step)
-            if np.any(u_new <= 0.0):
-                j = int(np.argmin(u_new))
-                raise RuntimeError(
-                    f"u became nonpositive at t={t + step:.6g}, alpha={grid[j]:.6g} "
-                    f"(u={u_new[j]:.3e}); reduce dt or the blow-up cap"
-                )
-            if float(np.max(u_new)) > _GROWTH_TRIGGER * float(np.max(u)) and step > dt_min:
+            k1 = rhs(t, u, r_t)
+            k2 = rhs(t + 0.5 * step, u + 0.5 * step * k1, r_half)
+            k3 = rhs(t + 0.5 * step, u + 0.5 * step * k2, r_half)
+            k4 = rhs(t + step, u + step * k3, r_next)
+            u_new = u + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            u_new[0] = g_next
+            check_positive(t + step, u_new)
+            if float(u_new.max()) > _GROWTH_TRIGGER * float(u.max()) and step > dt_min:
                 dt = step = step / 10.0
                 continue
             break
         t += step
-        u = u_new
+        u, g_t, r_t = u_new, g_next, r_next
         step_index += 1
-        record_dense(t, u)
+        record_dense(t, u, g_t)
         worst_drift = max(worst_drift, drift_dense[-1])
 
-        hit_cap = float(np.max(u)) >= blowup_cap
+        hit_cap = float(u.max()) >= blowup_cap
         if step_index % store_every == 0 or hit_cap or t >= t_end - 1e-12 * (1.0 + t_end):
-            _, psi_now = rhs(t, u)
-            states.append(GeneralizedState(t, u.copy(), psi_now.copy(),
-                                           abs(float(u[-1]) - float(g_desc(t)))))
+            states.append(GeneralizedState(t, u.copy(), psi_of(u).copy(),
+                                           abs(float(u[-1]) - g_t)))
         if hit_cap:
             stop_reason = "blowup_cap"
             break
@@ -322,7 +325,7 @@ def compute_H0_alpha0(spec: ProblemSpec, F: Nonlinearity) -> dict:
     """
     grid = spec.alpha_grid()
     w = np.asarray(spec.f(grid)) * np.asarray(F(spec.u0(grid)))
-    vals = cumulative_simpson(w, dx=grid[1] - grid[0], initial=0.0)
+    vals = cumulative_simpson(w, grid[1] - grid[0])
     H0 = GridFunction(grid, vals)
     alpha0 = _first_zero(spec.f, grid)
     if alpha0 is None:

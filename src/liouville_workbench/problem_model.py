@@ -37,8 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import cumulative_simpson, simpson
-from scipy.special import exprel
 
 from .errors import NoFiniteTime
 
@@ -55,6 +53,68 @@ _BISECTIONS = 12
 _NEWTON_STEPS = 60
 _T_REACH = 1e15
 _EPS = np.finfo(float).eps
+
+_CSV_BLOCK = 1024   # rows per % operation in write_csv
+
+
+# ---------------------------------------------------------------------------
+# quadrature kernels (the same arithmetic as scipy.integrate, which the tests
+# keep as the reference)
+
+
+def cumulative_simpson(y, h, out=None):
+    """int_0^{x_k} y at every node k of a uniform grid of step h (0 at k = 0).
+
+    Even intervals take the parabola through the next node, odd intervals and
+    the last one the parabola through the previous node.  out, if given, is a
+    buffer of y's length that receives the result.
+    """
+    n = len(y)
+    out = np.empty(n) if out is None else out
+    s, lo, hi = out[1:], out[1:n - 1:2], out[2::2]   # all intervals, even ones, odd ones
+    a, q, mid = 1.25 * y, 0.25 * y, 2.0 * y[1:n - 1:2]
+    np.add(a[0:n - 2:2], mid, out=lo)
+    lo -= q[2::2]
+    np.add(a[2::2], mid, out=hi)
+    hi -= q[0:n - 2:2]
+    if n % 2 == 0:
+        s[-1] = a[-1] + 2.0 * y[-2] - q[-3]
+    s *= h / 3.0
+    s.cumsum(out=s)
+    out[0] = 0.0
+    return out
+
+
+def simpson(y, x):
+    """int y along the last axis by composite Simpson on the nodes x.
+
+    On an even count the last interval gets Cartwright's three-point
+    correction; two nodes fall back to the trapezoid.
+    """
+    y, h = np.asarray(y, dtype=float), np.diff(np.asarray(x, dtype=float))
+    n = y.shape[-1]
+    if n == 2:
+        return 0.5 * h[0] * (y[..., 0] + y[..., 1])
+    stop = n - 2 if n % 2 else n - 3
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum, ratio = h0 + h1, h0 / h1
+    out = np.sum(hsum / 6.0 * (y[..., 0:stop:2] * (2.0 - 1.0 / ratio)
+                               + y[..., 1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
+                               + y[..., 2:stop + 2:2] * (2.0 - ratio)), axis=-1)
+    if n % 2 == 0:
+        a, b = h[-2], h[-1]
+        out = out + ((2 * b**2 + 3 * a * b) / (6 * (b + a)) * y[..., -1]
+                     + (b**2 + 3.0 * a * b) / (6 * a) * y[..., -2]
+                     - b**3 / (6 * a * (a + b)) * y[..., -3])
+    return out
+
+
+def exprel(x):
+    """(e^x - 1)/x, with its limit 1 at x = 0 and inf at x = inf."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = np.expm1(x) / x
+    return np.where(x == 0.0, 1.0, np.where(x == np.inf, x, out))
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +147,27 @@ class GridFunction:
         return np.interp(x, self.nodes, self.values)
 
     def to_csv(self, path, header=("node", "value")):
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for n, v in zip(self.nodes, self.values):
-                fh.write(f"{n:.12e},{v:.12e}\n")
+        write_csv(path, None, ",".join(header), "%.12e,%.12e", (self.nodes, self.values))
+
+
+def write_csv(path, comment, header, row, columns):
+    """Write a CSV file: "# comment" (when given), the header line, then line i
+    as the %-format row applied to (c[i] for c in columns).
+
+    Rows are formatted _CSV_BLOCK at a time, one % operation per block, so
+    the text of a large field never sits in memory whole.
+    """
+    cols = [np.ravel(c) for c in columns]
+    k, n = len(cols), cols[0].size
+    with open(path, "w") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        fh.write(header + "\n")
+        for i in range(0, n, _CSV_BLOCK):
+            flat = [None] * (k * min(_CSV_BLOCK, n - i))
+            for j, c in enumerate(cols):
+                flat[j::k] = c[i:i + _CSV_BLOCK].tolist()
+            fh.write((row + "\n") * (len(flat) // k) % tuple(flat))
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +184,8 @@ class _Kind:
     """
 
     def integral(self, p, power, t):
-        s = np.multiply.outer(t, np.linspace(0.0, 1.0, 4097))
-        return simpson(np.asarray(self.value(p, s)) ** power, axis=-1) * (t / 4096.0)
+        unit = np.linspace(0.0, 1.0, 4097)
+        return simpson(np.asarray(self.value(p, np.multiply.outer(t, unit))) ** power, unit) * t
 
     def limit(self, p, power):
         # constants, polynomials and positive trigonometric data (almost
@@ -132,7 +209,7 @@ class _Polynomial(_Kind):
         return npoly.polyval(x, self.coeffs(p))
 
     def derivative(self, p, x):
-        return npoly.polyval(x, npoly.polyder(self.coeffs(p)))
+        return npoly.polyval(x, _polynomial_derivative(self.coeffs(p)))
 
     def integral(self, p, power, t):
         if not (float(power).is_integer() and power > 0):
@@ -160,6 +237,11 @@ class _Constant(_Polynomial):
 def _polynomial_antiderivative(coeffs, power):
     # a tuple, because every caller shares the cached value
     return tuple(npoly.polyint(npoly.polypow(coeffs, power)).tolist())
+
+
+@functools.lru_cache(maxsize=64)
+def _polynomial_derivative(coeffs):
+    return tuple(npoly.polyder(coeffs).tolist())
 
 
 class _Trigonometric(_Kind):
@@ -351,7 +433,7 @@ class FunctionDescriptor:
 
     def __call__(self, x):
         out = _KINDS[self.kind].value(self.params, np.asarray(x, dtype=float))
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise ValueError(f"{self.kind} descriptor produced non-finite samples")
         return out if np.ndim(out) else float(out)
 
@@ -695,7 +777,7 @@ def build_psi0(spec: ProblemSpec, method: str = "auto") -> Psi0Profile:
         w = spec.f(grid) * spec.u0(grid)
         if not np.all(np.isfinite(w)):
             raise ValueError("f*u0 has non-finite samples on [0, 1]")
-        vals = cumulative_simpson(w, dx=grid[1] - grid[0], initial=0.0)
+        vals = cumulative_simpson(w, grid[1] - grid[0])
     bare = Psi0Profile(psi0=GridFunction(grid, vals), analytic=analytic)
     feats = extract_features(bare, spec)
     return dataclasses.replace(bare, **feats)

@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.special import gamma as gamma_fn
 
 from .closed_form_solver import SINGULAR_ATOL, SolutionField
 from .errors import NearSingular, NoFiniteTime
@@ -39,6 +37,7 @@ from .problem_model import (
     ZERO_SET_RTOL,
     _parabolic_vertex,
     invert_G,
+    simpson,
 )
 
 VERDICT_GLOBAL = "Global"
@@ -329,7 +328,7 @@ def lp_asymptotic_constant(M0: float, C1: float, q: float) -> dict:
     if C1 >= 0:
         raise ValueError("cusp coefficient C1 must be negative")
     C = (8.0 / M0**2) * (M0**2 / (2.0 * abs(C1))) ** (1.0 / q) \
-        * float(gamma_fn(1.0 + 1.0 / q)) * float(gamma_fn(2.0 - 1.0 / q))
+        * math.gamma(1.0 + 1.0 / q) * math.gamma(2.0 - 1.0 / q)
     return {"C": C, "exponent": 2.0 - 1.0 / q}
 
 

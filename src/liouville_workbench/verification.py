@@ -32,9 +32,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .closed_form_solver import SolutionField, evaluate_field
 from .generalized_integrator import Nonlinearity
@@ -227,6 +225,8 @@ def gamma_identity(q: float) -> dict:
     endpoint singularities that appear for q < 2/3 and q > 2); the right side
     is the gamma function directly.  Defined for q > 1/2 only.
     """
+    import mpmath  # high precision is needed here only, and costs import time
+
     if q <= 0.5:
         raise ValueError(f"the identity requires q > 1/2, got q={q}")
     a = 3.0 - 2.0 / q
@@ -240,5 +240,5 @@ def gamma_identity(q: float) -> dict:
             [0, half_pi],
         )
         lhs = float(lhs)
-    rhs = q * float(gamma_fn(1.0 + 1.0 / q)) * float(gamma_fn(2.0 - 1.0 / q))
+    rhs = q * math.gamma(1.0 + 1.0 / q) * math.gamma(2.0 - 1.0 / q)
     return {"lhs": lhs, "rhs": rhs, "diff": abs(lhs - rhs)}

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import liouville_workbench
 from liouville_workbench import catalog
 from liouville_workbench.cli import main
 
@@ -165,3 +171,25 @@ class TestErrors:
         rc = main(["classify", "--spec", "/nonexistent/spec.json"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestImports:
+    def test_no_scipy_or_mpmath(self, spec2_path, tmp_path):
+        # a bare import loads neither scipy nor mpmath, and the CLI runs with
+        # scipy blocked
+        script = textwrap.dedent(f"""
+            import sys
+            import liouville_workbench
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath"))
+            assert not loaded, loaded
+            sys.modules["scipy"] = None
+            from liouville_workbench.cli import main
+            assert main(["classify", "--spec", {spec2_path!r}]) == 0
+            assert main(["simulate", "--spec", {spec2_path!r}, "--out", {str(tmp_path)!r}]) == 0
+        """)
+        src = str(Path(liouville_workbench.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr

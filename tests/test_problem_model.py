@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate as sp_integrate
+from scipy import special as sp_special
 from scipy.integrate import simpson
 
 from liouville_workbench import (
@@ -23,6 +25,7 @@ from liouville_workbench import (
     singular_boundary,
     spec_hash,
 )
+from liouville_workbench import problem_model as pm
 
 
 class TestGridFunction:
@@ -284,3 +287,51 @@ class TestCompatibility:
         report = check_compatibility(spec)
         assert not report.ok
         assert not report.sign_change
+
+
+class TestScipyParity:
+    """The numpy kernels against scipy, which the test extra keeps as the reference."""
+
+    @pytest.mark.parametrize("n", [3, 4, 257, 258, 513, 2049])
+    def test_cumulative_simpson_is_bitwise_scipy(self, n):
+        rng = np.random.default_rng(n)
+        y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        h = 1.0 / (n - 1)
+        out = np.empty(n)
+        assert pm.cumulative_simpson(y, h, out=out) is out
+        np.testing.assert_array_equal(out, sp_integrate.cumulative_simpson(y, dx=h, initial=0.0))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 65, 66, 513, 514])
+    def test_simpson_is_bitwise_scipy(self, n):
+        rng = np.random.default_rng(n)
+        x = np.sort(rng.uniform(0.0, 2.0, n))
+        y = rng.standard_normal((3, n))
+        for grid in (x, np.linspace(0.0, 1.0, n)):
+            np.testing.assert_array_equal(pm.simpson(y[0], x=grid),
+                                          sp_integrate.simpson(y[0], x=grid))
+            np.testing.assert_array_equal(pm.simpson(y, x=grid),
+                                          sp_integrate.simpson(y, x=grid, axis=-1))
+
+    def test_exprel_matches_scipy(self):
+        x = np.array([0.0, 1e-310, -1e-310, 1e-300, -1e-300, 1e-8, -1e-8, 1.0, -1.0,
+                      700.0, -700.0, np.inf, -np.inf, np.nan])
+        np.testing.assert_allclose(pm.exprel(x), sp_special.exprel(x), rtol=4 * np.finfo(float).eps)
+        assert pm.exprel(0.0) == 1.0 and pm.exprel(np.inf) == np.inf
+
+    @pytest.mark.parametrize("q", [0.6, 1.0, 2.0, 5.0])
+    def test_math_gamma_matches_scipy(self, q):
+        for z in (1.0 + 1.0 / q, 2.0 - 1.0 / q):
+            assert math.gamma(z) == pytest.approx(float(sp_special.gamma(z)),
+                                                  rel=4 * np.finfo(float).eps)
+
+
+def test_write_csv_matches_per_row_formatting(tmp_path):
+    # enough rows for several formatting blocks
+    vals = np.tile([0.0, -0.0, 1.5e-300, -2.5e300, np.inf, -np.inf, np.nan, 1.0 / 3.0], 300)
+    flags = vals > 0
+    labels = [f"r{i}" for i in range(vals.size)]
+    path = tmp_path / "rows.csv"
+    pm.write_csv(path, "note", "v,flag,label", "%.12e,%d,%s", (vals, flags, labels))
+    want = "# note\nv,flag,label\n" + "".join(
+        f"{v:.12e},{int(b)},{s}\n" for v, b, s in zip(vals, flags, labels))
+    assert path.read_text() == want
