@@ -43,6 +43,7 @@ from .problem_model import (
     build_G,
     build_psi0,
     check_compatibility,
+    data_horizon,
     load_problem_spec,
     spec_hash,
     write_csv,
@@ -80,13 +81,6 @@ def _load_spec(args):
     return spec
 
 
-def _clamped_t_max(spec, t_max: float) -> float:
-    if spec.g.kind == "singular_boundary":
-        tb = spec.g.params["t_b"]
-        return min(t_max, tb * (1.0 - 1e-9))
-    return t_max
-
-
 def _surface_script(csv_name: str, n_alpha: int, n_t: int) -> str:
     return "\n".join([
         f"# gnuplot surface script for {csv_name}",
@@ -119,7 +113,7 @@ def _curve_script(csv_name: str) -> str:
 def _cmd_classify(args) -> int:
     spec = _load_spec(args)
     profile = build_psi0(spec, method=args.method)
-    B = build_G(spec, t_max=_clamped_t_max(spec, args.t_max), method=args.method)
+    B = build_G(spec, t_max=data_horizon(spec.g, args.t_max), method=args.method)
     report = classify(profile, B, spec)
     compat = check_compatibility(spec)
     text = report.to_text() + f"compatibility_defect: {compat.defect:.6e}\n"
@@ -134,7 +128,7 @@ def _cmd_classify(args) -> int:
 def _cmd_solve(args) -> int:
     spec = _load_spec(args)
     profile = build_psi0(spec)
-    t_max = _clamped_t_max(spec, args.t_max)
+    t_max = data_horizon(spec.g, args.t_max)
     B = build_G(spec, t_max=t_max)
     if args.dt:
         t_grid = np.arange(0.0, t_max + 0.5 * args.dt, args.dt)
@@ -156,7 +150,7 @@ def _cmd_solve(args) -> int:
 def _cmd_singular_curve(args) -> int:
     spec = _load_spec(args)
     profile = build_psi0(spec)
-    B = build_G(spec, t_max=_clamped_t_max(spec, args.t_max))
+    B = build_G(spec, t_max=data_horizon(spec.g, args.t_max))
     curve = singular_curve(profile, B)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "singular_curve.csv")
@@ -177,7 +171,7 @@ def _cmd_lp_scan(args) -> int:
         tok = tok.strip()
         ps.append(math.inf if tok in ("inf", "Inf", "INF") else float(tok))
     profile = build_psi0(spec)
-    t_max = _clamped_t_max(spec, args.t_max)
+    t_max = data_horizon(spec.g, args.t_max)
     B = build_G(spec, t_max=t_max)
     report = classify(profile, B, spec)
     if report.t_star is not None:
@@ -213,7 +207,7 @@ def _cmd_simulate(args) -> int:
     with open(args.spec) as fh:
         general = json.load(fh).get("general", {})
     F = _nonlinearity_from(general)
-    t_end = _clamped_t_max(spec, args.t_max)
+    t_end = data_horizon(spec.g, args.t_max)
     traj = integrate_general(spec, F, t_end=t_end, dt=args.dt, blowup_cap=args.cap)
     bounds = blowup_bounds(spec, F, traj)
     det = detect_blowup(traj)
@@ -298,7 +292,7 @@ def _cmd_reproduce(args) -> int:
     for k in (1, 2, 3, 4):
         spec = catalog.example_spec(k, n_alpha=n)
         profile = build_psi0(spec)
-        B = build_G(spec, t_max=_clamped_t_max(spec, 10.0))
+        B = build_G(spec, t_max=data_horizon(spec.g, 10.0))
         report = classify(profile, B, spec)
         if report.verdict == VERDICT_FINITE:
             t_hi = 0.98 * report.t_star
@@ -337,14 +331,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, out_required, with_spec=True):
+    def add_common(p, out_required, with_spec=True, plot=False):
         if with_spec:
             p.add_argument("--spec", required=True, help="path to a JSON problem spec")
             p.add_argument("--n-alpha", type=int, default=None, help="override alpha resolution")
             p.add_argument("--beta", type=float, default=None,
                            help="replace g with the singular family of this exponent")
         p.add_argument("--out", required=out_required, default=None, help="output directory")
-        p.add_argument("--plot", action="store_true", help="emit gnuplot scripts")
+        if plot:
+            p.add_argument("--plot", action="store_true", help="emit gnuplot scripts")
 
     p = sub.add_parser("classify", help="global existence vs blow-up report")
     add_common(p, out_required=False)
@@ -353,13 +348,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("solve", help="evaluate the solution field to CSV")
-    add_common(p, out_required=True)
+    add_common(p, out_required=True, plot=True)
     p.add_argument("--t-max", type=float, default=2.0)
     p.add_argument("--dt", type=float, default=None, help="time sampling step")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("singular-curve", help="sample the denominator zero set")
-    add_common(p, out_required=True)
+    add_common(p, out_required=True, plot=True)
     p.add_argument("--t-max", type=float, default=10.0)
     p.set_defaults(fn=_cmd_singular_curve)
 
@@ -381,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("reproduce-examples", help="regenerate the four catalog examples")
-    add_common(p, out_required=True, with_spec=False)
+    add_common(p, out_required=True, with_spec=False, plot=True)
     p.set_defaults(fn=_cmd_reproduce)
 
     return parser

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import EmptyCurve, NearSingular
 from .problem_model import (
@@ -176,7 +175,7 @@ def singular_curve(profile: Psi0Profile, B: BoundaryIntegral) -> SingularCurve:
     # predicted slope t~'(alpha) = -2 f u0 / (g(t~) psi0^2) has the sign of -f,
     # and sign(f) = sign(psi0') since psi0' = f u0 with u0 > 0
     if profile.analytic is not None:
-        dpsi = npoly.polyval(alpha_s, npoly.polyder(profile.analytic))
+        dpsi = profile.analytic(alpha_s)
     else:
         dpsi = np.gradient(psi, grid)[kept_idx]
     theory = -np.sign(dpsi).astype(int)

@@ -30,16 +30,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem_model import (
-    COMPAT_RTOL,
     FunctionDescriptor,
     GridFunction,
     ProblemSpec,
     _first_zero,
+    check_compatibility,
     cumulative_simpson,
+    data_horizon,
     invert_power_integral,
     power_integral,
     power_integral_limit,
-    simpson,
     write_csv,
 )
 
@@ -135,15 +135,10 @@ def table_F(nodes, values, c: float, d: float) -> Nonlinearity:
 
 @dataclass(frozen=True)
 class GeneralizedState:
-    """One stored snapshot: u and psi on the alpha grid at time t.
-
-    drift is the absolute periodicity defect |u(1,t) - g(t)|.
-    """
+    """One stored snapshot: u on the alpha grid at time t."""
 
     t: float
     u: np.ndarray
-    psi: np.ndarray
-    drift: float
 
 
 @dataclass(frozen=True)
@@ -175,14 +170,6 @@ class Trajectory:
 # integration
 
 
-def _compatibility_defect(spec: ProblemSpec, F: Nonlinearity, grid: np.ndarray) -> float:
-    w = spec.f(grid) * F(spec.u0(grid))
-    scale = float(np.max(np.abs(w)))
-    if scale == 0.0:
-        return 0.0
-    return abs(float(simpson(w, x=grid))) / scale
-
-
 def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: float,
                       blowup_cap: float = BLOWUP_CAP_DEFAULT,
                       store_every: int | None = None) -> Trajectory:
@@ -193,18 +180,17 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
     stops at t_end or as soon as max u reaches blowup_cap; when the sup-norm
     grows by more than 10% in a single step the step size is cut 10x and the
     step retried.  Raises on nonpositive u (numerical failure) and on
-    incompatible data (nonzero integral of f F(u0)).
+    incompatible data (check_compatibility with F reports a nonzero
+    integral of f F(u0)).
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
+    compat = check_compatibility(spec, F)
+    if not compat.ok:
+        raise ValueError(f"data incompatible with periodic boundary values: "
+                         f"|integral f F(u0)| is {compat.defect:.3e}")
     grid = spec.alpha_grid()
     h = grid[1] - grid[0]
-    defect = _compatibility_defect(spec, F, grid)
-    if defect > COMPAT_RTOL:
-        raise ValueError(
-            f"data incompatible with periodic boundary values: "
-            f"relative defect of integral f F(u0) is {defect:.3e}"
-        )
 
     g_desc = spec.g
     f_grid = np.asarray(spec.f(grid))
@@ -247,14 +233,12 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
 
     if store_every is None:
         store_every = max(1, int(round(t_end / dt / 256)))
-    states.append(GeneralizedState(0.0, u.copy(), psi_of(u).copy(),
-                                   abs(float(u[-1]) - 1.0)))
+    states.append(GeneralizedState(0.0, u.copy()))
     record_dense(0.0, u, g_t)
 
     stop_reason = "t_end"
     dt_min = dt * 1e-12
     step_index = 0
-    worst_drift = 0.0
     while t < t_end - 1e-12 * (1.0 + t_end):
         step = min(dt, t_end - t)
         while True:
@@ -280,12 +264,10 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
         u, g_t, r_t = u_new, g_next, r_next
         step_index += 1
         record_dense(t, u, g_t)
-        worst_drift = max(worst_drift, drift_dense[-1])
 
         hit_cap = float(u.max()) >= blowup_cap
         if step_index % store_every == 0 or hit_cap or t >= t_end - 1e-12 * (1.0 + t_end):
-            states.append(GeneralizedState(t, u.copy(), psi_of(u).copy(),
-                                           abs(float(u[-1]) - g_t)))
+            states.append(GeneralizedState(t, u.copy()))
         if hit_cap:
             stop_reason = "blowup_cap"
             break
@@ -293,7 +275,7 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
             stop_reason = "max_steps"
             break
 
-    if worst_drift > DRIFT_RTOL:
+    if (worst_drift := max(drift_dense)) > DRIFT_RTOL:
         warnings.warn(
             f"periodicity drift |u(1,t)-g(t)|/g(t) reached {worst_drift:.3e} "
             f"(tolerance {DRIFT_RTOL:.0e})",
@@ -393,9 +375,7 @@ class BoundsReport:
 
 
 def _monotonicity(desc: FunctionDescriptor, t_hi: float) -> str:
-    ts = np.linspace(0.0, t_hi, 513)
-    if desc.kind == "singular_boundary":
-        ts = ts[ts < desc.params["t_b"] * (1.0 - 1e-9)]
+    ts = np.linspace(0.0, data_horizon(desc, t_hi), 513)
     dv = np.asarray(desc.derivative(ts))
     scale = max(float(np.max(np.abs(dv))), 1e-300)
     if np.all(dv >= -1e-12 * scale):

@@ -18,11 +18,12 @@ examples (polynomial data, the singular boundary family (1-t)^-(1+beta),
 exponential decay, trigonometric data) are integrated exactly while tables
 admit arbitrary sampled data.
 
-psi0 is composite Simpson on a uniform grid, replaced by the exact
-antiderivative whenever the integrand is polynomial; G is the kind's closed
-form, or per-interval Simpson on request.  Both keep psi0(0) = 0 and
-G(0) = 0 exact.  Every inverse (G^-1, the inverse of a power integral, the
-first zero of f) goes through one array inverter, _solve_increasing.
+psi0 and G are the kind's closed-form integral: psi0 whenever f u0 is one
+descriptor (f itself when u0 = 1, or a polynomial product), else composite
+Simpson on a uniform grid; G unless per-interval Simpson is requested.  Both
+keep psi0(0) = 0 and G(0) = 0 exact.  data_horizon says how long g has data.
+Every inverse (G^-1, the inverse of a power integral, the first zero of f)
+goes through one array inverter, _solve_increasing.
 """
 
 from __future__ import annotations
@@ -179,8 +180,8 @@ class _Kind:
 
     integral(p, power, t) is int_0^t value^power, by dense Simpson unless the
     kind has a closed form; limit(p, power) is its limit at end(p), the end
-    of the data's life, as (value, estimated).  params and scale validate or
-    rescale p in place.
+    of the data's life, as (value, estimated), and last(p) the last time
+    with data.  params and scale validate or rescale p in place.
     """
 
     def integral(self, p, power, t):
@@ -194,6 +195,9 @@ class _Kind:
 
     def end(self, p):
         return math.inf
+
+    def last(self, p):
+        return self.end(p)
 
 
 class _Polynomial(_Kind):
@@ -317,6 +321,10 @@ class _SingularBoundary(_Kind):
 
     def end(self, p):
         return p["t_b"]
+
+    def last(self, p):
+        # the data are finite on [0, t_b) only
+        return p["t_b"] * (1.0 - 1e-9)
 
     def scale(self, p, factor):
         raise ValueError("the singular_boundary family is already normalized; cannot rescale")
@@ -661,9 +669,9 @@ class Psi0Profile:
 
     M0 is the greatest value attained (>= 0 because psi0(0) = 0), argmax_set
     holds the locations where it is attained, omega the zero set of psi0, and
-    alpha0 the first zero of f in (0, 1).  When the integrand was polynomial,
-    `analytic` stores the exact antiderivative coefficients so off-node
-    evaluation loses nothing to interpolation.
+    alpha0 the first zero of f in (0, 1).  When f u0 is one descriptor,
+    `analytic` holds it (psi0' itself), so off-node evaluation is its exact
+    integral and loses nothing to interpolation.
     """
 
     psi0: GridFunction
@@ -671,13 +679,27 @@ class Psi0Profile:
     argmax_set: np.ndarray = field(default_factory=lambda: np.array([]))
     omega: np.ndarray = field(default_factory=lambda: np.array([]))
     alpha0: float | None = None
-    analytic: tuple | None = None
+    analytic: FunctionDescriptor | None = None
 
     def value(self, alpha):
         if self.analytic is not None:
-            out = npoly.polyval(np.asarray(alpha, dtype=float), self.analytic)
-            return out if np.ndim(out) else float(out)
+            return power_integral(self.analytic, 1.0, alpha)
         return self.psi0(alpha)
+
+
+def _psi0_integrand(spec: ProblemSpec) -> FunctionDescriptor | None:
+    """f u0 as one descriptor: f itself when u0 = 1, the product when both
+    are polynomial, otherwise None."""
+    if spec.u0.is_polynomial() and len(c := spec.u0.poly_coeffs()) == 1:
+        # 1/u0(0) can leave a constant u0 one rounding away from 1, and the
+        # singular family cannot be rescaled
+        if c[0] == 1.0:
+            return spec.f
+        if spec.f.kind != "singular_boundary":
+            return spec.f.scaled(c[0])
+    if spec.f.is_polynomial() and spec.u0.is_polynomial():
+        return polynomial(*npoly.polymul(spec.f.poly_coeffs(), spec.u0.poly_coeffs()))
+    return None
 
 
 def _first_zero(desc: FunctionDescriptor, grid: np.ndarray) -> float | None:
@@ -720,8 +742,9 @@ def extract_features(profile: Psi0Profile, spec: ProblemSpec) -> dict:
     """Features of psi0: M0, argmax set, zero set, first zero of f.
 
     M0 comes from the grid maximum refined by one parabolic-fit step, so flat
-    tops and mid-cell peaks are both handled; the argmax set collects one
-    refined location per cluster of grid points within FEATURE_ATOL of M0.
+    tops and mid-cell peaks are both handled, and counts as 0 at or below
+    ZERO_SET_RTOL max|psi0|, the zero-set tolerance; the argmax set collects
+    one refined location per cluster of grid points within FEATURE_ATOL of M0.
     """
     grid = profile.psi0.nodes
     vals = profile.psi0.values
@@ -731,7 +754,6 @@ def extract_features(profile: Psi0Profile, spec: ProblemSpec) -> dict:
     M0 = float(vals[i_max])
     if 0 < i_max < len(grid) - 1:
         _, M0 = _parabolic_vertex(grid[i_max], h, vals[i_max - 1], vals[i_max], vals[i_max + 1])
-    M0 = max(M0, 0.0)
 
     # cluster grid points at the sampled maximum (the refined M0 can sit up to
     # (h/2)^2 above every node), then refine one location per cluster
@@ -749,6 +771,8 @@ def extract_features(profile: Psi0Profile, spec: ProblemSpec) -> dict:
     argmax_set = np.array(sorted(locations))
 
     scale = float(np.max(np.abs(vals)))
+    if M0 <= ZERO_SET_RTOL * scale:   # also clamps a negative maximum to 0
+        M0 = 0.0
     zero_tol = ZERO_SET_RTOL * scale if scale > 0 else np.inf
     omega = grid[np.abs(vals) <= zero_tol] if np.isfinite(zero_tol) else grid.copy()
 
@@ -759,25 +783,20 @@ def extract_features(profile: Psi0Profile, spec: ProblemSpec) -> dict:
 def build_psi0(spec: ProblemSpec, method: str = "auto") -> Psi0Profile:
     """Cumulative integral psi0(alpha) = int_0^alpha f u0 dz with features.
 
-    method "auto" uses the exact antiderivative when f*u0 is polynomial and
-    composite Simpson otherwise; "quadrature" forces Simpson (useful for
-    convergence studies).
+    method "auto" takes the closed-form integral of f*u0 when it is one
+    descriptor (see _psi0_integrand) and composite Simpson otherwise;
+    "quadrature" forces Simpson (useful for convergence studies).
     """
     if method not in ("auto", "quadrature"):
         raise ValueError("method must be 'auto' or 'quadrature'")
     grid = spec.alpha_grid()
-    analytic = None
-    if method == "auto" and spec.f.is_polynomial() and spec.u0.is_polynomial():
-        prod = npoly.polymul(spec.f.poly_coeffs(), spec.u0.poly_coeffs())
-        anti = npoly.polyint(prod)  # constant term 0, so psi0(0) = 0 exactly
-        vals = npoly.polyval(grid, anti)
-        vals[0] = 0.0
-        analytic = tuple(anti.tolist())
+    analytic = _psi0_integrand(spec) if method == "auto" else None
+    if analytic is not None:
+        vals = np.asarray(power_integral(analytic, 1.0, grid))
     else:
-        w = spec.f(grid) * spec.u0(grid)
-        if not np.all(np.isfinite(w)):
-            raise ValueError("f*u0 has non-finite samples on [0, 1]")
-        vals = cumulative_simpson(w, grid[1] - grid[0])
+        vals = cumulative_simpson(spec.f(grid) * spec.u0(grid), grid[1] - grid[0])
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("psi0 = int f*u0 is not finite on [0, 1]")
     bare = Psi0Profile(psi0=GridFunction(grid, vals), analytic=analytic)
     feats = extract_features(bare, spec)
     return dataclasses.replace(bare, **feats)
@@ -830,24 +849,28 @@ class BoundaryIntegral:
         return float(self.G.nodes[-1])
 
 
+def data_horizon(g: FunctionDescriptor, t_max: float) -> float:
+    """min(t_max, the last time g has data): the last node of a table, and
+    t_b (1 - 1e-9) for the singular family, which blows up at t_b."""
+    return min(t_max, _KINDS[g.kind].last(g.params))
+
+
 def build_G(spec, t_max: float, n_t: int = 1025, method: str = "auto") -> BoundaryIntegral:
     """Strictly increasing sampled G on [0, t_max] with G(0) = 0 exact.
 
     Accepts a ProblemSpec or a bare FunctionDescriptor for g.  method "auto"
     samples the kind's closed form; "quadrature" integrates g by Simpson's
     rule on each grid interval, so every increment of a positive g is
-    positive.  For the singular boundary family t_max must stay below the
-    blow-up time t_b.
+    positive.  t_max must not pass data_horizon, the last time g has data.
     """
     desc = spec.g if isinstance(spec, ProblemSpec) else spec
     if method not in ("auto", "quadrature"):
         raise ValueError("method must be 'auto' or 'quadrature'")
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    if desc.kind == "singular_boundary" and t_max >= desc.params["t_b"]:
-        raise ValueError(
-            f"t_max={t_max} reaches the boundary blow-up time t_b={desc.params['t_b']}"
-        )
+    if (last := data_horizon(desc, t_max)) < t_max:
+        raise ValueError(f"t_max={t_max} is past t={last:.12g}, the last time "
+                         f"{desc.kind} g has data")
     t_grid = np.linspace(0.0, t_max, n_t)
     if method == "auto":
         vals = np.asarray(power_integral(desc, 1.0, t_grid))
@@ -894,22 +917,22 @@ class CompatibilityReport:
     sign_change: bool
 
 
-def check_compatibility(spec: ProblemSpec) -> CompatibilityReport:
-    """Defect |int_0^1 f u0| and whether f changes sign.
+def check_compatibility(spec: ProblemSpec, F=None) -> CompatibilityReport:
+    """Defect |int_0^1 f F(u0)| and whether f changes sign.
 
+    F is the nonlinearity of the generalized equation, identity by default.
     Periodic boundary values are consistent only when the defect vanishes;
-    failure is reported, not raised.
+    failure is reported, not raised.  The defect is exact when f u0 is one
+    descriptor, else Simpson on a fixed odd grid of at least 513 nodes, so
+    it does not depend on n_alpha's parity.
     """
     grid = np.linspace(0.0, 1.0, max(spec.n_alpha | 1, 513))
-    w = spec.f(grid) * spec.u0(grid)
-    if spec.f.is_polynomial() and spec.u0.is_polynomial():
-        anti = npoly.polyint(npoly.polymul(spec.f.poly_coeffs(), spec.u0.poly_coeffs()))
-        defect = abs(float(npoly.polyval(1.0, anti)))
-    else:
-        defect = abs(float(simpson(w, x=grid)))
+    f_vals, u0 = np.asarray(spec.f(grid)), spec.u0(grid)
+    w = f_vals * (u0 if F is None else F(u0))
+    exact = _psi0_integrand(spec) if F is None else None
+    defect = abs(float(simpson(w, x=grid) if exact is None else power_integral(exact, 1.0, 1.0)))
     scale = float(np.max(np.abs(w)))
     ok = defect <= COMPAT_RTOL * scale if scale > 0 else True
-    f_vals = np.asarray(spec.f(grid))
     f_scale = np.max(np.abs(f_vals))
     sign_change = bool(f_scale > 0
                        and np.min(f_vals) < -1e-14 * f_scale

@@ -27,14 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed_form_solver import SINGULAR_ATOL, SolutionField
+from .closed_form_solver import SINGULAR_ATOL, SolutionField, evaluate_field
 from .errors import NearSingular, NoFiniteTime
 from .problem_model import (
     BoundaryIntegral,
     GridFunction,
     ProblemSpec,
     Psi0Profile,
-    ZERO_SET_RTOL,
     _parabolic_vertex,
     invert_G,
     simpson,
@@ -158,13 +157,6 @@ def _sufficient_blowup(spec: ProblemSpec, grid: np.ndarray, alpha0: float | None
 # classification
 
 
-def _effective_M0(profile: Psi0Profile) -> float:
-    scale = float(np.max(np.abs(profile.psi0.values)))
-    if scale == 0.0 or profile.M0 <= ZERO_SET_RTOL * scale:
-        return 0.0
-    return profile.M0
-
-
 def _finite_profile(profile: Psi0Profile, spec: ProblemSpec, g_star: float, M0: float):
     """C(alpha) = g(t*) u0 (1 - psi0/M0)^-2 on nodes clear of the argmax."""
     grid = profile.psi0.nodes
@@ -192,7 +184,7 @@ def classify(profile: Psi0Profile, B: BoundaryIntegral, spec: ProblemSpec) -> Re
         return dataclasses.replace(singular_boundary_report(profile, spec),
                                    sufficient_global=suff_g, sufficient_blowup=suff_b)
 
-    M0 = _effective_M0(profile)
+    M0 = profile.M0
     flags = dict(sufficient_global=suff_g, sufficient_blowup=suff_b,
                  g_infinity_estimated=B.estimated)
     if M0 == 0.0:
@@ -236,7 +228,7 @@ def singular_boundary_report(profile: Psi0Profile, spec: ProblemSpec) -> Regular
     beta_case = "beta=1" if beta == 1.0 else ("beta<1" if beta < 1.0 else "beta>1")
     grid = profile.psi0.nodes
     psi = profile.psi0.values
-    M0 = _effective_M0(profile)
+    M0 = profile.M0
 
     if M0 > 0.0:
         t_star = 1.0 - (M0 / (2.0 * beta + M0)) ** (1.0 / beta)
@@ -254,8 +246,7 @@ def singular_boundary_report(profile: Psi0Profile, spec: ProblemSpec) -> Regular
         )
 
     # boundary-driven branch: psi0 <= 0, divergence on its zero set at t_b = 1
-    scale = float(np.max(np.abs(psi)))
-    on_zero_set = np.abs(psi) <= (ZERO_SET_RTOL * scale if scale > 0 else np.inf)
+    on_zero_set = np.isin(grid, profile.omega)
     if beta == 1.0:
         limits = np.where(on_zero_set, INFINITE, FINITE).astype("<U8")
         keep = ~on_zero_set
@@ -385,9 +376,7 @@ def lp_blowup_fit(profile: Psi0Profile, B: BoundaryIntegral, spec: ProblemSpec,
     Returns slope, prefactor, the predicted constant C and exponent, and the
     cusp model used.  Multi-argmax profiles use the first argmax point.
     """
-    from .closed_form_solver import evaluate_field
-
-    M0 = _effective_M0(profile)
+    M0 = profile.M0
     if M0 <= 0:
         raise ValueError("Lp blow-up asymptotics need M0 > 0")
     if deltas is None:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .closed_form_solver import SolutionField, evaluate_field
 from .generalized_integrator import Nonlinearity
-from .problem_model import GridFunction, ProblemSpec, build_G, build_psi0
+from .problem_model import GridFunction, ProblemSpec, build_G, build_psi0, data_horizon
 
 _CR0_INV = 0.75   # reciprocal of the equispaced cross-ratio 4/3
 
@@ -51,18 +51,6 @@ class ResidualReport:
     convergence_order: float
     order_fit_residual: float
     levels: tuple = ()
-
-    def to_text(self) -> str:
-        lines = [
-            f"max_abs_residual: {self.max_abs_residual:.6e}",
-            f"h_alpha: {self.h_alpha:.6e}",
-            f"h_t: {self.h_t:.6e}",
-            f"convergence_order: {self.convergence_order:.4f}",
-            f"order_fit_residual: {self.order_fit_residual:.3e}",
-        ]
-        for h, r in self.levels:
-            lines.append(f"level: h={h:.6e} max_residual={r:.6e}")
-        return "\n".join(lines) + "\n"
 
 
 def _uniform_spacing(nodes: np.ndarray, label: str) -> float:
@@ -103,11 +91,7 @@ def pde_residual(fld: SolutionField, spec: ProblemSpec,
         return ResidualReport(max_res, ha, ht, math.nan, math.nan)
 
     t_lo, t_hi = float(fld.t_nodes[0]), float(fld.t_nodes[-1])
-    if spec.g.kind == "singular_boundary":
-        tb = spec.g.params["t_b"]
-        t_max = min(t_hi + 0.5 * (tb - t_hi), tb * (1.0 - 1e-12))
-    else:
-        t_max = max(t_hi, 1e-6) * (1.0 + 1e-9)
+    t_max = data_horizon(spec.g, max(t_hi, 1e-6) * (1.0 + 1e-9))
     levels = []
     base = 64
     for lev in range(refinements):

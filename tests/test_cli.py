@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -65,6 +66,29 @@ class TestClassify:
             verdicts.append(capsys.readouterr().out.splitlines()[0])
         assert verdicts[0] == verdicts[1]
 
+    def test_table_g_at_default_t_max(self, tmp_path, capsys):
+        # g = 1 + t tabulated on [0, 5]: the default --t-max 10 is cut back to
+        # the last node, and G = t + t^2/2 reaches 2/M0 = 8 at sqrt(17) - 1
+        nodes = [0.1 * i for i in range(51)]
+        d = catalog.example_spec_dict(2)
+        d["g"] = {"kind": "table", "params": {"nodes": nodes, "values": [1.0 + t for t in nodes]}}
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(d))
+        assert main(["classify", "--spec", str(path)]) == 0
+        line = capsys.readouterr().out.splitlines()[1]
+        assert float(line.split(":")[1]) == pytest.approx(math.sqrt(17.0) - 1.0, rel=1e-11)
+        assert main(["singular-curve", "--spec", str(path), "--out", str(tmp_path)]) == 0
+        assert f"earliest t = {math.sqrt(17.0) - 1.0:.6e}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sub", ["classify", "lp-scan", "simulate", "verify"])
+    def test_plot_only_where_scripts_are_written(self, sub, spec2_path, tmp_path, capsys):
+        argv = [sub, "--out", str(tmp_path), "--plot"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv if sub == "verify" else argv + ["--spec", spec2_path])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --plot" in capsys.readouterr().err
+
+
 class TestSolve:
     def test_writes_field_with_hash_header(self, spec2_path, tmp_path, capsys):
         rc = main(["solve", "--spec", spec2_path, "--t-max", "1.0",
@@ -100,6 +124,11 @@ class TestSingularCurve:
         assert rc == 0
         assert "earliest t = 2.372281e+00" in out
         assert (tmp_path / "singular_curve.csv").exists()
+
+    def test_plot_script_alongside(self, spec2_path, tmp_path):
+        rc = main(["singular-curve", "--spec", spec2_path, "--out", str(tmp_path), "--plot"])
+        assert rc == 0
+        assert "singular_curve.csv" in (tmp_path / "singular_curve.gp").read_text()
 
     def test_global_data_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "ex1.json"
@@ -164,6 +193,12 @@ class TestReproduceExamples:
             assert (tmp_path / f"example{k}_report.txt").exists()
             assert (tmp_path / f"example{k}_field.csv").exists()
         assert (tmp_path / "example4_final_profile.csv").exists()
+
+    def test_plot_scripts(self, tmp_path, capsys):
+        assert main(["reproduce-examples", "--out", str(tmp_path), "--plot"]) == 0
+        for k in (1, 2, 3, 4):
+            script = (tmp_path / f"example{k}_field.gp").read_text()
+            assert f'splot "example{k}_field.csv"' in script
 
 
 class TestErrors:

@@ -7,6 +7,7 @@ from liouville_workbench import (
     FunctionDescriptor,
     ProblemSpec,
     blowup_bounds,
+    check_compatibility,
     compute_H0_alpha0,
     constant,
     detect_blowup,
@@ -93,6 +94,18 @@ class TestIntegrateGeneral:
         assert traj.stop_reason == "blowup_cap"
         assert traj.umax_dense[-1] >= 1e6
         assert traj.states[-1].t < 5.0
+
+    def test_compatible_data_accepted_at_any_n_alpha(self):
+        # int_0^1 f u0 = -1/4 + 1/2 int sin^2 = 0; Simpson on an even grid
+        # misses that by about 4e-6, which once refused n_alpha = 64
+        f = FunctionDescriptor("trigonometric", {
+            "offset": -0.25, "terms": [[1.0, 1.0, 0.0], [0.7, 2.0, math.pi / 2]]})
+        u0 = FunctionDescriptor("trigonometric", {"offset": 1.0, "terms": [[0.5, 1.0, 0.0]]})
+        for n in range(32, 130):
+            assert check_compatibility(ProblemSpec(f, u0, polynomial(1.0, 2.0), n_alpha=n)).ok
+        spec = ProblemSpec(f, u0, polynomial(1.0, 2.0), n_alpha=64)
+        traj = integrate_general(spec, identity_F(), t_end=0.05, dt=1e-2)
+        assert traj.stop_reason == "t_end"
 
     def test_incompatible_data_rejected(self):
         spec = ProblemSpec(f=constant(1.0), u0=constant(1.0), g=polynomial(1.0, 2.0))

@@ -183,6 +183,34 @@ class TestPsi0:
         assert profile.M0 == pytest.approx(0.1225, abs=1e-12)
         assert profile.argmax_set[0] == pytest.approx(0.35, abs=1e-10)
 
+    def test_exact_psi0_for_any_f_when_u0_is_one(self):
+        # psi0 is f's own closed-form integral: a table (trapezoids of
+        # 1 - 2a are exact) and an exponential
+        nodes = np.linspace(0.0, 1.0, 5)
+        table = FunctionDescriptor("table", {"nodes": nodes.tolist(),
+                                             "values": (1.0 - 2.0 * nodes).tolist()})
+        for f, want in ((table, lambda a: a - a**2),
+                        (exponential(1.0, -2.0), lambda a: -np.expm1(-2.0 * a) / 2.0)):
+            spec = ProblemSpec(f=f, u0=constant(1.0), g=polynomial(1.0, 2.0), n_alpha=65)
+            profile = build_psi0(spec)
+            assert profile.analytic is spec.f
+            np.testing.assert_allclose(profile.psi0.values, want(spec.alpha_grid()),
+                                       rtol=1e-14, atol=1e-16)
+            assert profile.value(0.3) == pytest.approx(want(0.3), rel=1e-14)
+        # u0 = 49 normalizes to 49 * (1/49) = 1 - 2^-53, still one descriptor
+        with pytest.warns(UserWarning):
+            spec = ProblemSpec(f=table, u0=constant(49.0), g=polynomial(1.0, 2.0), n_alpha=65)
+        assert spec.u0.params["value"] != 1.0
+        assert build_psi0(spec).analytic == table.scaled(spec.u0.params["value"])
+
+    def test_quadrature_zero_positive_part_is_zero(self):
+        # psi0 = -(1 - cos 2 pi a)/(2 pi) <= 0; Simpson's rounding left a
+        # positive M0 of 7e-17 that used to count as a positive part
+        spec = ProblemSpec(
+            f=FunctionDescriptor("trigonometric", {"offset": 0.0, "terms": [[-1.0, 1.0, 0.0]]}),
+            u0=constant(1.0), g=polynomial(1.0, 2.0), n_alpha=129)
+        assert build_psi0(spec, method="quadrature").M0 == 0.0
+
     def test_trigonometric_profile(self):
         spec = ProblemSpec(
             f=FunctionDescriptor("trigonometric", {"offset": 0.0, "terms": [[1.0, 1.0, 0.0]]}),
@@ -246,6 +274,15 @@ class TestBoundaryIntegral:
     def test_rejects_t_max_past_boundary(self):
         with pytest.raises(ValueError):
             build_G(singular_boundary(1.0), t_max=1.0)
+
+    def test_data_horizon(self):
+        table = FunctionDescriptor("table", {"nodes": [0.0, 1.0, 5.0], "values": [1.0, 2.0, 6.0]})
+        assert pm.data_horizon(table, 10.0) == 5.0
+        assert pm.data_horizon(table, 2.0) == 2.0
+        assert pm.data_horizon(singular_boundary(1.0, t_b=2.0), 10.0) == 2.0 * (1.0 - 1e-9)
+        assert pm.data_horizon(polynomial(1.0, 2.0), 1e6) == 1e6
+        with pytest.raises(ValueError, match="last time table g has data"):
+            build_G(table, t_max=10.0)
 
     def test_rejects_nonpositive_g(self):
         table = FunctionDescriptor(

@@ -102,6 +102,34 @@ class TestClassify:
         assert not report.g_infinity_estimated
 
 
+    @pytest.mark.parametrize("n_alpha", [64, 65])
+    def test_nonpositive_psi0_is_global_at_either_parity(self, n_alpha):
+        # f = -sin 2 pi a, u0 = 1: psi0 = -(1 - cos 2 pi a)/(2 pi) <= 0, so
+        # M0 = 0; Simpson on 64 nodes once made M0 = 6.5e-7 and FiniteBlowup
+        spec = ProblemSpec(
+            f=FunctionDescriptor("trigonometric", {"offset": 0.0, "terms": [[-1.0, 1.0, 0.0]]}),
+            u0=constant(1.0), g=polynomial(1.0, 2.0), n_alpha=n_alpha)
+        profile = build_psi0(spec)
+        assert profile.M0 == 0.0
+        assert classify(profile, build_G(spec, t_max=10.0), spec).verdict == "Global"
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "Simpson's psi0 for f u0 without one descriptor: at n_alpha = 64 M0 = 1.29e-6, "
+        "above the zero-set tolerance, gives FiniteBlowup at t* = 1243; 65 gives Global; "
+        "32, 48 and 96 flip as well"))
+    def test_verdict_independent_of_n_alpha_parity(self):
+        # f = -sin 2 pi a, u0 = 1 + cos(2 pi a)/2: psi0 <= 0 exactly, so Global
+        f = FunctionDescriptor("trigonometric", {"offset": 0.0, "terms": [[-1.0, 1.0, 0.0]]})
+        u0 = FunctionDescriptor("trigonometric", {"offset": 1.0,
+                                                  "terms": [[0.5, 1.0, math.pi / 2]]})
+        verdicts = {}
+        for n in (32, 48, 64, 65, 96):
+            with pytest.warns(UserWarning):  # u0 is rescaled to u0(0) = 1
+                spec = ProblemSpec(f=f, u0=u0, g=polynomial(1.0, 2.0), n_alpha=n)
+            verdicts[n] = classify(build_psi0(spec), build_G(spec, t_max=10.0), spec).verdict
+        assert set(verdicts.values()) == {"Global"}, verdicts
+
+
 class TestSingularBoundaryReport:
     def test_example4_interior_blowup_first(self, problem):
         spec, profile, _ = problem(4)
