@@ -113,7 +113,8 @@ def _curve_script(csv_name: str) -> str:
 def _cmd_classify(args) -> int:
     spec = _load_spec(args)
     profile = build_psi0(spec, method=args.method)
-    B = build_G(spec, t_max=data_horizon(spec.g, args.t_max), method=args.method)
+    t_max = data_horizon(spec.g, args.t_max)
+    B = build_G(spec, t_max=t_max, method=args.method)
     report = classify(profile, B, spec)
     compat = check_compatibility(spec)
     text = report.to_text() + f"compatibility_defect: {compat.defect:.6e}\n"
@@ -121,7 +122,7 @@ def _cmd_classify(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _write_text(os.path.join(args.out, "classify.txt"), text,
-                    comment=_comment(spec, t_max=args.t_max, method=args.method))
+                    comment=_comment(spec, t_max=t_max, method=args.method))
     return 0
 
 
@@ -150,11 +151,12 @@ def _cmd_solve(args) -> int:
 def _cmd_singular_curve(args) -> int:
     spec = _load_spec(args)
     profile = build_psi0(spec)
-    B = build_G(spec, t_max=data_horizon(spec.g, args.t_max))
+    t_max = data_horizon(spec.g, args.t_max)
+    B = build_G(spec, t_max=t_max)
     curve = singular_curve(profile, B)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "singular_curve.csv")
-    curve.to_csv(csv_path, comment=_comment(spec, t_max=args.t_max))
+    curve.to_csv(csv_path, comment=_comment(spec, t_max=t_max))
     print(f"singular curve: {len(curve.alpha_samples)} samples, "
           f"earliest t = {float(np.min(curve.t_samples)):.6e} at "
           f"alpha = {float(curve.alpha_samples[np.argmin(curve.t_samples)]):.6e}")

@@ -29,6 +29,17 @@ def spec_general_path(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture
+def table_g_path(tmp_path):
+    # example 2 with g = 1 + t tabulated on [0, 5]
+    nodes = [0.1 * i for i in range(51)]
+    d = catalog.example_spec_dict(2)
+    d["g"] = {"kind": "table", "params": {"nodes": nodes, "values": [1.0 + t for t in nodes]}}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(d))
+    return path
+
+
 class TestClassify:
     def test_reports_blowup(self, spec2_path, tmp_path, capsys):
         rc = main(["classify", "--spec", spec2_path, "--out", str(tmp_path)])
@@ -66,19 +77,25 @@ class TestClassify:
             verdicts.append(capsys.readouterr().out.splitlines()[0])
         assert verdicts[0] == verdicts[1]
 
-    def test_table_g_at_default_t_max(self, tmp_path, capsys):
-        # g = 1 + t tabulated on [0, 5]: the default --t-max 10 is cut back to
-        # the last node, and G = t + t^2/2 reaches 2/M0 = 8 at sqrt(17) - 1
-        nodes = [0.1 * i for i in range(51)]
-        d = catalog.example_spec_dict(2)
-        d["g"] = {"kind": "table", "params": {"nodes": nodes, "values": [1.0 + t for t in nodes]}}
-        path = tmp_path / "table.json"
-        path.write_text(json.dumps(d))
-        assert main(["classify", "--spec", str(path)]) == 0
+    def test_table_g_at_default_t_max(self, table_g_path, tmp_path, capsys):
+        # the default --t-max 10 is cut back to the last node, and
+        # G = t + t^2/2 reaches 2/M0 = 8 at sqrt(17) - 1
+        assert main(["classify", "--spec", str(table_g_path)]) == 0
         line = capsys.readouterr().out.splitlines()[1]
         assert float(line.split(":")[1]) == pytest.approx(math.sqrt(17.0) - 1.0, rel=1e-11)
-        assert main(["singular-curve", "--spec", str(path), "--out", str(tmp_path)]) == 0
+        assert main(["singular-curve", "--spec", str(table_g_path), "--out", str(tmp_path)]) == 0
         assert f"earliest t = {math.sqrt(17.0) - 1.0:.6e}" in capsys.readouterr().out
+
+    def test_provenance_records_the_horizon_used(self, table_g_path, tmp_path, capsys):
+        # each writer names the horizon G was built on, 5, not the requested 10
+        files = {"classify": "classify.txt", "singular-curve": "singular_curve.csv",
+                 "lp-scan": "lp_scan.csv"}
+        for sub, name in files.items():
+            argv = [sub, "--spec", str(table_g_path), "--t-max", "10", "--out", str(tmp_path)]
+            assert main(argv) == 0
+            head = (tmp_path / name).read_text().splitlines()[0]
+            assert " t_max=5.0" in head, (name, head)
+        capsys.readouterr()
 
     @pytest.mark.parametrize("sub", ["classify", "lp-scan", "simulate", "verify"])
     def test_plot_only_where_scripts_are_written(self, sub, spec2_path, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from liouville_workbench import (
     FunctionDescriptor,
     ProblemSpec,
     blowup_bounds,
+    catalog,
     check_compatibility,
     compute_H0_alpha0,
     constant,
@@ -21,6 +23,8 @@ from liouville_workbench import (
     power_integral_limit,
     table_F,
 )
+from liouville_workbench.generalized_integrator import _g_and_ratio
+from liouville_workbench.problem_model import data_horizon
 
 
 def quadratic_F_spec(g=None):
@@ -123,6 +127,63 @@ class TestIntegrateGeneral:
         path = tmp_path / "traj.csv"
         traj.to_csv(path, comment="run")
         assert path.read_text().startswith("# run\nt,alpha,u\n")
+
+
+class TestStepRule:
+    T_STAR_2 = (math.sqrt(33.0) - 1.0) / 2.0
+
+    @staticmethod
+    def example2(dt):
+        # n_alpha = 1025: at 513 the alpha grid alone puts t* off by 2.6e-7
+        spec = catalog.example_spec(2, n_alpha=1025)
+        return integrate_general(spec, identity_F(), t_end=3.0, dt=dt)
+
+    def test_blowup_bound_sets_the_cost(self):
+        traj = self.example2(1e-2)
+        assert traj.stop_reason == "blowup_cap"
+        assert traj.t_dense.size - 1 <= 400
+
+    @pytest.mark.parametrize("dt", [1e-2, 1e-3])
+    def test_blowup_time_from_either_start(self, dt):
+        t_ex = detect_blowup(self.example2(dt))["t_extrapolated"]
+        assert abs(t_ex - self.T_STAR_2) <= 1e-7
+
+    def test_error_bound_follows_singular_g(self):
+        # example 3 at simulate's defaults: g = (1 - t)^-2 up to 1 - 1e-9
+        spec = catalog.example_spec(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the drift still exceeds DRIFT_RTOL
+            traj = integrate_general(spec, identity_F(), t_end=data_horizon(spec.g, 1.0),
+                                     dt=1e-3)
+        assert traj.stop_reason == "blowup_cap"
+        assert np.max(traj.drift_rel_dense) <= 2e-5
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_no_step_exceeds_dt(self, k):
+        spec = catalog.example_spec(k, n_alpha=129)
+        dt = 1e-2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            traj = integrate_general(spec, identity_F(), t_end=data_horizon(spec.g, 3.0),
+                                     dt=dt)
+        steps = np.diff(traj.t_dense)
+        assert np.all(steps <= dt + 4.0 * np.spacing(traj.t_dense[1:]))
+        assert np.min(steps) < 1e-2 * dt   # the step rule did bind
+
+
+def test_polynomial_g_and_ratio_is_npoly_bit_for_bit():
+    # the integrator's Horner loop against the descriptor's npoly.polyval
+    rng = np.random.default_rng(5)
+    for degree in range(6):
+        for _ in range(40):
+            coeffs = rng.normal(size=degree + 1)
+            coeffs[0] = 1.0 + abs(coeffs[0])
+            g = polynomial(*coeffs)
+            g_and_ratio = _g_and_ratio(g)
+            for t in rng.uniform(0.0, 10.0, 10).tolist():
+                assert g_and_ratio(t) == (g(t), g.derivative(t) / g(t))
+    with pytest.raises(ValueError, match="non-finite"):
+        _g_and_ratio(polynomial(1.0, 1e308))(10.0)
 
 
 class TestH0:
