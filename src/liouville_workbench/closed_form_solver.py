@@ -49,16 +49,19 @@ class SolutionField:
     singular_mask: np.ndarray
     denominator_min: float
 
-    def row(self, t: float) -> np.ndarray:
-        """Samples u(., t) at an existing t node."""
-        idx = int(np.argmin(np.abs(self.t_nodes - t)))
+    def node(self, t: float) -> int:
+        """Index of the t node nearest t."""
+        return int(np.argmin(np.abs(self.t_nodes - t)))
+
+    def row(self, t: float, idx: int | None = None) -> np.ndarray:
+        """Samples u(., t) at an existing t node; idx, when given, is node(t)."""
+        idx = self.node(t) if idx is None else idx
         if abs(self.t_nodes[idx] - t) > 1e-12 * (1.0 + abs(t)):
             raise ValueError(f"t={t} is not a node of this field")
         return self.values[idx]
 
     def row_mask(self, t: float) -> np.ndarray:
-        idx = int(np.argmin(np.abs(self.t_nodes - t)))
-        return self.singular_mask[idx]
+        return self.singular_mask[self.node(t)]
 
     def to_csv(self, path, comment: str | None = None):
         nt, na = self.values.shape

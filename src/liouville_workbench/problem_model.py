@@ -23,7 +23,10 @@ descriptor (f itself when u0 = 1, or a polynomial product), else composite
 Simpson on a uniform grid; G unless per-interval Simpson is requested.  Both
 keep psi0(0) = 0 and G(0) = 0 exact.  data_horizon says how long g has data.
 Every inverse (G^-1, the inverse of a power integral, the first zero of f)
-goes through one array inverter, _solve_increasing.
+goes through one array inverter, _solve_increasing, which starts from a
+bracket per target taken from samples the caller already holds: the sampled
+G for G^-1, the grid cell where f changes sign for its first zero.  simpson
+builds its node weights once per node set.
 """
 
 from __future__ import annotations
@@ -48,9 +51,7 @@ ZERO_SET_RTOL = 1e-6      # zero set of psi0, relative to max |psi0|
 FEATURE_ATOL = 1e-9       # argmax membership after parabolic refinement
 INVERT_RTOL = 1e-12       # |G(t) - target| <= INVERT_RTOL * (1 + target)
 
-# the inverter: bisection steps before Newton, Newton step cap, and the
-# farthest time a bracket may grow to
-_BISECTIONS = 12
+# the inverter: Newton step cap, and the farthest time a bracket may grow to
 _NEWTON_STEPS = 60
 _T_REACH = 1e15
 _EPS = np.finfo(float).eps
@@ -90,24 +91,44 @@ def simpson(y, x):
     """int y along the last axis by composite Simpson on the nodes x.
 
     On an even count the last interval gets Cartwright's three-point
-    correction; two nodes fall back to the trapezoid.
+    correction; two nodes fall back to the trapezoid.  The node weights come
+    from _simpson_rule, built once per node set.
     """
-    y, h = np.asarray(y, dtype=float), np.diff(np.asarray(x, dtype=float))
+    y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
     n = y.shape[-1]
     if n == 2:
-        return 0.5 * h[0] * (y[..., 0] + y[..., 1])
+        return 0.5 * (x[1] - x[0]) * (y[..., 0] + y[..., 1])
+    stop, c6, w0, w1, w2, tail = _simpson_rule(x.tobytes())
+    out = np.sum(c6 * (y[..., 0:stop:2] * w0 + y[..., 1:stop + 1:2] * w1
+                       + y[..., 2:stop + 2:2] * w2), axis=-1)
+    if tail is not None:
+        out = out + (tail[0] * y[..., -1] + tail[1] * y[..., -2] - tail[2] * y[..., -3])
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _simpson_rule(nodes):
+    """simpson's node-only factors on the float64 nodes whose bytes are given:
+    the stop of the Simpson pairs, hsum/6 and the three stencil weights (as
+    read-only arrays), and Cartwright's tail weights (None on an odd count).
+
+    The tail takes the last two steps as 0-d arrays, as scipy does: a numpy
+    scalar's power can differ from a 0-d array's in the last bit.
+    """
+    h = np.diff(np.frombuffer(nodes))
+    n = h.size + 1
     stop = n - 2 if n % 2 else n - 3
     h0, h1 = h[0:stop:2], h[1:stop + 1:2]
     hsum, ratio = h0 + h1, h0 / h1
-    out = np.sum(hsum / 6.0 * (y[..., 0:stop:2] * (2.0 - 1.0 / ratio)
-                               + y[..., 1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
-                               + y[..., 2:stop + 2:2] * (2.0 - ratio)), axis=-1)
+    rule = (hsum / 6.0, 2.0 - 1.0 / ratio, hsum * (hsum / (h0 * h1)), 2.0 - ratio)
+    for w in rule:
+        w.flags.writeable = False
+    tail = None
     if n % 2 == 0:
-        a, b = h[-2], h[-1]
-        out = out + ((2 * b**2 + 3 * a * b) / (6 * (b + a)) * y[..., -1]
-                     + (b**2 + 3.0 * a * b) / (6 * a) * y[..., -2]
-                     - b**3 / (6 * a * (a + b)) * y[..., -3])
-    return out
+        a, b = np.asarray(h[-2]), np.asarray(h[-1])
+        tail = ((2 * b**2 + 3 * a * b) / (6 * (b + a)), (b**2 + 3.0 * a * b) / (6 * a),
+                b**3 / (6 * a * (a + b)))
+    return (stop, *rule, tail)
 
 
 def exprel(x):
@@ -501,35 +522,37 @@ def power_integral_limit(desc: FunctionDescriptor, power: float) -> tuple[float,
 
 def invert_power_integral(desc: FunctionDescriptor, power: float, y):
     """Elementwise t with integral_0^t g^power = y; NaN where it never gets there."""
+    end = _KINDS[desc.kind].end(desc.params)
     return _solve_increasing(lambda t: power_integral(desc, power, t),
                              lambda t: np.asarray(desc(t)) ** power, y,
-                             _KINDS[desc.kind].end(desc.params))
+                             0.0, min(1.0, end), 0.0, end=end)
 
 
-def _solve_increasing(fun, slope, y, end=math.inf):
-    """Elementwise t in [0, end] with fun(t) = y, for increasing fun with fun(0) <= y.
+def _solve_increasing(fun, slope, y, lo, hi, f_lo, f_hi=None, end=math.inf):
+    """Elementwise t in [lo, end] with fun(t) = y, for increasing fun.
 
-    Brackets every target by doubling from t = min(1, end), bisects the
-    brackets as whole arrays, then polishes with Newton steps on the exact
-    slope, falling back to the bracket midpoint whenever a step leaves the
-    bracket.  Each element is iterated on its own values only, so an array
-    call agrees with scalar calls element by element.  Targets that fun does
-    not reach by end (or by _T_REACH) come back NaN.
+    lo and hi bracket each target from samples the caller already holds, with
+    f_lo = fun(lo) <= y and f_hi = fun(hi) (evaluated here when None).  A
+    target above f_hi has its bracket doubled from hi until fun reaches it.
+    Newton then starts at the chord point of the bracket, which is the root
+    where fun is linear there (a quadrature G), and steps on the exact slope,
+    falling back to the bracket midpoint whenever a step leaves the bracket.
+    Each element is iterated on its own values only, so an array call agrees
+    with scalar calls element by element.  Targets that fun does not reach by
+    end (or by _T_REACH) come back NaN.
     """
     y = np.asarray(y, dtype=float)
     end = min(end, _T_REACH)
-    lo, hi = np.zeros_like(y), np.full_like(y, min(1.0, end))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        short = fun(hi) < y
+        f_hi = fun(hi) if f_hi is None else f_hi
+        short = f_hi < y
         while np.any(grow := short & (hi < end)):
-            lo = np.where(grow, hi, lo)
+            lo, f_lo = np.where(grow, hi, lo), np.where(grow, f_hi, f_lo)
             hi = np.where(grow, np.minimum(2.0 * hi, end), hi)
-            short = fun(hi) < y
-        for _ in range(_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            below = fun(mid) < y
-            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        t, done = 0.5 * (lo + hi), short
+            f_hi = np.where(grow, fun(hi), f_hi)
+            short = f_hi < y
+        w = np.clip((y - f_lo) / (f_hi - f_lo), 0.0, 1.0)
+        t, done = np.where(short | np.isnan(w), 0.5 * (lo + hi), lo + w * (hi - lo)), short
         for _ in range(_NEWTON_STEPS):
             r = fun(t) - y
             lo, hi = np.where(r < 0, t, lo), np.where(r > 0, t, hi)
@@ -717,10 +740,8 @@ def _first_zero(desc: FunctionDescriptor, grid: np.ndarray) -> float | None:
         return float(a[i])
     # sign * f rises through zero on [a_i, b_i]
     sign = math.copysign(1.0, fb[i])
-    s = _solve_increasing(lambda s: sign * np.asarray(desc(a[i] + s)),
-                          lambda s: sign * np.asarray(desc.derivative(a[i] + s)),
-                          0.0, end=b[i] - a[i])
-    return float(a[i] + s)
+    return float(_solve_increasing(lambda x: sign * desc(x), lambda x: sign * desc.derivative(x),
+                                   0.0, a[i], b[i], sign * fa[i], sign * fb[i]))
 
 
 def _parabolic_vertex(x0, h, ym, y0, yp):
@@ -840,7 +861,11 @@ class BoundaryIntegral:
         y = np.asarray(y, dtype=float)
         t = np.full(y.shape, np.nan)
         reach = y < self.G_infinity
-        t[reach] = _solve_increasing(self.value, self.g_desc, y[reach],
+        # the node cell of each target; targets past the last node double from it
+        nodes, vals = self.G.nodes, self.G.values
+        i = np.clip(np.searchsorted(vals, y[reach]), 1, len(vals) - 1)
+        t[reach] = _solve_increasing(self.value, self.g_desc, y[reach], nodes[i - 1], nodes[i],
+                                     vals[i - 1], vals[i],
                                      _KINDS[self.g_desc.kind].end(self.g_desc.params))
         return t
 

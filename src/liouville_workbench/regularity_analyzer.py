@@ -283,12 +283,11 @@ def lp_norm(fld: SolutionField, p, t: float) -> float:
     Finite p uses Simpson quadrature of u^p; p = inf takes the grid max
     sharpened by one parabolic-fit step.  A masked row cannot be normed.
     """
-    row_mask = fld.row_mask(t)
-    if np.any(row_mask):
-        j = int(np.flatnonzero(row_mask)[0])
-        idx = int(np.argmin(np.abs(fld.t_nodes - t)))
+    idx = fld.node(t)
+    if np.any(row_mask := fld.singular_mask[idx]):
+        j = int(np.argmax(row_mask))
         raise NearSingular(float(fld.alpha_nodes[j]), float(fld.t_nodes[idx]), 0.0)
-    row = fld.row(t)
+    row = fld.row(t, idx)
     if p == math.inf or p == "inf":
         j = int(np.argmax(row))
         if 0 < j < len(row) - 1:
