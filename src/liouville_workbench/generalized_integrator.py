@@ -33,11 +33,13 @@ from .problem_model import (
     FunctionDescriptor,
     GridFunction,
     ProblemSpec,
-    _first_zero,
     _polynomial_derivative,
+    cell_simpson,
+    cell_simpson_at,
     check_compatibility,
     cumulative_simpson,
     data_horizon,
+    interior_zeros,
     invert_power_integral,
     power_integral,
     power_integral_limit,
@@ -174,8 +176,7 @@ class Trajectory:
 
 
 def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: float,
-                      blowup_cap: float = BLOWUP_CAP_DEFAULT,
-                      store_every: int | None = None) -> Trajectory:
+                      blowup_cap: float = BLOWUP_CAP_DEFAULT) -> Trajectory:
     """RK4 time integration of the method-of-lines system.
 
     psi is recomputed by cumulative Simpson at every Runge-Kutta stage; g and
@@ -238,8 +239,7 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
         argmax_dense.append(j)
         drift_dense.append(abs(float(u[-1]) - g_t) / g_t)
 
-    if store_every is None:
-        store_every = max(1, int(round(t_end / dt / 256)))
+    store_every = max(1, int(round(t_end / dt / 256)))
     states.append(GeneralizedState(0.0, u.copy()))
     record_dense(0.0, u, g_t)
 
@@ -344,19 +344,23 @@ def _g_and_ratio(g: FunctionDescriptor):
 
 
 def compute_H0_alpha0(spec: ProblemSpec, F: Nonlinearity) -> dict:
-    """H0(alpha) = integral_0^alpha f F(u0) dx by Simpson, and f's first zero.
+    """H0(alpha) = integral_0^alpha f F(u0) dx by Simpson's rule on each cell,
+    f's first zero alpha0, and H0(alpha0) by the same rule on its partial cell.
 
     hypotheses_ok records whether alpha0 exists and H0 stays positive on
     (0, alpha0]; a violation is reported, not raised.
     """
+    def w(x):
+        return np.asarray(spec.f(x)) * np.asarray(F(spec.u0(x)))
+
     grid = spec.alpha_grid()
-    w = np.asarray(spec.f(grid)) * np.asarray(F(spec.u0(grid)))
-    vals = cumulative_simpson(w, grid[1] - grid[0])
+    vals = cell_simpson(w, grid)
     H0 = GridFunction(grid, vals)
-    alpha0 = _first_zero(spec.f, grid)
-    if alpha0 is None:
+    zeros, _ = interior_zeros(spec.f, grid)
+    if zeros.size == 0:
         return {"H0": H0, "alpha0": None, "H0_alpha0": math.nan, "hypotheses_ok": False}
-    H0_a0 = float(H0(alpha0))
+    alpha0 = float(zeros[0])
+    H0_a0 = float(cell_simpson_at(vals, w, grid, alpha0))
     interior = (grid > 0) & (grid <= alpha0 + 1e-15)
     positive = bool(np.all(vals[interior] > 0)) and H0_a0 > 0
     return {"H0": H0, "alpha0": alpha0, "H0_alpha0": H0_a0, "hypotheses_ok": positive}
@@ -520,14 +524,14 @@ def blowup_bounds(spec: ProblemSpec, F: Nonlinearity, trajectory: Trajectory) ->
 # blow-up detection
 
 
-def detect_blowup(trajectory: Trajectory, blowup_cap: float | None = None) -> dict:
+def detect_blowup(trajectory: Trajectory) -> dict:
     """First cap crossing of max u, with an extrapolated true blow-up time.
 
     t_numeric interpolates the crossing between the last sub-cap step and the
     first super-cap step on a log scale; t_extrapolated fits the tail to
     u_max ~ K (t* - t)^(-2/c), the growth law the envelope bounds prescribe.
     """
-    cap = trajectory.cap if blowup_cap is None else float(blowup_cap)
+    cap = trajectory.cap
     umax = trajectory.umax_dense
     ts = trajectory.t_dense
     over = np.flatnonzero(umax >= cap)

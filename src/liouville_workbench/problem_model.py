@@ -18,14 +18,17 @@ examples (polynomial data, the singular boundary family (1-t)^-(1+beta),
 exponential decay, trigonometric data) are integrated exactly while tables
 admit arbitrary sampled data.
 
-psi0 and G are the kind's closed-form integral: psi0 whenever f u0 is one
-descriptor (f itself when u0 = 1, or a polynomial product), else composite
-Simpson on a uniform grid; G unless per-interval Simpson is requested.  Both
-keep psi0(0) = 0 and G(0) = 0 exact.  data_horizon says how long g has data.
-Every inverse (G^-1, the inverse of a power integral, the first zero of f)
+psi0 and G are the kind's closed-form integral (psi0 whenever f u0 is one
+descriptor: f itself when u0 = 1, or a polynomial product; G unless
+quadrature is requested), or else Simpson's rule on each grid cell with a
+midpoint sample (cell_simpson), which does not depend on the node parity.
+Both keep psi0(0) = 0 and G(0) = 0 exact.  As psi0' = f u0 with u0 > 0, M0
+and its argmax set are read off alpha = 0, alpha = 1 and the zeros where f
+crosses from + to - (interior_zeros).  data_horizon says how long g has
+data.  Every inverse (G^-1, the inverse of a power integral, the zeros of f)
 goes through one array inverter, _solve_increasing, which starts from a
 bracket per target taken from samples the caller already holds: the sampled
-G for G^-1, the grid cell where f changes sign for its first zero.  simpson
+G for G^-1, the grid cells where f changes sign for its zeros.  simpson
 builds its node weights once per node set.
 """
 
@@ -48,7 +51,7 @@ from .errors import NoFiniteTime
 # chosen so that double precision never masquerades as a feature.
 COMPAT_RTOL = 1e-8        # compatibility defect, relative to max |f u0|
 ZERO_SET_RTOL = 1e-6      # zero set of psi0, relative to max |psi0|
-FEATURE_ATOL = 1e-9       # argmax membership after parabolic refinement
+FEATURE_ATOL = 1e-9       # argmax tie rule: candidates within this of M0 attain it
 INVERT_RTOL = 1e-12       # |G(t) - target| <= INVERT_RTOL * (1 + target)
 
 # the inverter: Newton step cap, and the farthest time a bracket may grow to
@@ -85,6 +88,27 @@ def cumulative_simpson(y, h, out=None):
     s.cumsum(out=s)
     out[0] = 0.0
     return out
+
+
+def cell_simpson(w, x):
+    """int_{x[0]}^{x[k]} w at every k (0 at k = 0) by Simpson's rule on each
+    cell with a midpoint sample, h/6 (w_i + 4 w_(i+1/2) + w_(i+1)), h = x[1] - x[0].
+
+    w is called on arrays.  The nodes run along axis 0 and are uniform along
+    it, so a (2, k) x integrates k separate cells [x[0, j], x[1, j]] at once.
+    """
+    x = np.asarray(x, dtype=float)
+    w_x = np.asarray(w(x))
+    steps = (x[1] - x[0]) / 6.0 * (w_x[:-1] + 4.0 * np.asarray(w(0.5 * (x[:-1] + x[1:])))
+                                   + w_x[1:])
+    return np.concatenate((np.zeros((1,) + x.shape[1:]), np.cumsum(steps, axis=0)))
+
+
+def cell_simpson_at(vals, w, grid, x):
+    """int_{grid[0]}^x w off the nodes: cell_simpson's vals at the node below x
+    plus the same rule on the partial cell from that node to x."""
+    i = np.searchsorted(grid, x, side="right") - 1
+    return vals[i] + cell_simpson(w, np.array([grid[i], x]))[1]
 
 
 def simpson(y, x):
@@ -725,79 +749,60 @@ def _psi0_integrand(spec: ProblemSpec) -> FunctionDescriptor | None:
     return None
 
 
-def _first_zero(desc: FunctionDescriptor, grid: np.ndarray) -> float | None:
-    """First zero of a sampled function in the open interior (0, 1)."""
-    vals = np.asarray(desc(grid))
-    if np.max(np.abs(vals)) == 0:
-        return None
-    a, b, fa, fb = grid[:-1], grid[1:], vals[:-1], vals[1:]
-    at_node = (fa == 0.0) & (a > 0) & (a < 1)
-    hits = np.flatnonzero(at_node | ((fa * fb < 0) & (b > 0) & (a < 1)))
-    if hits.size == 0:
-        return None  # a zero exactly at alpha=1 is not "in (0,1)"
-    i = hits[0]
-    if at_node[i]:
-        return float(a[i])
-    # sign * f rises through zero on [a_i, b_i]
-    sign = math.copysign(1.0, fb[i])
-    return float(_solve_increasing(lambda x: sign * desc(x), lambda x: sign * desc.derivative(x),
-                                   0.0, a[i], b[i], sign * fa[i], sign * fb[i]))
+def interior_zeros(desc, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every zero of a sampled function in (0, 1), in order, and whether each
+    is a down-crossing, where the function goes from + to -.
 
-
-def _parabolic_vertex(x0, h, ym, y0, yp):
-    """Vertex of the parabola through three equispaced samples.
-
-    Returns (location, value); falls back to the middle sample when the
-    three points are (numerically) collinear.
+    A zero node is exact, and a run of zero nodes counts once, at its first
+    interior node.  The cells where the sign changes are solved together in
+    one array call of _solve_increasing, each from its own cell and samples.
     """
-    denom = ym - 2.0 * y0 + yp
-    if abs(denom) < 1e-300 or denom >= 0:
-        return x0, y0
-    delta = 0.5 * (ym - yp) / denom
-    delta = float(np.clip(delta, -1.0, 1.0))
-    value = y0 - 0.125 * (ym - yp) ** 2 / denom
-    return x0 + delta * h, max(value, y0)
+    vals = np.asarray(desc(grid), dtype=float)
+    if not np.any(vals):
+        return np.array([]), np.array([], dtype=bool)
+    sign, nonzero = np.sign(vals), np.flatnonzero(vals)
+    zero = sign == 0.0
+    zero[0] = False   # alpha = 0 is not in (0, 1); a run from there starts at node 1
+    runs = np.flatnonzero(zero[1:-1] & ~zero[:-2]) + 1
+    # a run goes down when the nonzero samples either side of it do (0 past the ends)
+    side, k = np.concatenate(([0.0], sign[nonzero], [0.0])), np.searchsorted(nonzero, runs)
+    run_down = (side[k] > 0) & (side[k + 1] < 0)
+    cells = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+    s = sign[cells + 1]   # s * desc rises through zero on each cell
+    roots = _solve_increasing(lambda x: s * desc(x), lambda x: s * desc.derivative(x), 0.0,
+                              grid[cells], grid[cells + 1], s * vals[cells], s * vals[cells + 1])
+    where = np.concatenate((grid[runs], roots))
+    order = np.argsort(where, kind="stable")
+    return where[order], np.concatenate((run_down, sign[cells] > 0))[order]
 
 
 def extract_features(profile: Psi0Profile, spec: ProblemSpec) -> dict:
     """Features of psi0: M0, argmax set, zero set, first zero of f.
 
-    M0 comes from the grid maximum refined by one parabolic-fit step, so flat
-    tops and mid-cell peaks are both handled, and counts as 0 at or below
-    ZERO_SET_RTOL max|psi0|, the zero-set tolerance; the argmax set collects
-    one refined location per cluster of grid points within FEATURE_ATOL of M0.
+    psi0' = f u0 with u0 > 0, so psi0 is greatest at alpha = 0, at alpha = 1
+    or where f crosses from + to -.  M0 is the largest psi0 over these
+    candidates, taken from the exact integral when f u0 is one descriptor
+    and otherwise from the node below plus Simpson's rule on the partial
+    cell; it counts as 0 at or below ZERO_SET_RTOL max|psi0|, the zero-set
+    tolerance.  The argmax set holds the candidates within FEATURE_ATOL of
+    the largest, and alpha0 is the first zero of f in (0, 1).
     """
-    grid = profile.psi0.nodes
-    vals = profile.psi0.values
-    h = grid[1] - grid[0]
-
-    i_max = int(np.argmax(vals))
-    M0 = float(vals[i_max])
-    if 0 < i_max < len(grid) - 1:
-        _, M0 = _parabolic_vertex(grid[i_max], h, vals[i_max - 1], vals[i_max], vals[i_max + 1])
-
-    # cluster grid points at the sampled maximum (the refined M0 can sit up to
-    # (h/2)^2 above every node), then refine one location per cluster
-    close = np.flatnonzero(vals >= vals[i_max] - FEATURE_ATOL)
-    locations = []
-    if close.size:
-        breaks = np.flatnonzero(np.diff(close) > 1)
-        for cluster in np.split(close, breaks + 1):
-            j = cluster[int(np.argmax(vals[cluster]))]
-            if 0 < j < len(grid) - 1:
-                loc, _ = _parabolic_vertex(grid[j], h, vals[j - 1], vals[j], vals[j + 1])
-            else:
-                loc = grid[j]
-            locations.append(loc)
-    argmax_set = np.array(sorted(locations))
+    grid, vals = profile.psi0.nodes, profile.psi0.values
+    zeros, down = interior_zeros(spec.f, grid)
+    crests = zeros[down]
+    at_crests = (profile.value(crests) if profile.analytic is not None
+                 else cell_simpson_at(vals, lambda x: spec.f(x) * spec.u0(x), grid, crests))
+    where = np.concatenate(([0.0], crests, [1.0]))
+    psi = np.concatenate(([vals[0]], at_crests, [vals[-1]]))
+    M0 = float(np.max(psi))
+    argmax_set = where[psi >= M0 - FEATURE_ATOL]
 
     scale = float(np.max(np.abs(vals)))
     if M0 <= ZERO_SET_RTOL * scale:   # also clamps a negative maximum to 0
         M0 = 0.0
-    zero_tol = ZERO_SET_RTOL * scale if scale > 0 else np.inf
-    omega = grid[np.abs(vals) <= zero_tol] if np.isfinite(zero_tol) else grid.copy()
+    omega = grid[np.abs(vals) <= ZERO_SET_RTOL * scale]   # every node when psi0 = 0
 
-    alpha0 = _first_zero(spec.f, grid)
+    alpha0 = float(zeros[0]) if zeros.size else None
     return {"M0": M0, "argmax_set": argmax_set, "omega": omega, "alpha0": alpha0}
 
 
@@ -805,8 +810,8 @@ def build_psi0(spec: ProblemSpec, method: str = "auto") -> Psi0Profile:
     """Cumulative integral psi0(alpha) = int_0^alpha f u0 dz with features.
 
     method "auto" takes the closed-form integral of f*u0 when it is one
-    descriptor (see _psi0_integrand) and composite Simpson otherwise;
-    "quadrature" forces Simpson (useful for convergence studies).
+    descriptor (see _psi0_integrand) and cell_simpson otherwise; "quadrature"
+    forces cell_simpson (useful for convergence studies).
     """
     if method not in ("auto", "quadrature"):
         raise ValueError("method must be 'auto' or 'quadrature'")
@@ -815,7 +820,7 @@ def build_psi0(spec: ProblemSpec, method: str = "auto") -> Psi0Profile:
     if analytic is not None:
         vals = np.asarray(power_integral(analytic, 1.0, grid))
     else:
-        vals = cumulative_simpson(spec.f(grid) * spec.u0(grid), grid[1] - grid[0])
+        vals = cell_simpson(lambda x: spec.f(x) * spec.u0(x), grid)
     if not np.all(np.isfinite(vals)):
         raise ValueError("psi0 = int f*u0 is not finite on [0, 1]")
     bare = Psi0Profile(psi0=GridFunction(grid, vals), analytic=analytic)
@@ -885,8 +890,8 @@ def build_G(spec, t_max: float, n_t: int = 1025, method: str = "auto") -> Bounda
 
     Accepts a ProblemSpec or a bare FunctionDescriptor for g.  method "auto"
     samples the kind's closed form; "quadrature" integrates g by Simpson's
-    rule on each grid interval, so every increment of a positive g is
-    positive.  t_max must not pass data_horizon, the last time g has data.
+    rule on each grid cell (cell_simpson), so every increment of a positive
+    g is positive.  t_max must not pass data_horizon, the last time g has data.
     """
     desc = spec.g if isinstance(spec, ProblemSpec) else spec
     if method not in ("auto", "quadrature"):
@@ -900,12 +905,12 @@ def build_G(spec, t_max: float, n_t: int = 1025, method: str = "auto") -> Bounda
     if method == "auto":
         vals = np.asarray(power_integral(desc, 1.0, t_grid))
     else:
-        g_nodes = np.asarray(desc(t_grid))
-        g_mids = np.asarray(desc(0.5 * (t_grid[:-1] + t_grid[1:])))
-        if min(np.min(g_nodes), np.min(g_mids)) <= 0:
-            raise ValueError("g must be strictly positive on [0, t_max]")
-        steps = (t_grid[1] - t_grid[0]) / 6.0 * (g_nodes[:-1] + 4.0 * g_mids + g_nodes[1:])
-        vals = np.concatenate(([0.0], np.cumsum(steps)))
+        def positive_g(t):
+            g = np.asarray(desc(t))
+            if np.min(g) <= 0:
+                raise ValueError("g must be strictly positive on [0, t_max]")
+            return g
+        vals = cell_simpson(positive_g, t_grid)
     if not np.all(np.diff(vals) > 0):
         raise ValueError("G is not strictly increasing; g must be positive")
     G_inf, estimated = power_integral_limit(desc, 1.0)

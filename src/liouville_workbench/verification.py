@@ -3,7 +3,7 @@ representation formula.
 
 Four families of checks:
 
-  * PDE residual: the mixed derivative of ln u minus f F(u), with a
+  * PDE residual: the mixed derivative of ln u minus f u, with a
     convergence-order fit across grid refinements.
   * R-invariance: R(v) = v' - v^2/2 applied to v = d/dt ln u gives the same
     function of t at every alpha, equal to its boundary value.
@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form_solver import SolutionField, evaluate_field
-from .generalized_integrator import Nonlinearity
 from .problem_model import GridFunction, ProblemSpec, build_G, build_psi0, data_horizon
 
 _CR0_INV = 0.75   # reciprocal of the equispaced cross-ratio 4/3
@@ -60,48 +59,37 @@ def _uniform_spacing(nodes: np.ndarray, label: str) -> float:
     return float(d[0])
 
 
-def _mixed_residual(fld: SolutionField, spec: ProblemSpec, F: Nonlinearity | None) -> float:
+def _mixed_residual(fld: SolutionField, spec: ProblemSpec) -> float:
     if np.any(fld.singular_mask):
         raise ValueError("field is masked inside the residual window")
     ha = _uniform_spacing(fld.alpha_nodes, "alpha")
     ht = _uniform_spacing(fld.t_nodes, "t")
     L = np.log(fld.values)
     mixed = (L[2:, 2:] - L[2:, :-2] - L[:-2, 2:] + L[:-2, :-2]) / (4.0 * ha * ht)
-    u_int = fld.values[1:-1, 1:-1]
-    Fu = u_int if F is None else F(u_int)
-    target = np.asarray(spec.f(fld.alpha_nodes[1:-1]))[None, :] * Fu
+    target = np.asarray(spec.f(fld.alpha_nodes[1:-1]))[None, :] * fld.values[1:-1, 1:-1]
     return float(np.max(np.abs(mixed - target)))
 
 
-def pde_residual(fld: SolutionField, spec: ProblemSpec,
-                 F: Nonlinearity | None = None, refinements: int = 3) -> ResidualReport:
+def pde_residual(fld: SolutionField, spec: ProblemSpec) -> ResidualReport:
     """Mixed-derivative residual of the equation on a sampled field.
 
     The headline number is the interior max of the 4-point centered mixed
-    difference of ln u minus f F(u) on the field as given.  When the field
-    is reproducible from the closed form (F is None), the same residual is
-    recomputed on `refinements` successively halved grids spanning the same
-    window and the convergence order is fitted; trajectory-backed fields
-    skip the fit.
+    difference of ln u minus f u on the field as given.  The same residual
+    is recomputed from the closed form on 3 successively halved grids (65,
+    129 and 257 nodes a side) spanning the same window, and the convergence
+    order is fitted across them.
     """
-    max_res = _mixed_residual(fld, spec, F)
+    max_res = _mixed_residual(fld, spec)
     ha = _uniform_spacing(fld.alpha_nodes, "alpha")
     ht = _uniform_spacing(fld.t_nodes, "t")
-    if F is not None or refinements < 2:
-        return ResidualReport(max_res, ha, ht, math.nan, math.nan)
-
     t_lo, t_hi = float(fld.t_nodes[0]), float(fld.t_nodes[-1])
     t_max = data_horizon(spec.g, max(t_hi, 1e-6) * (1.0 + 1e-9))
     levels = []
-    base = 64
-    for lev in range(refinements):
-        n = base * 2**lev + 1
+    for n in (65, 129, 257):
         sub = dataclasses.replace(spec, n_alpha=n)
-        profile = build_psi0(sub)
-        B = build_G(sub, t_max=t_max)
-        grid_t = np.linspace(t_lo, t_hi, n)
-        sub_field = evaluate_field(profile, B, sub, sub.alpha_grid(), grid_t)
-        levels.append((1.0 / (n - 1), _mixed_residual(sub_field, sub, None)))
+        sub_field = evaluate_field(build_psi0(sub), build_G(sub, t_max=t_max), sub,
+                                   sub.alpha_grid(), np.linspace(t_lo, t_hi, n))
+        levels.append((1.0 / (n - 1), _mixed_residual(sub_field, sub)))
     hs = np.log([h for h, _ in levels])
     rs = np.log([r for _, r in levels])
     if not np.all(np.isfinite(rs)):
@@ -124,9 +112,9 @@ def _R_of_log_derivative(column: np.ndarray, ht: float) -> np.ndarray:
     return vdot - 0.5 * v**2
 
 
-def r_invariance(fld: SolutionField, spec: ProblemSpec, alphas=None) -> float:
-    """Max over alpha of the sup-distance between R(d/dt ln u) and its
-    boundary value R(d/dt ln g).
+def r_invariance(fld: SolutionField, spec: ProblemSpec) -> float:
+    """Max over 9 evenly spread alpha columns of the sup-distance between
+    R(d/dt ln u) and its boundary value R(d/dt ln g).
 
     The identity is exact for the representation formula, so the returned
     discrepancy is pure finite-difference truncation, O(ht^2).
@@ -136,10 +124,7 @@ def r_invariance(fld: SolutionField, spec: ProblemSpec, alphas=None) -> float:
     ht = _uniform_spacing(fld.t_nodes, "t")
     L = np.log(fld.values)
     ref = _R_of_log_derivative(np.log(np.asarray(spec.g(fld.t_nodes), dtype=float)), ht)
-    if alphas is None:
-        idx = np.unique(np.linspace(0, len(fld.alpha_nodes) - 1, 9).astype(int))
-    else:
-        idx = [int(np.argmin(np.abs(fld.alpha_nodes - a))) for a in np.atleast_1d(alphas)]
+    idx = np.unique(np.linspace(0, len(fld.alpha_nodes) - 1, 9).astype(int))
     worst = 0.0
     for j in idx:
         worst = max(worst, float(np.max(np.abs(_R_of_log_derivative(L[:, j], ht) - ref))))

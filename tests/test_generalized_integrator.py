@@ -195,6 +195,25 @@ class TestH0:
         assert out["hypotheses_ok"]
         assert out["H0"](0.25) == pytest.approx(0.1875, abs=1e-10)
 
+    @pytest.mark.parametrize("n_alpha", [64, 65])
+    def test_H0_at_alpha0_from_the_partial_cell(self, n_alpha):
+        # alpha0 = (pi/2 - 0.3)/(2 pi) is mid-cell; H0(alpha0) takes Simpson's
+        # rule on the partial cell, not a chord between nodes
+        import mpmath
+
+        f = FunctionDescriptor("trigonometric", {"offset": 0.0,
+                                                 "terms": [[1.0, 1.0, 0.3 + math.pi / 2]]})
+        u0 = FunctionDescriptor("trigonometric", {"offset": 1.0, "terms": [[0.3, 1.0, 0.0]]})
+        spec = ProblemSpec(f=f, u0=u0, g=polynomial(1.0, 2.0), n_alpha=n_alpha)
+        out = compute_H0_alpha0(spec, power_F(2.0))
+        with mpmath.workdps(30):
+            c = mpmath.mpf("0.3")
+            a0 = (mpmath.pi / 2 - c) / (2 * mpmath.pi)
+            want = float(mpmath.quad(lambda z: mpmath.cos(2 * mpmath.pi * z + c)
+                                     * (1 + c * mpmath.sin(2 * mpmath.pi * z)) ** 2, [0, a0]))
+        assert out["alpha0"] == pytest.approx(float(a0), abs=1e-15)
+        assert out["H0_alpha0"] == pytest.approx(want, abs=1e-7)
+
 
 class TestPowerIntegral:
     def test_polynomial_power(self):

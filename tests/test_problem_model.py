@@ -220,6 +220,56 @@ class TestPsi0:
         assert profile.M0 == pytest.approx(1.0 / math.pi, rel=1e-9)
         assert profile.argmax_set[0] == pytest.approx(0.5, abs=1e-9)
 
+    # f = cos(2 pi a + 0.3) crosses from + to - at a* = (pi/2 - 0.3)/(2 pi),
+    # off every grid below; with u0 = 1, psi0(a*) = (1 - sin 0.3)/(2 pi)
+    COS_F = FunctionDescriptor("trigonometric", {"offset": 0.0,
+                                                 "terms": [[1.0, 1.0, 0.3 + math.pi / 2]]})
+    COS_CREST = (math.pi / 2 - 0.3) / (2.0 * math.pi)
+
+    @pytest.mark.parametrize("n", [32, 33, 64, 65, 129, 513, 2049])
+    def test_maximum_at_the_down_crossing_whatever_n_alpha(self, n):
+        spec = ProblemSpec(f=self.COS_F, u0=constant(1.0), g=polynomial(1.0, 2.0), n_alpha=n)
+        profile = build_psi0(spec)
+        assert profile.M0 == pytest.approx((1.0 - math.sin(0.3)) / (2.0 * math.pi), abs=1e-14)
+        np.testing.assert_allclose(profile.argmax_set, [self.COS_CREST], rtol=0, atol=1e-12)
+
+    def test_maximum_when_f_u0_is_not_one_descriptor(self):
+        import mpmath
+
+        u0 = FunctionDescriptor("trigonometric", {"offset": 1.0, "terms": [[0.3, 1.0, 0.0]]})
+        spec = ProblemSpec(f=self.COS_F, u0=u0, g=polynomial(1.0, 2.0), n_alpha=129)
+        with mpmath.workdps(30):
+            want = float(mpmath.quad(
+                lambda z: mpmath.cos(2 * mpmath.pi * z + mpmath.mpf("0.3"))
+                * (1 + mpmath.mpf("0.3") * mpmath.sin(2 * mpmath.pi * z)),
+                [0, (mpmath.pi / 2 - mpmath.mpf("0.3")) / (2 * mpmath.pi)]))
+        profile = build_psi0(spec)
+        assert profile.analytic is None
+        assert profile.M0 == pytest.approx(want, abs=5e-9)
+        np.testing.assert_allclose(profile.argmax_set, [self.COS_CREST], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("method", ["auto", "quadrature"])
+    def test_equal_maxima_at_every_down_crossing(self, method):
+        # f = sin 4 pi a: psi0 = (1 - cos 4 pi a)/(4 pi) peaks at 1/4 and 3/4,
+        # both mid-cell on 64 nodes
+        f = FunctionDescriptor("trigonometric", {"offset": 0.0, "terms": [[1.0, 2.0, 0.0]]})
+        spec = ProblemSpec(f=f, u0=constant(1.0), g=polynomial(1.0, 2.0), n_alpha=64)
+        profile = build_psi0(spec, method=method)
+        np.testing.assert_allclose(profile.argmax_set, [0.25, 0.75], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [64, 65, 101])
+    def test_flat_top_is_one_location(self, n):
+        # f is + on [0, 0.3), 0 on [0.3, 0.5] and - after: psi0 is flat on
+        # [0.3, 0.5], reported once, at the first zero node
+        f = FunctionDescriptor("table", {"nodes": [0.0, 0.3, 0.5, 1.0],
+                                         "values": [1.0, 0.0, 0.0, -0.6]})
+        spec = ProblemSpec(f=f, u0=constant(1.0), g=polynomial(1.0, 2.0), n_alpha=n)
+        for method in ("auto", "quadrature"):
+            profile = build_psi0(spec, method=method)
+            assert profile.argmax_set.size == 1
+            assert 0.3 <= profile.argmax_set[0] <= 0.5
+            assert profile.alpha0 == profile.argmax_set[0]
+
 
 class TestBoundaryIntegral:
     def test_polynomial_closed_form(self, problem):
@@ -331,8 +381,25 @@ class TestInverter:
         # point converges in a few steps at every grid size
         f = _CountingDescriptor(polynomial(-1.8, 2.65, -0.81))
         exact = (2.65 - math.sqrt(2.65**2 - 4.0 * 1.8 * 0.81)) / (2.0 * 0.81)
-        assert pm._first_zero(f, np.linspace(0.0, 1.0, n)) == pytest.approx(exact, rel=4e-16)
+        zeros, _ = pm.interior_zeros(f, np.linspace(0.0, 1.0, n))
+        assert zeros[0] == pytest.approx(exact, rel=4e-16)
         assert f.slopes <= 4
+
+    def test_interior_zeros_in_order_with_their_crossings(self):
+        # f = (a - 1/4)(a - 1/2)(a - 3/4) goes up, down, up: mid-cell on 12
+        # nodes, and exactly at the nodes on 9 (the zero samples are exact)
+        f = polynomial(*np.polynomial.polynomial.polyfromroots([0.25, 0.5, 0.75]))
+        zeros, down = pm.interior_zeros(f, np.linspace(0.0, 1.0, 12))
+        np.testing.assert_allclose(zeros, [0.25, 0.5, 0.75], rtol=0, atol=1e-15)
+        assert down.tolist() == [False, True, False]
+        zeros, down = pm.interior_zeros(f, np.linspace(0.0, 1.0, 9))
+        assert zeros.tolist() == [0.25, 0.5, 0.75] and down.tolist() == [False, True, False]
+        # a run of zero nodes counts once, and f = 0 has no zeros to report
+        table = FunctionDescriptor("table", {"nodes": [0.0, 0.3, 0.5, 1.0],
+                                             "values": [1.0, 0.0, 0.0, 1.0]})
+        zeros, down = pm.interior_zeros(table, np.linspace(0.0, 1.0, 11))
+        assert zeros.tolist() == [0.30000000000000004] and down.tolist() == [False]
+        assert pm.interior_zeros(constant(0.0), np.linspace(0.0, 1.0, 11))[0].size == 0
 
     @pytest.mark.parametrize("g, t_max", [(exponential(1.0, 0.7), 5.0),
                                           (exponential(1.0, -0.4), 5.0),

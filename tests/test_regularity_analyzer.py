@@ -85,6 +85,19 @@ class TestClassify:
         assert report.verdict == "Global"  # G_inf = 8 = 2/M0 exactly
         assert any("borderline" in n or "equals" in n for n in report.notes)
 
+    @pytest.mark.parametrize("rel, verdict", [(1e-14, "Global"), (-1e-14, "Global"),
+                                              (1e-9, "FiniteBlowup")])
+    def test_borderline_is_global_within_invert_rtol(self, rel, verdict):
+        # G_inf = 8 (1 + rel) against 2/M0 = 8: within INVERT_RTOL (1 + 8) of
+        # it counts as equal, a relative 1e-9 above it blows up
+        spec = ProblemSpec(f=polynomial(1.0, -2.0), u0=constant(1.0),
+                           g=exponential(1.0, -1.0 / (8.0 * (1.0 + rel))))
+        B = build_G(spec, t_max=50.0)
+        assert B.G_infinity == pytest.approx(8.0 * (1.0 + rel), rel=1e-15)
+        report = classify(build_psi0(spec), B, spec)
+        assert report.verdict == verdict
+        assert any("equals" in n for n in report.notes) == (verdict == "Global")
+
 
     @pytest.mark.parametrize("method", ["auto", "quadrature"])
     @pytest.mark.parametrize("t_max", [10.0, 12.0, 100.0])
@@ -113,10 +126,6 @@ class TestClassify:
         assert profile.M0 == 0.0
         assert classify(profile, build_G(spec, t_max=10.0), spec).verdict == "Global"
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "Simpson's psi0 for f u0 without one descriptor: at n_alpha = 64 M0 = 1.29e-6, "
-        "above the zero-set tolerance, gives FiniteBlowup at t* = 1243; 65 gives Global; "
-        "32, 48 and 96 flip as well"))
     def test_verdict_independent_of_n_alpha_parity(self):
         # f = -sin 2 pi a, u0 = 1 + cos(2 pi a)/2: psi0 <= 0 exactly, so Global
         f = FunctionDescriptor("trigonometric", {"offset": 0.0, "terms": [[-1.0, 1.0, 0.0]]})
