@@ -33,6 +33,7 @@ from .problem_model import (
     FunctionDescriptor,
     GridFunction,
     ProblemSpec,
+    _KINDS,
     _polynomial_derivative,
     cell_simpson,
     cell_simpson_at,
@@ -269,7 +270,7 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
             h_err = step * min(5.0, 0.9 * (_STEP_RTOL / max(err, 1e-300)) ** 0.2)
             u_new[0] = g_next
             check_positive(t + step, u_new)
-            grew = float(u_new.max()) > _GROWTH_TRIGGER * float(u.max())
+            grew = float(u_new.max()) > _GROWTH_TRIGGER * umax_dense[-1]
             if step <= dt_min or not (grew or err > _STEP_RTOL):
                 break
             step = min(h_err, step / 10.0) if grew else h_err
@@ -278,7 +279,7 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
         step_index += 1
         record_dense(t, u, g_t)
 
-        hit_cap = float(u.max()) >= blowup_cap
+        hit_cap = umax_dense[-1] >= blowup_cap
         if step_index % store_every == 0 or hit_cap or t >= t_end - 1e-12 * (1.0 + t_end):
             states.append(GeneralizedState(t, u.copy()))
         if hit_cap:
@@ -311,31 +312,35 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
 def _g_and_ratio(g: FunctionDescriptor):
     """t -> (g(t), g'(t)/g(t)) on scalars, as the integrator needs them per stage.
 
-    Scalar calls throughout: an array call would round some data kinds
-    (powers of singular g) differently in the last bit.  A polynomial runs
-    npoly.polyval's Horner loop in plain Python, the same operations in the
-    same order without its argument handling (about 0.5 against 13 us a pair).
+    The pair is g(t), g.derivative(t) / g(t) bit for bit, read straight off
+    the kind table on the 0-d array of t, which keeps each kind's own checks
+    (singular g's t < t_b), or for a polynomial off npoly.polyval's Horner
+    loop run in plain Python.  A non-finite g(t) raises.
     """
-    if not g.is_polynomial():
-        def g_and_ratio(t):
-            g_t = float(g(t))
-            return g_t, float(g.derivative(t)) / g_t
-        return g_and_ratio
+    if g.is_polynomial():
+        coeffs = g.poly_coeffs()
+        dcoeffs = _polynomial_derivative(coeffs)
 
-    coeffs = g.poly_coeffs()
-    dcoeffs = _polynomial_derivative(coeffs)
+        def horner(c, x):
+            acc = c[-1] + x * 0.0
+            for ci in c[-2::-1]:
+                acc = ci + acc * x
+            return acc
 
-    def horner(c, x):
-        acc = c[-1] + x * 0.0
-        for ci in c[-2::-1]:
-            acc = ci + acc * x
-        return acc
+        def value_and_slope(t):
+            return horner(coeffs, t), horner(dcoeffs, t)
+    else:
+        kind, p = _KINDS[g.kind], g.params
+
+        def value_and_slope(t):
+            x = np.asarray(t, dtype=float)
+            return float(kind.value(p, x)), float(kind.derivative(p, x))
 
     def g_and_ratio(t):
-        g_t = horner(coeffs, t)
+        g_t, slope = value_and_slope(t)
         if not math.isfinite(g_t):
             raise ValueError(f"{g.kind} descriptor produced non-finite samples")
-        return g_t, horner(dcoeffs, t) / g_t
+        return g_t, slope / g_t
     return g_and_ratio
 
 
@@ -347,8 +352,9 @@ def compute_H0_alpha0(spec: ProblemSpec, F: Nonlinearity) -> dict:
     """H0(alpha) = integral_0^alpha f F(u0) dx by Simpson's rule on each cell,
     f's first zero alpha0, and H0(alpha0) by the same rule on its partial cell.
 
-    hypotheses_ok records whether alpha0 exists and H0 stays positive on
-    (0, alpha0]; a violation is reported, not raised.
+    window marks (0, alpha0] on the grid, widened by 1e-12 for a root a
+    rounding below a node: hypotheses_ok asks H0 > 0 there (a violation is
+    reported, not raised), and blowup_bounds samples its envelopes there.
     """
     def w(x):
         return np.asarray(spec.f(x)) * np.asarray(F(spec.u0(x)))
@@ -358,12 +364,14 @@ def compute_H0_alpha0(spec: ProblemSpec, F: Nonlinearity) -> dict:
     H0 = GridFunction(grid, vals)
     zeros, _ = interior_zeros(spec.f, grid)
     if zeros.size == 0:
-        return {"H0": H0, "alpha0": None, "H0_alpha0": math.nan, "hypotheses_ok": False}
+        return {"H0": H0, "alpha0": None, "H0_alpha0": math.nan, "hypotheses_ok": False,
+                "window": np.zeros(grid.size, dtype=bool)}
     alpha0 = float(zeros[0])
     H0_a0 = float(cell_simpson_at(vals, w, grid, alpha0))
-    interior = (grid > 0) & (grid <= alpha0 + 1e-15)
-    positive = bool(np.all(vals[interior] > 0)) and H0_a0 > 0
-    return {"H0": H0, "alpha0": alpha0, "H0_alpha0": H0_a0, "hypotheses_ok": positive}
+    window = (grid > 0) & (grid <= alpha0 + 1e-12)
+    positive = bool(np.all(vals[window] > 0)) and H0_a0 > 0
+    return {"H0": H0, "alpha0": alpha0, "H0_alpha0": H0_a0, "hypotheses_ok": positive,
+            "window": window}
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +448,8 @@ def blowup_bounds(spec: ProblemSpec, F: Nonlinearity, trajectory: Trajectory) ->
     later than 2/(c H0(alpha0)).  Nonincreasing g: upper envelope from the
     running integral of g^c, lower from g^d, with the global/blow-up verdict
     read off their limits.  Mixed monotonicity yields a not-applicable report.
+    When c == d (identity and power F) the two envelopes are one array,
+    computed once.  Envelopes are sampled on compute_H0_alpha0's window.
     """
     info = compute_H0_alpha0(spec, F)
     H0, alpha0 = info["H0"], info["alpha0"]
@@ -463,27 +473,24 @@ def blowup_bounds(spec: ProblemSpec, F: Nonlinearity, trajectory: Trajectory) ->
                             t_star_bound=None, domain_nodes=np.array([]))
 
     t_star_bound = 2.0 / (c * H0_a0)
-    grid = trajectory.alpha
-    domain = (grid > 0) & (grid <= alpha0 + 1e-12)
-    dom_nodes = grid[domain]
+    domain = info["window"]
+    dom_nodes = trajectory.alpha[domain]
     report.update(hypotheses_ok=ok, t_star_bound=t_star_bound, domain_nodes=dom_nodes)
     if mono == "mixed":
         return BoundsReport(**report, **not_applicable)
 
-    def envelope(I, e):
-        # g u0 (1 - (e/2) H0 I)^(-2/e) at each stored time, infinite once the
-        # bracket closes; row by row, so no temporary spans all times
-        env = np.empty((times.size, dom_nodes.size))
-        for i in range(times.size):
-            arg = 1.0 - 0.5 * e * H0_dom * I[i]
-            with np.errstate(over="ignore"):
-                env[i] = np.where(arg > 0, g_t[i] * u0_dom / np.maximum(arg, 1e-300) ** (2.0 / e),
-                                  np.inf)
-        return env
-
     g_t = np.asarray(spec.g(times))
     u0_dom = np.asarray(spec.u0(dom_nodes))
     H0_dom = H0.values[domain]
+
+    def envelope(I, e):
+        # g u0 (1 - (e/2) H0 I)^(-2/e), row i at stored time i, column j at
+        # node j; infinite once the bracket closes
+        arg = 1.0 - 0.5 * e * H0_dom[None, :] * I[:, None]
+        with np.errstate(over="ignore", divide="ignore"):
+            return np.where(arg > 0, g_t[:, None] * u0_dom / np.maximum(arg, 1e-300) ** (2.0 / e),
+                            np.inf)
+
     global_threshold = 2.0 / (d * H0_a0)
     if mono == "nondecreasing":
         predicted, crossing = "FiniteBlowup", t_star_bound
@@ -499,9 +506,9 @@ def blowup_bounds(spec: ProblemSpec, F: Nonlinearity, trajectory: Trajectory) ->
         else:
             predicted = "Indeterminate"
         lower = envelope(np.asarray(power_integral(spec.g, d, times)), c)
-        upper = envelope(np.asarray(power_integral(spec.g, c, times)), d)
+        upper = lower if c == d else envelope(np.asarray(power_integral(spec.g, c, times)), d)
 
-    u_states = np.array([s.u[domain] for s in trajectory.states])
+    u_states = np.array([s.u for s in trajectory.states])[:, domain]
     violations, min_margins = [], []
     for side, env in (("lower", lower), ("upper", upper)):
         if env is None:
@@ -511,8 +518,9 @@ def blowup_bounds(spec: ProblemSpec, F: Nonlinearity, trajectory: Trajectory) ->
         sign = 1.0 if side == "lower" else -1.0   # lower: u above env; upper: u below
         margins = np.where(finite, sign * (u_states - env) / np.where(finite, env, 1.0), np.nan)
         min_margins.append(float(np.nanmin(margins)) if np.any(finite) else None)
-        for i, j in np.argwhere(margins < 0)[:1000]:
-            violations.append((float(dom_nodes[j]), float(times[i]), float(margins[i, j]), side))
+        i, j = (k[:1000] for k in np.nonzero(margins < 0))
+        violations += zip(dom_nodes[j].tolist(), times[i].tolist(), margins[i, j].tolist(),
+                          [side] * i.size)
 
     return BoundsReport(**report, predicted=predicted, crossing_time=crossing,
                         lower_envelope=lower, upper_envelope=upper,

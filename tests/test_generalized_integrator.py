@@ -21,6 +21,7 @@ from liouville_workbench import (
     power_F,
     power_integral,
     power_integral_limit,
+    singular_boundary,
     table_F,
 )
 from liouville_workbench.generalized_integrator import _g_and_ratio
@@ -172,7 +173,8 @@ class TestStepRule:
 
 
 def test_polynomial_g_and_ratio_is_npoly_bit_for_bit():
-    # the integrator's Horner loop against the descriptor's npoly.polyval
+    # the integrator's (g, g'/g) against the descriptor's own calls: the
+    # Horner loop against npoly.polyval, the kind table against the wrapper
     rng = np.random.default_rng(5)
     for degree in range(6):
         for _ in range(40):
@@ -184,6 +186,26 @@ def test_polynomial_g_and_ratio_is_npoly_bit_for_bit():
                 assert g_and_ratio(t) == (g(t), g.derivative(t) / g(t))
     with pytest.raises(ValueError, match="non-finite"):
         _g_and_ratio(polynomial(1.0, 1e308))(10.0)
+
+    others = [
+        (exponential(1.7, -0.3), 0.0, 10.0),
+        (exponential(0.4, 2.1), 0.0, 10.0),
+        (singular_boundary(1.0), 0.0, 0.999),
+        (singular_boundary(0.3, t_b=2.5), 0.0, 2.49),
+        (FunctionDescriptor("trigonometric", {"offset": 2.0, "terms": [[0.7, 1.0, 0.2],
+                                                                       [0.3, 3.0, 0.0]]}),
+         0.0, 10.0),
+        (FunctionDescriptor("table", {"nodes": [0.0, 1.0, 2.5, 4.0],
+                                      "values": [1.0, 3.0, 0.5, 2.0]}), 0.0, 4.0),
+    ]
+    for g, lo, hi in others:
+        g_and_ratio = _g_and_ratio(g)
+        for t in rng.uniform(lo, hi, 200).tolist() + [lo, hi]:
+            assert g_and_ratio(t) == (g(t), g.derivative(t) / g(t))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        _g_and_ratio(exponential(1.0, 1.0))(800.0)
+    with pytest.raises(ValueError, match="finite only on"):
+        _g_and_ratio(singular_boundary(1.0))(1.0)
 
 
 class TestH0:
@@ -213,6 +235,21 @@ class TestH0:
                                      * (1 + c * mpmath.sin(2 * mpmath.pi * z)) ** 2, [0, a0]))
         assert out["alpha0"] == pytest.approx(float(a0), abs=1e-15)
         assert out["H0_alpha0"] == pytest.approx(want, abs=1e-7)
+
+
+    def test_one_window_for_hypotheses_and_envelopes(self):
+        # alpha0 = 0.4999999999995 sits a rounding below the node 0.5; H0 > 0
+        # is asked on the same nodes the envelopes are sampled on
+        spec = ProblemSpec(f=polynomial(1.0 - 1e-12, -2.0), u0=constant(1.0),
+                           g=polynomial(1.0, 2.0), n_alpha=129)
+        info = compute_H0_alpha0(spec, identity_F())
+        assert info["alpha0"] == 0.4999999999995
+        assert info["hypotheses_ok"]
+        window_nodes = spec.alpha_grid()[info["window"]]
+        assert window_nodes[0] > 0.0 and window_nodes[-1] == 0.5
+        traj = integrate_general(spec, identity_F(), t_end=0.5, dt=0.05)
+        report = blowup_bounds(spec, identity_F(), traj)
+        assert np.array_equal(report.domain_nodes, window_nodes)
 
 
 class TestPowerIntegral:
@@ -293,6 +330,84 @@ class TestBounds:
         assert report.predicted == "FiniteBlowup"
         assert report.limits_estimated
         assert report.crossing_time is None
+
+    @staticmethod
+    def loop_reference(spec, F, traj, report):
+        # the envelopes built row by row and the violations entry by entry,
+        # as blowup_bounds once did
+        info = compute_H0_alpha0(spec, F)
+        domain = info["window"]
+        times, dom_nodes = traj.state_times, traj.alpha[domain]
+        g_t = np.asarray(spec.g(times))
+        u0_dom = np.asarray(spec.u0(dom_nodes))
+        H0_dom = info["H0"].values[domain]
+
+        def envelope(I, e):
+            env = np.empty((times.size, dom_nodes.size))
+            for i in range(times.size):
+                arg = 1.0 - 0.5 * e * H0_dom * I[i]
+                with np.errstate(over="ignore", divide="ignore"):
+                    env[i] = np.where(arg > 0,
+                                      g_t[i] * u0_dom / np.maximum(arg, 1e-300) ** (2.0 / e),
+                                      np.inf)
+            return env
+
+        if report.monotonicity == "nondecreasing":
+            lower, upper = envelope(times, F.c), None
+        else:
+            lower = envelope(np.asarray(power_integral(spec.g, F.d, times)), F.c)
+            upper = envelope(np.asarray(power_integral(spec.g, F.c, times)), F.d)
+        u_states = np.array([s.u[domain] for s in traj.states])
+        violations, min_margins = [], []
+        for side, env in (("lower", lower), ("upper", upper)):
+            if env is None:
+                min_margins.append(None)
+                continue
+            finite = np.isfinite(env)
+            sign = 1.0 if side == "lower" else -1.0
+            margins = np.where(finite, sign * (u_states - env) / np.where(finite, env, 1.0),
+                               np.nan)
+            min_margins.append(float(np.nanmin(margins)) if np.any(finite) else None)
+            for i, j in np.argwhere(margins < 0)[:1000]:
+                violations.append((float(dom_nodes[j]), float(times[i]), float(margins[i, j]),
+                                   side))
+        return lower, upper, min_margins, tuple(violations)
+
+    @pytest.mark.parametrize("case", ["decaying_identity", "increasing_cube", "table_c_below_d"])
+    def test_whole_array_bounds_match_the_loops(self, case):
+        if case == "decaying_identity":
+            spec = ProblemSpec(f=polynomial(1.0, -2.0), u0=constant(1.0),
+                               g=exponential(1.0, -0.5), n_alpha=129)
+            F, t_end, dt, cap = identity_F(), 4.0, 0.04, 1e4
+        elif case == "increasing_cube":
+            spec = ProblemSpec(f=polynomial(1.0, -2.0), u0=constant(1.0),
+                               g=polynomial(1.0, 2.0), n_alpha=129)
+            F, t_end, dt, cap = power_F(3.0), 1.0, 1e-2, 1e6
+        else:
+            nodes = np.geomspace(1e-3, 1e3, 400)
+            spec = ProblemSpec(f=polynomial(1.0, -2.0), u0=constant(1.0),
+                               g=exponential(1.0, -1.0), n_alpha=129)
+            F, t_end, dt, cap = table_F(nodes, nodes**1.5, c=1.0, d=2.0), 5.0, 0.05, 1e8
+        traj = integrate_general(spec, F, t_end=t_end, dt=dt, blowup_cap=cap)
+        report = blowup_bounds(spec, F, traj)
+        lower, upper, (lo_min, up_min), violations = self.loop_reference(spec, F, traj, report)
+        assert np.array_equal(report.lower_envelope, lower)
+        if upper is None:
+            assert report.upper_envelope is None
+        else:
+            assert np.array_equal(report.upper_envelope, upper)
+        assert report.min_lower_margin == lo_min
+        assert report.min_upper_margin == up_min
+        assert report.violations == violations
+        if case == "decaying_identity":   # c == d: one envelope, both sides capped
+            assert report.lower_envelope is report.upper_envelope
+            assert [v[3] for v in violations].count("lower") == 1000
+            assert [v[3] for v in violations].count("upper") == 1000
+        elif case == "increasing_cube":
+            assert report.monotonicity == "nondecreasing"
+        else:   # c < d: the envelopes differ
+            assert report.monotonicity == "nonincreasing"
+            assert not np.array_equal(lower, upper)
 
     def test_detect_blowup_times(self):
         spec = quadratic_F_spec(g=exponential(1.0, -1.0 / 32.0))
