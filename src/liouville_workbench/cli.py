@@ -74,7 +74,7 @@ def _write_text(path, text, comment=None):
 
 def _load_spec(args):
     spec = load_problem_spec(args.spec)
-    if getattr(args, "n_alpha", None):
+    if getattr(args, "n_alpha", None) is not None:
         spec = dataclasses.replace(spec, n_alpha=args.n_alpha)
     if getattr(args, "beta", None) is not None:
         spec = catalog.with_beta(spec, args.beta)

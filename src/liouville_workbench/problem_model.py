@@ -28,8 +28,8 @@ crosses from + to - (interior_zeros).  data_horizon says how long g has
 data.  Every inverse (G^-1, the inverse of a power integral, the zeros of f)
 goes through one array inverter, _solve_increasing, which starts from a
 bracket per target taken from samples the caller already holds: the sampled
-G for G^-1, the grid cells where f changes sign for its zeros.  simpson
-builds its node weights once per node set.
+G for G^-1, the grid cells where f changes sign for its zeros.  Integrals
+off the closed forms take cell_simpson, or cumulative_simpson on samples.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ _CSV_BLOCK = 1024   # rows per % operation in write_csv
 
 
 # ---------------------------------------------------------------------------
-# quadrature kernels (the same arithmetic as scipy.integrate, which the tests
-# keep as the reference)
+# quadrature kernels (cumulative_simpson is the same arithmetic as
+# scipy.integrate's, which the tests keep as the reference)
 
 
 def cumulative_simpson(y, h, out=None):
@@ -72,7 +72,8 @@ def cumulative_simpson(y, h, out=None):
 
     Even intervals take the parabola through the next node, odd intervals and
     the last one the parabola through the previous node.  out, if given, is a
-    buffer of y's length that receives the result.
+    buffer of y's length that receives the result.  The integrator's psi and
+    lp_norm's row integral use it.
     """
     n = len(y)
     out = np.empty(n) if out is None else out
@@ -109,50 +110,6 @@ def cell_simpson_at(vals, w, grid, x):
     plus the same rule on the partial cell from that node to x."""
     i = np.searchsorted(grid, x, side="right") - 1
     return vals[i] + cell_simpson(w, np.array([grid[i], x]))[1]
-
-
-def simpson(y, x):
-    """int y along the last axis by composite Simpson on the nodes x.
-
-    On an even count the last interval gets Cartwright's three-point
-    correction; two nodes fall back to the trapezoid.  The node weights come
-    from _simpson_rule, built once per node set.
-    """
-    y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
-    n = y.shape[-1]
-    if n == 2:
-        return 0.5 * (x[1] - x[0]) * (y[..., 0] + y[..., 1])
-    stop, c6, w0, w1, w2, tail = _simpson_rule(x.tobytes())
-    out = np.sum(c6 * (y[..., 0:stop:2] * w0 + y[..., 1:stop + 1:2] * w1
-                       + y[..., 2:stop + 2:2] * w2), axis=-1)
-    if tail is not None:
-        out = out + (tail[0] * y[..., -1] + tail[1] * y[..., -2] - tail[2] * y[..., -3])
-    return out
-
-
-@functools.lru_cache(maxsize=16)
-def _simpson_rule(nodes):
-    """simpson's node-only factors on the float64 nodes whose bytes are given:
-    the stop of the Simpson pairs, hsum/6 and the three stencil weights (as
-    read-only arrays), and Cartwright's tail weights (None on an odd count).
-
-    The tail takes the last two steps as 0-d arrays, as scipy does: a numpy
-    scalar's power can differ from a 0-d array's in the last bit.
-    """
-    h = np.diff(np.frombuffer(nodes))
-    n = h.size + 1
-    stop = n - 2 if n % 2 else n - 3
-    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
-    hsum, ratio = h0 + h1, h0 / h1
-    rule = (hsum / 6.0, 2.0 - 1.0 / ratio, hsum * (hsum / (h0 * h1)), 2.0 - ratio)
-    for w in rule:
-        w.flags.writeable = False
-    tail = None
-    if n % 2 == 0:
-        a, b = np.asarray(h[-2]), np.asarray(h[-1])
-        tail = ((2 * b**2 + 3 * a * b) / (6 * (b + a)), (b**2 + 3.0 * a * b) / (6 * a),
-                b**3 / (6 * a * (a + b)))
-    return (stop, *rule, tail)
 
 
 def exprel(x):
@@ -223,15 +180,15 @@ def write_csv(path, comment, header, row, columns):
 class _Kind:
     """What one descriptor kind does; every method takes the params dict p.
 
-    integral(p, power, t) is int_0^t value^power, by dense Simpson unless the
-    kind has a closed form; limit(p, power) is its limit at end(p), the end
-    of the data's life, as (value, estimated), and last(p) the last time
-    with data.  params and scale validate or rescale p in place.
+    integral(p, power, t) is int_0^t value^power, by cell_simpson on 2048
+    cells unless the kind has a closed form; limit(p, power) is its limit at
+    end(p), the end of the data's life, as (value, estimated), and last(p)
+    the last time with data.  params and scale validate or rescale p in place.
     """
 
     def integral(self, p, power, t):
-        unit = np.linspace(0.0, 1.0, 4097)
-        return simpson(np.asarray(self.value(p, np.multiply.outer(t, unit))) ** power, unit) * t
+        s = np.multiply.outer(np.linspace(0.0, 1.0, 2049), t)
+        return cell_simpson(lambda x: np.asarray(self.value(p, x)) ** power, s)[-1]
 
     def limit(self, p, power):
         # constants, polynomials and positive trigonometric data (almost
@@ -953,15 +910,18 @@ def check_compatibility(spec: ProblemSpec, F=None) -> CompatibilityReport:
     F is the nonlinearity of the generalized equation, identity by default.
     Periodic boundary values are consistent only when the defect vanishes;
     failure is reported, not raised.  The defect is exact when f u0 is one
-    descriptor, else Simpson on a fixed odd grid of at least 513 nodes, so
-    it does not depend on n_alpha's parity.
+    descriptor, else cell_simpson on the cells of a fixed odd grid of at
+    least 513 nodes, so it does not depend on n_alpha's parity.
     """
+    def w(x):
+        return np.asarray(spec.f(x)) * (spec.u0(x) if F is None else F(spec.u0(x)))
+
     grid = np.linspace(0.0, 1.0, max(spec.n_alpha | 1, 513))
-    f_vals, u0 = np.asarray(spec.f(grid)), spec.u0(grid)
-    w = f_vals * (u0 if F is None else F(u0))
+    f_vals = np.asarray(spec.f(grid))
     exact = _psi0_integrand(spec) if F is None else None
-    defect = abs(float(simpson(w, x=grid) if exact is None else power_integral(exact, 1.0, 1.0)))
-    scale = float(np.max(np.abs(w)))
+    defect = abs(float(cell_simpson(w, grid)[-1] if exact is None
+                       else power_integral(exact, 1.0, 1.0)))
+    scale = float(np.max(np.abs(w(grid))))
     ok = defect <= COMPAT_RTOL * scale if scale > 0 else True
     f_scale = np.max(np.abs(f_vals))
     sign_change = bool(f_scale > 0

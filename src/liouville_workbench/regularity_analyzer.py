@@ -35,8 +35,8 @@ from .problem_model import (
     INVERT_RTOL,
     ProblemSpec,
     Psi0Profile,
+    cumulative_simpson,
     invert_G,
-    simpson,
 )
 
 VERDICT_GLOBAL = "Global"
@@ -290,7 +290,8 @@ def _parabolic_peak(ym, y0, yp):
 def lp_norm(fld: SolutionField, p, t: float) -> float:
     """||u(., t)||_p over alpha in [0, 1] from a sampled field row.
 
-    Finite p uses Simpson quadrature of u^p; p = inf takes the grid max
+    Needs a uniform alpha grid of [0, 1] with at least 3 nodes.  Finite p
+    integrates u^p by cumulative_simpson; p = inf takes the grid max
     sharpened by one parabolic-fit step.  A masked row cannot be normed.
     """
     idx = fld.node(t)
@@ -306,7 +307,9 @@ def lp_norm(fld: SolutionField, p, t: float) -> float:
     p = float(p)
     if p < 1.0:
         raise ValueError(f"p must be in [1, inf], got {p}")
-    return float(simpson(np.abs(row) ** p, x=fld.alpha_nodes)) ** (1.0 / p)
+    # unmasked samples of u = u0 g / D^2 are positive
+    h = fld.alpha_nodes[1] - fld.alpha_nodes[0]
+    return float(cumulative_simpson(row ** p, h)[-1]) ** (1.0 / p)
 
 
 def lp_asymptotic_constant(M0: float, C1: float, q: float) -> dict:

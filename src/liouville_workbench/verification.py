@@ -138,16 +138,16 @@ def r_invariance(fld: SolutionField, spec: ProblemSpec) -> float:
 def schwarzian(G_samples: GridFunction, method: str = "cross_ratio") -> GridFunction:
     """S(G) on the sample grid, by cross-ratios (default) or nested stencils.
 
-    Requires at least 5 uniformly spaced samples of an increasing G.  The
-    cross-ratio estimator uses the window (i-3, i-1, i+1, i+3) at interior
-    nodes (second order, and exact on Moebius maps up to rounding) and
-    one-sided windows at the edges; the stencil method returns the two-node-
-    trimmed interior only.
+    Requires at least 6 uniformly spaced samples of an increasing G (on 5,
+    node 2 has no 4-point window).  The cross-ratio estimator uses the window
+    (i-3, i-1, i+1, i+3) at interior nodes (second order, and exact on
+    Moebius maps up to rounding) and one-sided windows at the edges; the
+    stencil method returns the two-node-trimmed interior only.
     """
     nodes = G_samples.nodes
     vals = G_samples.values
-    if len(nodes) < 5:
-        raise ValueError("the Schwarzian needs at least 5 samples")
+    if len(nodes) < 6:
+        raise ValueError("the Schwarzian needs at least 6 samples")
     if not np.all(np.diff(vals) > 0):
         raise ValueError("G must be strictly increasing on the sample window")
     h = _uniform_spacing(nodes, "t")

@@ -54,6 +54,13 @@ class TestClassify:
         assert rc == 0
         assert "FiniteBlowup" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n", ["0", "8"])
+    def test_n_alpha_override_too_small(self, n, spec2_path, capsys):
+        # 0 is an override like any other, not "no override"
+        rc = main(["classify", "--spec", spec2_path, "--n-alpha", n])
+        assert rc == 2
+        assert "n_alpha must be at least 32" in capsys.readouterr().err
+
     def test_beta_override_switches_family(self, spec2_path, capsys):
         rc = main(["classify", "--spec", spec2_path, "--beta", "1.0"])
         out = capsys.readouterr().out

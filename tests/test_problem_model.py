@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
@@ -360,6 +361,45 @@ class TestBoundaryIntegral:
             want = simpson(g(s), x=s)
             assert B.value(t) == pytest.approx(want, rel=1e-12)
 
+
+_TRIG_G = {"offset": 1.0, "terms": [[0.5, 0.25, 1.0], [-0.2, 1.5, 0.3], [0.3, 0.0, 0.7]]}
+_TABLE_G = {"nodes": [0.0, 0.4, 1.1, 1.7, 3.0, 5.0], "values": [1.0, 2.5, 0.7, 1.9, 1.2, 3.0]}
+
+
+def _trig_mp(s):
+    return 1 + sum(a * mpmath.sin(2 * mpmath.pi * k * s + ph) for a, k, ph in _TRIG_G["terms"])
+
+
+def _table_mp(s):
+    nodes, values = _TABLE_G["nodes"], _TABLE_G["values"]
+    i = min(int(np.searchsorted(nodes, float(s), side="right")) - 1, len(nodes) - 2)
+    a, b = mpmath.mpf(nodes[i]), mpmath.mpf(nodes[i + 1])
+    return values[i] + (values[i + 1] - values[i]) * (s - a) / (b - a)
+
+
+class TestDenseFallback:
+    """int_0^t g^p for the kinds and powers without a closed form, against
+    30-digit quadrature split at the table nodes."""
+
+    @pytest.mark.parametrize("g, power, g_mp, ts, rtol", [
+        (FunctionDescriptor("trigonometric", _TRIG_G), 2.0, _trig_mp, (0.3, 2.5, 7.0), 3.7e-11),
+        (polynomial(1.0, 2.0), 1.5, lambda s: 1 + 2 * s, (0.5, 1.0, 2.0), 1.6e-15),
+        (FunctionDescriptor("table", _TABLE_G), 2.0, _table_mp, (0.3, 1.0, 2.9, 5.0), 4.0e-6),
+    ], ids=["trigonometric", "polynomial", "table"])
+    def test_matches_mpmath(self, g, power, g_mp, ts, rtol):
+        # rtol is ten times the error of composite Simpson on the same 4097
+        # samples (3.7e-12, 1.6e-16 and 4.0e-7); the table's kinks inside
+        # Simpson cells set its error
+        with mpmath.workdps(30):
+            want = np.array([
+                float(mpmath.quad(lambda s: g_mp(s) ** power,
+                                  [0.0, *(x for x in _TABLE_G["nodes"] if 0.0 < x < t), t]))
+                for t in ts])
+        got = pm.power_integral(g, power, np.array(ts))
+        assert np.max(np.abs(got - want) / want) <= rtol
+        assert [float(pm.power_integral(g, power, t)) for t in ts] == got.tolist()
+
+
 class _CountingDescriptor:
     """A descriptor that counts its derivative calls."""
 
@@ -447,27 +487,6 @@ class TestScipyParity:
         out = np.empty(n)
         assert pm.cumulative_simpson(y, h, out=out) is out
         np.testing.assert_array_equal(out, sp_integrate.cumulative_simpson(y, dx=h, initial=0.0))
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 6, 65, 66, 258, 513, 514])
-    def test_simpson_is_bitwise_scipy(self, n):
-        rng = np.random.default_rng(n)
-        x = np.sort(rng.uniform(0.0, 2.0, n))
-        y = rng.standard_normal((3, n))
-        for grid in (x, np.linspace(0.0, 1.0, n)):
-            np.testing.assert_array_equal(pm.simpson(y[0], x=grid),
-                                          sp_integrate.simpson(y[0], x=grid))
-            np.testing.assert_array_equal(pm.simpson(y, x=grid),
-                                          sp_integrate.simpson(y, x=grid, axis=-1))
-        # 600 more uneven node sets per even count: Cartwright's tail weights
-        # take powers of the last two steps, which round as scipy's only when
-        # taken on 0-d arrays, as scipy takes them
-        for seed in range(600 if n % 2 == 0 and n > 2 else 0):
-            rng = np.random.default_rng([n, seed])
-            x = np.sort(rng.uniform(0.0, 2.0, n))
-            y = rng.standard_normal((2, n))
-            np.testing.assert_array_equal(pm.simpson(y[0], x=x), sp_integrate.simpson(y[0], x=x))
-            np.testing.assert_array_equal(pm.simpson(y, x=x),
-                                          sp_integrate.simpson(y, x=x, axis=-1))
 
     def test_exprel_matches_scipy(self):
         x = np.array([0.0, 1e-310, -1e-310, 1e-300, -1e-300, 1e-8, -1e-8, 1.0, -1.0,

@@ -92,6 +92,14 @@ class TestSchwarzian:
         with pytest.raises(ValueError):
             schwarzian(GridFunction(np.linspace(0, 1, 4), np.linspace(0, 1, 4)))
 
+    def test_five_samples_refused_six_accepted(self):
+        # on 5 samples node 2 has no 4-point window inside the grid
+        with pytest.raises(ValueError, match="at least 6 samples"):
+            schwarzian(sampled(lambda t: t / (1.0 - t), 0.0, 0.5, 5))
+        S = schwarzian(sampled(lambda t: t / (1.0 - t), 0.0, 0.5, 6))
+        assert len(S.nodes) == 6
+        assert np.max(np.abs(S.values)) <= 1e-8
+
     def test_needs_increasing_values(self):
         t = np.linspace(0, 1, 9)
         with pytest.raises(ValueError):
