@@ -37,11 +37,6 @@ def example_spec(k: int, n_alpha: int = 513) -> ProblemSpec:
     return ProblemSpec(f=f, u0=u0, g=g, n_alpha=n_alpha)
 
 
-def example_spec_dict(k: int, n_alpha: int = 513) -> dict:
-    """JSON-ready form of an example, for writing sample spec files."""
-    return example_spec(k, n_alpha).to_dict()
-
-
 def with_beta(spec: ProblemSpec, beta: float) -> ProblemSpec:
     """Same initial data, singular boundary family with the given exponent."""
     g = FunctionDescriptor("singular_boundary", {"beta": float(beta), "t_b": 1.0})

@@ -81,6 +81,15 @@ def _load_spec(args):
     return spec
 
 
+def _pipeline(args):
+    """spec, psi0, the horizon and G, by --method where the subcommand has one."""
+    spec = _load_spec(args)
+    method = getattr(args, "method", "auto")
+    profile = build_psi0(spec, method=method)
+    t_max = data_horizon(spec.g, args.t_max)
+    return spec, profile, t_max, build_G(spec, t_max=t_max, method=method)
+
+
 def _surface_script(csv_name: str, n_alpha: int, n_t: int) -> str:
     return "\n".join([
         f"# gnuplot surface script for {csv_name}",
@@ -111,10 +120,7 @@ def _curve_script(csv_name: str) -> str:
 
 
 def _cmd_classify(args) -> int:
-    spec = _load_spec(args)
-    profile = build_psi0(spec, method=args.method)
-    t_max = data_horizon(spec.g, args.t_max)
-    B = build_G(spec, t_max=t_max, method=args.method)
+    spec, profile, t_max, B = _pipeline(args)
     report = classify(profile, B, spec)
     compat = check_compatibility(spec)
     text = report.to_text() + f"compatibility_defect: {compat.defect:.6e}\n"
@@ -127,10 +133,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    spec = _load_spec(args)
-    profile = build_psi0(spec)
-    t_max = data_horizon(spec.g, args.t_max)
-    B = build_G(spec, t_max=t_max)
+    spec, profile, t_max, B = _pipeline(args)
     if args.dt:
         t_grid = np.arange(0.0, t_max + 0.5 * args.dt, args.dt)
     else:
@@ -149,10 +152,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_singular_curve(args) -> int:
-    spec = _load_spec(args)
-    profile = build_psi0(spec)
-    t_max = data_horizon(spec.g, args.t_max)
-    B = build_G(spec, t_max=t_max)
+    spec, profile, t_max, B = _pipeline(args)
     curve = singular_curve(profile, B)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "singular_curve.csv")
@@ -167,14 +167,11 @@ def _cmd_singular_curve(args) -> int:
 
 
 def _cmd_lp_scan(args) -> int:
-    spec = _load_spec(args)
+    spec, profile, t_max, B = _pipeline(args)
     ps = []
     for tok in args.p.split(","):
         tok = tok.strip()
         ps.append(math.inf if tok in ("inf", "Inf", "INF") else float(tok))
-    profile = build_psi0(spec)
-    t_max = data_horizon(spec.g, args.t_max)
-    B = build_G(spec, t_max=t_max)
     report = classify(profile, B, spec)
     if report.t_star is not None:
         t_hi = min(t_max, 0.98 * report.t_star)
@@ -259,14 +256,14 @@ def _cmd_verify(args) -> int:
           f"disc(h)={disc[0]:.3e} disc(h/2)={disc[1]:.3e}")
 
     ts = np.linspace(0.0, 0.9, 129)
-    moebius = schwarzian(_grid(ts, ts / (1.0 - ts)))
+    moebius = schwarzian(GridFunction(ts, ts / (1.0 - ts)))
     check("schwarzian_moebius_zero", float(np.max(np.abs(moebius.values))) <= 1e-6,
           f"max|S|={float(np.max(np.abs(moebius.values))):.3e}")
-    poly = schwarzian(_grid(ts, ts**2 + ts))
+    poly = schwarzian(GridFunction(ts, ts**2 + ts))
     s0 = float(poly.values[0])
     check("schwarzian_polynomial_nonzero", abs(s0) > 0.1, f"S(0)={s0:.4f}")
     ts2 = np.linspace(0.0, 0.5, 129)
-    sing = schwarzian(_grid(ts2, (1.0 / (1.0 - ts2) ** 2 - 1.0) / 2.0))
+    sing = schwarzian(GridFunction(ts2, (1.0 / (1.0 - ts2) ** 2 - 1.0) / 2.0))
     exact = -1.5 / (1.0 - ts2[3:-3]) ** 2
     rel = float(np.max(np.abs(sing.values[3:-3] - exact) / np.abs(exact)))
     check("schwarzian_singular_beta2", rel <= 2e-2, f"max_rel_err={rel:.3e}")
@@ -282,10 +279,6 @@ def _cmd_verify(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         _write_text(os.path.join(args.out, "verify_summary.txt"), text)
     return 0
-
-
-def _grid(nodes, values):
-    return GridFunction(np.asarray(nodes, dtype=float), np.asarray(values, dtype=float))
 
 
 def _cmd_reproduce(args) -> int:

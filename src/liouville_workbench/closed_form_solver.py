@@ -19,6 +19,7 @@ evaluate_u instead guards |D| so both sides of the curve stay inspectable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,14 @@ from .problem_model import (
 
 SINGULAR_ATOL = 1e-8   # D at or below this counts as singular (or past the curve)
 CURVE_RTOL = 1e-6      # curve sampled only where psi0 > CURVE_RTOL * M0
+
+
+def uniform_spacing(nodes: np.ndarray, label: str) -> float:
+    """The step of a uniform grid; ValueError when the nodes are not uniform."""
+    d = np.diff(nodes)
+    if not np.allclose(d, d[0], rtol=1e-9, atol=0.0):
+        raise ValueError(f"{label} grid must be uniform")
+    return float(d[0])
 
 
 @dataclass(frozen=True)
@@ -60,8 +69,10 @@ class SolutionField:
             raise ValueError(f"t={t} is not a node of this field")
         return self.values[idx]
 
-    def row_mask(self, t: float) -> np.ndarray:
-        return self.singular_mask[self.node(t)]
+    @cached_property
+    def alpha_step(self) -> float:
+        """Spacing of the alpha nodes, checked uniform once per field."""
+        return uniform_spacing(self.alpha_nodes, "alpha")
 
     def to_csv(self, path, comment: str | None = None):
         nt, na = self.values.shape

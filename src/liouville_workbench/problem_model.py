@@ -29,7 +29,7 @@ data.  Every inverse (G^-1, the inverse of a power integral, the zeros of f)
 goes through one array inverter, _solve_increasing, which starts from a
 bracket per target taken from samples the caller already holds: the sampled
 G for G^-1, the grid cells where f changes sign for its zeros.  Integrals
-off the closed forms take cell_simpson, or cumulative_simpson on samples.
+off the closed forms sum simpson_cells, or cumulative_simpson on samples.
 """
 
 from __future__ import annotations
@@ -91,25 +91,31 @@ def cumulative_simpson(y, h, out=None):
     return out
 
 
-def cell_simpson(w, x):
-    """int_{x[0]}^{x[k]} w at every k (0 at k = 0) by Simpson's rule on each
-    cell with a midpoint sample, h/6 (w_i + 4 w_(i+1/2) + w_(i+1)), h = x[1] - x[0].
+def simpson_cells(w, x):
+    """int_{x[i]}^{x[i+1]} w for every cell i by Simpson's rule with a midpoint
+    sample, h/6 (w_i + 4 w_(i+1/2) + w_(i+1)), h = x[1] - x[0].
 
     w is called on arrays.  The nodes run along axis 0 and are uniform along
     it, so a (2, k) x integrates k separate cells [x[0, j], x[1, j]] at once.
     """
     x = np.asarray(x, dtype=float)
     w_x = np.asarray(w(x))
-    steps = (x[1] - x[0]) / 6.0 * (w_x[:-1] + 4.0 * np.asarray(w(0.5 * (x[:-1] + x[1:])))
-                                   + w_x[1:])
-    return np.concatenate((np.zeros((1,) + x.shape[1:]), np.cumsum(steps, axis=0)))
+    return (x[1] - x[0]) / 6.0 * (w_x[:-1] + 4.0 * np.asarray(w(0.5 * (x[:-1] + x[1:])))
+                                  + w_x[1:])
+
+
+def cell_simpson(w, x):
+    """int_{x[0]}^{x[k]} w at every k (0 at k = 0): the running sum of
+    simpson_cells along axis 0."""
+    steps = simpson_cells(w, x)
+    return np.concatenate((np.zeros((1,) + steps.shape[1:]), np.cumsum(steps, axis=0)))
 
 
 def cell_simpson_at(vals, w, grid, x):
     """int_{grid[0]}^x w off the nodes: cell_simpson's vals at the node below x
     plus the same rule on the partial cell from that node to x."""
     i = np.searchsorted(grid, x, side="right") - 1
-    return vals[i] + cell_simpson(w, np.array([grid[i], x]))[1]
+    return vals[i] + simpson_cells(w, np.array([grid[i], x]))[0]
 
 
 def exprel(x):
@@ -180,15 +186,17 @@ def write_csv(path, comment, header, row, columns):
 class _Kind:
     """What one descriptor kind does; every method takes the params dict p.
 
-    integral(p, power, t) is int_0^t value^power, by cell_simpson on 2048
-    cells unless the kind has a closed form; limit(p, power) is its limit at
+    integral(p, power, t) is int_0^t value^power, 2048 simpson_cells summed
+    unless the kind has a closed form; limit(p, power) is its limit at
     end(p), the end of the data's life, as (value, estimated), and last(p)
     the last time with data.  params and scale validate or rescale p in place.
     """
 
     def integral(self, p, power, t):
         s = np.multiply.outer(np.linspace(0.0, 1.0, 2049), t)
-        return cell_simpson(lambda x: np.asarray(self.value(p, x)) ** power, s)[-1]
+        steps = simpson_cells(lambda x: np.asarray(self.value(p, x)) ** power, s)
+        # cells last and contiguous, so every t is summed pairwise, as a scalar t is
+        return np.ascontiguousarray(np.moveaxis(steps, 0, -1)).sum(axis=-1)
 
     def limit(self, p, power):
         # constants, polynomials and positive trigonometric data (almost
@@ -901,11 +909,10 @@ def invert_G(B: BoundaryIntegral, target: float) -> float:
 class CompatibilityReport:
     ok: bool
     defect: float
-    sign_change: bool
 
 
 def check_compatibility(spec: ProblemSpec, F=None) -> CompatibilityReport:
-    """Defect |int_0^1 f F(u0)| and whether f changes sign.
+    """Defect |int_0^1 f F(u0)| and whether it vanishes.
 
     F is the nonlinearity of the generalized equation, identity by default.
     Periodic boundary values are consistent only when the defect vanishes;
@@ -917,14 +924,9 @@ def check_compatibility(spec: ProblemSpec, F=None) -> CompatibilityReport:
         return np.asarray(spec.f(x)) * (spec.u0(x) if F is None else F(spec.u0(x)))
 
     grid = np.linspace(0.0, 1.0, max(spec.n_alpha | 1, 513))
-    f_vals = np.asarray(spec.f(grid))
     exact = _psi0_integrand(spec) if F is None else None
     defect = abs(float(cell_simpson(w, grid)[-1] if exact is None
                        else power_integral(exact, 1.0, 1.0)))
     scale = float(np.max(np.abs(w(grid))))
     ok = defect <= COMPAT_RTOL * scale if scale > 0 else True
-    f_scale = np.max(np.abs(f_vals))
-    sign_change = bool(f_scale > 0
-                       and np.min(f_vals) < -1e-14 * f_scale
-                       and np.max(f_vals) > 1e-14 * f_scale)
-    return CompatibilityReport(ok=ok, defect=defect, sign_change=sign_change)
+    return CompatibilityReport(ok=ok, defect=defect)

@@ -20,10 +20,9 @@ of G at equispaced parameters with step s, the cross-ratio
 
 equals 4/3 for any Moebius G (exactly, at any step size), and for general G
 satisfies CR * 3/4 = 1 + (s^2/6) S(G) + O(s^4) on symmetric windows.  Solving
-for S gives a second-order estimator whose error for Moebius inputs is pure
-rounding, orders of magnitude below what nested difference quotients of
-G'''/G' can achieve on the same samples.  Nested stencils remain available
-as a cross-check on tame windows via method="stencil".
+for S gives a second-order estimator, the only one schwarzian offers, whose
+error for Moebius inputs is pure rounding, orders of magnitude below what
+nested difference quotients of G'''/G' can achieve on the same samples.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form_solver import SolutionField, evaluate_field
+from .closed_form_solver import SolutionField, evaluate_field, uniform_spacing
 from .problem_model import GridFunction, ProblemSpec, build_G, build_psi0, data_horizon
 
 _CR0_INV = 0.75   # reciprocal of the equispaced cross-ratio 4/3
@@ -45,25 +44,15 @@ class ResidualReport:
     """Residual magnitude on one grid plus the order fitted across levels."""
 
     max_abs_residual: float
-    h_alpha: float
-    h_t: float
     convergence_order: float
-    order_fit_residual: float
     levels: tuple = ()
-
-
-def _uniform_spacing(nodes: np.ndarray, label: str) -> float:
-    d = np.diff(nodes)
-    if not np.allclose(d, d[0], rtol=1e-9, atol=0.0):
-        raise ValueError(f"{label} grid must be uniform for finite differences")
-    return float(d[0])
 
 
 def _mixed_residual(fld: SolutionField, spec: ProblemSpec) -> float:
     if np.any(fld.singular_mask):
         raise ValueError("field is masked inside the residual window")
-    ha = _uniform_spacing(fld.alpha_nodes, "alpha")
-    ht = _uniform_spacing(fld.t_nodes, "t")
+    ha = fld.alpha_step
+    ht = uniform_spacing(fld.t_nodes, "t")
     L = np.log(fld.values)
     mixed = (L[2:, 2:] - L[2:, :-2] - L[:-2, 2:] + L[:-2, :-2]) / (4.0 * ha * ht)
     target = np.asarray(spec.f(fld.alpha_nodes[1:-1]))[None, :] * fld.values[1:-1, 1:-1]
@@ -80,8 +69,6 @@ def pde_residual(fld: SolutionField, spec: ProblemSpec) -> ResidualReport:
     order is fitted across them.
     """
     max_res = _mixed_residual(fld, spec)
-    ha = _uniform_spacing(fld.alpha_nodes, "alpha")
-    ht = _uniform_spacing(fld.t_nodes, "t")
     t_lo, t_hi = float(fld.t_nodes[0]), float(fld.t_nodes[-1])
     t_max = data_horizon(spec.g, max(t_hi, 1e-6) * (1.0 + 1e-9))
     levels = []
@@ -93,12 +80,10 @@ def pde_residual(fld: SolutionField, spec: ProblemSpec) -> ResidualReport:
     hs = np.log([h for h, _ in levels])
     rs = np.log([r for _, r in levels])
     if not np.all(np.isfinite(rs)):
-        return ResidualReport(max_res, ha, ht, math.nan, math.nan, tuple(levels))
+        return ResidualReport(max_res, math.nan, tuple(levels))
     A = np.vstack([hs, np.ones_like(hs)]).T
-    (order, intercept), *_ = np.linalg.lstsq(A, rs, rcond=None)
-    fit = A @ np.array([order, intercept])
-    return ResidualReport(max_res, ha, ht, float(order),
-                          float(np.max(np.abs(fit - rs))), tuple(levels))
+    (order, _), *_ = np.linalg.lstsq(A, rs, rcond=None)
+    return ResidualReport(max_res, float(order), tuple(levels))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +106,7 @@ def r_invariance(fld: SolutionField, spec: ProblemSpec) -> float:
     """
     if np.any(fld.singular_mask):
         raise ValueError("field is masked inside the invariance window")
-    ht = _uniform_spacing(fld.t_nodes, "t")
+    ht = uniform_spacing(fld.t_nodes, "t")
     L = np.log(fld.values)
     ref = _R_of_log_derivative(np.log(np.asarray(spec.g(fld.t_nodes), dtype=float)), ht)
     idx = np.unique(np.linspace(0, len(fld.alpha_nodes) - 1, 9).astype(int))
@@ -135,14 +120,13 @@ def r_invariance(fld: SolutionField, spec: ProblemSpec) -> float:
 # Schwarzian derivative
 
 
-def schwarzian(G_samples: GridFunction, method: str = "cross_ratio") -> GridFunction:
-    """S(G) on the sample grid, by cross-ratios (default) or nested stencils.
+def schwarzian(G_samples: GridFunction) -> GridFunction:
+    """S(G) on the sample grid, by cross-ratios.
 
     Requires at least 6 uniformly spaced samples of an increasing G (on 5,
-    node 2 has no 4-point window).  The cross-ratio estimator uses the window
+    node 2 has no 4-point window).  The estimator uses the window
     (i-3, i-1, i+1, i+3) at interior nodes (second order, and exact on
-    Moebius maps up to rounding) and one-sided windows at the edges; the
-    stencil method returns the two-node-trimmed interior only.
+    Moebius maps up to rounding) and one-sided windows at the edges.
     """
     nodes = G_samples.nodes
     vals = G_samples.values
@@ -150,21 +134,7 @@ def schwarzian(G_samples: GridFunction, method: str = "cross_ratio") -> GridFunc
         raise ValueError("the Schwarzian needs at least 6 samples")
     if not np.all(np.diff(vals) > 0):
         raise ValueError("G must be strictly increasing on the sample window")
-    h = _uniform_spacing(nodes, "t")
-
-    if method == "stencil":
-        # 5-point first/third and standard second differences
-        if len(nodes) < 7:
-            raise ValueError("stencil method needs at least 7 samples")
-        d1 = (vals[:-4] - 8 * vals[1:-3] + 8 * vals[3:-1] - vals[4:]) / (12.0 * h)
-        d2 = (-vals[:-4] + 16 * vals[1:-3] - 30 * vals[2:-2] + 16 * vals[3:-1] - vals[4:]) \
-            / (12.0 * h**2)
-        d3 = (-vals[:-4] + 2 * vals[1:-3] - 2 * vals[3:-1] + vals[4:]) / (2.0 * h**3)
-        S = d3 / d1 - 1.5 * (d2 / d1) ** 2
-        return GridFunction(nodes[2:-2], S)
-    if method != "cross_ratio":
-        raise ValueError("method must be 'cross_ratio' or 'stencil'")
-
+    h = uniform_spacing(nodes, "t")
     n = len(nodes)
     S = np.empty(n)
 

@@ -16,13 +16,13 @@ from liouville_workbench.cli import main
 @pytest.fixture(scope="module")
 def spec2_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("specs") / "ex2.json"
-    path.write_text(json.dumps(catalog.example_spec_dict(2)))
+    path.write_text(json.dumps(catalog.example_spec(2).to_dict()))
     return str(path)
 
 
 @pytest.fixture(scope="module")
 def spec_general_path(tmp_path_factory):
-    d = catalog.example_spec_dict(2, n_alpha=65)
+    d = catalog.example_spec(2, n_alpha=65).to_dict()
     d["general"] = {"F": {"kind": "power", "p": 2.0}}
     path = tmp_path_factory.mktemp("specs") / "gen.json"
     path.write_text(json.dumps(d))
@@ -33,7 +33,7 @@ def spec_general_path(tmp_path_factory):
 def table_g_path(tmp_path):
     # example 2 with g = 1 + t tabulated on [0, 5]
     nodes = [0.1 * i for i in range(51)]
-    d = catalog.example_spec_dict(2)
+    d = catalog.example_spec(2).to_dict()
     d["g"] = {"kind": "table", "params": {"nodes": nodes, "values": [1.0 + t for t in nodes]}}
     path = tmp_path / "table.json"
     path.write_text(json.dumps(d))
@@ -76,7 +76,7 @@ class TestClassify:
     @pytest.mark.parametrize("k", [3, 4])
     def test_quadrature_singular_examples(self, k, tmp_path, capsys):
         path = tmp_path / f"ex{k}.json"
-        path.write_text(json.dumps(catalog.example_spec_dict(k)))
+        path.write_text(json.dumps(catalog.example_spec(k).to_dict()))
         verdicts = []
         for method in ("auto", "quadrature"):
             rc = main(["classify", "--spec", str(path), "--method", method])
@@ -122,11 +122,20 @@ class TestSolve:
         assert head.startswith("# spec_hash=")
         assert "n_alpha=513" in head
 
-    def test_byte_identical_reruns(self, spec2_path, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["solve", "--spec", spec2_path, "--t-max", "1.0", "--out", str(a)]) == 0
-        assert main(["solve", "--spec", spec2_path, "--t-max", "1.0", "--out", str(b)]) == 0
-        assert (a / "field.csv").read_bytes() == (b / "field.csv").read_bytes()
+    def test_byte_identical_reruns(self, spec2_path, tmp_path, capsys):
+        # every file a writing subcommand leaves, the small ones on 33 alpha nodes
+        small = ["--spec", spec2_path, "--n-alpha", "33"]
+        runs = {"solve": ["--spec", spec2_path, "--t-max", "1.0"], "singular-curve": small,
+                "lp-scan": small, "simulate": small, "reproduce-examples": []}
+        for sub, argv in runs.items():
+            a, b = tmp_path / sub / "a", tmp_path / sub / "b"
+            assert main([sub, *argv, "--out", str(a)]) == 0
+            assert main([sub, *argv, "--out", str(b)]) == 0
+            names = sorted(p.name for p in a.iterdir())
+            assert names and names == sorted(p.name for p in b.iterdir())
+            for name in names:
+                assert (a / name).read_bytes() == (b / name).read_bytes(), (sub, name)
+        capsys.readouterr()
 
     def test_plot_script_alongside(self, spec2_path, tmp_path):
         rc = main(["solve", "--spec", spec2_path, "--t-max", "1.0",
@@ -156,7 +165,7 @@ class TestSingularCurve:
 
     def test_global_data_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "ex1.json"
-        path.write_text(json.dumps(catalog.example_spec_dict(1)))
+        path.write_text(json.dumps(catalog.example_spec(1).to_dict()))
         rc = main(["singular-curve", "--spec", str(path), "--out", str(tmp_path)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err

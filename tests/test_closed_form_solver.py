@@ -69,10 +69,10 @@ class TestEvaluateField:
         spec, profile, B = problem(2)
         t_nodes = np.array([0.0, 1.0, 3.0])  # t* ~ 2.37 < 3
         fld = evaluate_field(profile, B, spec, spec.alpha_grid(), t_nodes)
-        late = fld.row_mask(3.0)
+        late = fld.singular_mask[fld.node(3.0)]
         assert np.any(late)
         assert np.all(np.isnan(fld.values[-1, late]))
-        assert not np.any(fld.row_mask(1.0))
+        assert not np.any(fld.singular_mask[fld.node(1.0)])
         # closest sample to the curve, always reported as a distance
         assert 0.0 <= fld.denominator_min <= 0.01
 

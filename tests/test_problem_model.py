@@ -144,7 +144,7 @@ class TestProblemSpec:
 
     def test_json_loader(self, tmp_path):
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(catalog.example_spec_dict(2)))
+        path.write_text(json.dumps(catalog.example_spec(2).to_dict()))
         spec = load_problem_spec(path)
         assert spec.f(0.0) == 1.0 and spec.g(1.0) == 3.0
 
@@ -399,6 +399,25 @@ class TestDenseFallback:
         assert np.max(np.abs(got - want) / want) <= rtol
         assert [float(pm.power_integral(g, power, t)) for t in ts] == got.tolist()
 
+    def test_sum_of_cells_matches_the_cumulative_table(self):
+        # the fallback sums the cells pairwise where the cumulative table's last
+        # row adds them in order; both are the same 2048-cell Simpson rule
+        g = FunctionDescriptor("trigonometric", _TRIG_G)
+        ts = np.linspace(0.1, 5.0, 257)
+        table = pm.cell_simpson(lambda x: np.asarray(g(x)) ** 2.0,
+                                np.multiply.outer(np.linspace(0.0, 1.0, 2049), ts))
+        got = pm.power_integral(g, 2.0, ts)
+        assert np.max(np.abs(got - table[-1]) / table[-1]) <= 1e-14
+
+    def test_pairwise_sum_stays_at_rounding(self):
+        # int_0^t (1 + 2s)^1.5 = ((1 + 2t)^2.5 - 1) / 5; adding the 2048 cells in
+        # order left 2.2e-15 of rounding here, summing them pairwise leaves 5.9e-16
+        ts = np.linspace(0.1, 5.0, 50)
+        with mpmath.workdps(30):
+            want = np.array([float(((1 + 2 * mpmath.mpf(t)) ** 2.5 - 1) / 5) for t in ts])
+        got = pm.power_integral(polynomial(1.0, 2.0), 1.5, ts)
+        assert np.max(np.abs(got - want) / want) <= 1e-15
+
 
 class _CountingDescriptor:
     """A descriptor that counts its derivative calls."""
@@ -467,13 +486,11 @@ class TestCompatibility:
             report = check_compatibility(spec)
             assert report.ok
             assert report.defect <= 1e-12
-            assert report.sign_change
 
     def test_one_signed_f_fails(self):
         spec = ProblemSpec(f=constant(1.0), u0=constant(1.0), g=polynomial(1.0, 2.0))
         report = check_compatibility(spec)
         assert not report.ok
-        assert not report.sign_change
 
 
 class TestScipyParity:

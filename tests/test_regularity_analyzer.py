@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from liouville_workbench import (
+    BoundaryIntegral,
     FunctionDescriptor,
     NearSingular,
     ProblemSpec,
@@ -15,12 +16,14 @@ from liouville_workbench import (
     evaluate_field,
     exponential,
     fit_cusp,
+    invert_G,
     lp_asymptotic_constant,
     lp_blowup_fit,
     lp_norm,
     polynomial,
     singular_boundary_report,
 )
+from liouville_workbench import regularity_analyzer as ra
 
 T_STAR_2 = 0.5 * (math.sqrt(33.0) - 1.0)
 
@@ -226,6 +229,15 @@ class TestLpNorm:
             with pytest.raises(ValueError):
                 lp_norm(fld, 0.5, 1.0)
 
+    def test_rejects_non_uniform_grid(self, problem):
+        # a uniform-step rule on these nodes gave L1 = 0.00804 against 4.41840
+        spec, profile, B = problem(2)
+        fld = evaluate_field(profile, B, spec, np.linspace(0.0, 1.0, 513) ** 2,
+                             np.array([1.0]))
+        for p in (1, 2, math.inf):
+            with pytest.raises(ValueError, match="alpha grid must be uniform"):
+                lp_norm(fld, p, 1.0)
+
 
 class TestLpAsymptotics:
     def test_constant_for_quadratic_cusp(self):
@@ -250,6 +262,32 @@ class TestLpAsymptotics:
         _, profile, _ = problem(1)
         with pytest.raises(ValueError):
             fit_cusp(profile)
+
+    def test_blowup_fit_inverts_in_one_call(self, problem, monkeypatch):
+        # one array call to B.invert gives the scalar inverter's samples, bit for bit
+        spec, profile, B = problem(2)
+        want = [invert_G(B, 2.0 / profile.M0 - d) for d in np.geomspace(1e-4, 1e-2, 9)]
+        calls, fields = [], []
+        invert = BoundaryIntegral.invert
+        monkeypatch.setattr(BoundaryIntegral, "invert",
+                            lambda self, y: calls.append(y) or invert(self, y))
+        monkeypatch.setattr(ra, "evaluate_field",
+                            lambda *args: fields.append(evaluate_field(*args)) or fields[-1])
+        lp_blowup_fit(profile, B, spec)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(fields[0].t_nodes, want)
+
+    def test_blowup_fit_unreachable_target(self):
+        # tabulated g = 1 + t on [0, 1]: G(1) = 1.5 never reaches 2/M0 - delta
+        # near 8, and the fit raises what invert_G raises
+        g = FunctionDescriptor("table", {"nodes": [0.0, 1.0], "values": [1.0, 2.0]})
+        spec = ProblemSpec(f=polynomial(1.0, -2.0), u0=constant(1.0), g=g)
+        profile, B = build_psi0(spec), build_G(spec, t_max=1.0)
+        with pytest.raises(ValueError, match="G does not reach") as got:
+            lp_blowup_fit(profile, B, spec)
+        with pytest.raises(ValueError) as want:
+            invert_G(B, 2.0 / profile.M0 - 1e-4)
+        assert str(got.value) == str(want.value)
 
     def test_blowup_fit_matches_theory(self, problem):
         spec, profile, B = problem(2)

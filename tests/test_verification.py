@@ -79,15 +79,6 @@ class TestSchwarzian:
         rel = np.max((np.abs(S.values - want) / np.abs(want))[3:-3])
         assert rel <= 1e-6
 
-    def test_stencil_agrees_on_smooth_data(self):
-        G = sampled(lambda t: t**2 + t, 0.0, 1.0, 257)
-        cr = schwarzian(G, method="cross_ratio")
-        st = schwarzian(G, method="stencil")
-        # stencil trims two nodes per edge
-        assert len(st.nodes) == len(G.nodes) - 4
-        common = st.nodes[1:-1]
-        assert np.max(np.abs(cr(common) - st(common))) <= 1e-2
-
     def test_needs_five_samples(self):
         with pytest.raises(ValueError):
             schwarzian(GridFunction(np.linspace(0, 1, 4), np.linspace(0, 1, 4)))
@@ -104,11 +95,6 @@ class TestSchwarzian:
         t = np.linspace(0, 1, 9)
         with pytest.raises(ValueError):
             schwarzian(GridFunction(t, -t))
-
-    def test_unknown_method(self):
-        G = sampled(lambda t: t, 0.0, 1.0, 9)
-        with pytest.raises(ValueError):
-            schwarzian(G, method="spline")
 
 
 class TestGammaIdentity:
