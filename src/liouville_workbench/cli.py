@@ -7,8 +7,10 @@ data sets and their figure surfaces).
 
 All CSV artifacts start with a comment line recording the spec hash, grid
 sizes, and the numerical tolerances in force, followed by a header row.
-Numbers are always written with the %.12e format so identical inputs yield
-byte-identical files.
+Numbers are always written with the %.12e format, so identical inputs yield
+byte-identical files.  write_csv builds those bytes in numpy, exactly as %
+would (an exact power of ten, % for what lies within 1e-3 of a rounding tie),
+one block of rows at a time.
 """
 
 from __future__ import annotations
@@ -135,7 +137,9 @@ def _cmd_classify(args) -> int:
 def _cmd_solve(args) -> int:
     spec, profile, t_max, B = _pipeline(args)
     if args.dt:
+        # rounding may carry the last node past t_max, but never past g's data
         t_grid = np.arange(0.0, t_max + 0.5 * args.dt, args.dt)
+        t_grid = t_grid[t_grid <= data_horizon(spec.g, math.inf)]
     else:
         t_grid = np.linspace(0.0, t_max, 257)
     fld = evaluate_field(profile, B, spec, spec.alpha_grid(), t_grid)
@@ -183,8 +187,7 @@ def _cmd_lp_scan(args) -> int:
     path = os.path.join(args.out, "lp_scan.csv")
     p_txt = ["inf" if p == math.inf else f"{p:.12e}" for p in ps]
     write_csv(path, _comment(spec, t_max=t_max, p=args.p), "t,p,norm", "%.12e,%s,%.12e",
-              (np.repeat(t_grid, len(ps)), p_txt * len(t_grid),
-               [lp_norm(fld, p, float(t)) for t in t_grid for p in ps]))
+              (t_grid[:, None], p_txt, [[lp_norm(fld, p, float(t)) for p in ps] for t in t_grid]))
     print(f"lp scan: {len(t_grid)} times x {len(ps)} exponents -> {path}")
     return 0
 

@@ -75,10 +75,8 @@ class SolutionField:
         return uniform_spacing(self.alpha_nodes, "alpha")
 
     def to_csv(self, path, comment: str | None = None):
-        nt, na = self.values.shape
         write_csv(path, comment, "alpha,t,u,masked", "%.12e,%.12e,%.12e,%d",
-                  (np.tile(self.alpha_nodes, nt), np.repeat(self.t_nodes, na),
-                   self.values, self.singular_mask))
+                  (self.alpha_nodes, self.t_nodes[:, None], self.values, self.singular_mask))
 
 
 @dataclass(frozen=True)

@@ -168,8 +168,7 @@ class Trajectory:
 
     def to_csv(self, path, comment: str | None = None):
         write_csv(path, comment, "t,alpha,u", "%.12e,%.12e,%.12e",
-                  (np.repeat(self.state_times, self.alpha.size),
-                   np.tile(self.alpha, len(self.states)), [s.u for s in self.states]))
+                  (self.state_times[:, None], self.alpha, [s.u for s in self.states]))
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,18 @@ class TestSolve:
         assert rc == 0
         assert "3x513" in capsys.readouterr().out
 
+    def test_dt_grid_stops_at_the_data_horizon(self, tmp_path, capsys):
+        # example 3's g = (1 - t)^-2 has data on [0, 1 - 1e-9]; the node t = 1.0
+        # that arange reaches from t_max + dt/2 is dropped, the rest stay
+        path = tmp_path / "ex3.json"
+        path.write_text(json.dumps(catalog.example_spec(3, n_alpha=33).to_dict()))
+        rc = main(["solve", "--spec", str(path), "--t-max", "1.0", "--dt", "1e-3",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert "1000x33" in capsys.readouterr().out
+        last = (tmp_path / "field.csv").read_text().splitlines()[-1]
+        assert last.split(",")[1] == "9.990000000000e-01"
+
 
 class TestSingularCurve:
     def test_curve_summary(self, spec2_path, tmp_path, capsys):

@@ -1,9 +1,12 @@
 import json
 import math
+import os
+import tempfile
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate as sp_integrate
 from scipy import special as sp_special
 from scipy.integrate import simpson
@@ -519,12 +522,114 @@ class TestScipyParity:
 
 
 def test_write_csv_matches_per_row_formatting(tmp_path):
-    # enough rows for several formatting blocks
-    vals = np.tile([0.0, -0.0, 1.5e-300, -2.5e300, np.inf, -np.inf, np.nan, 1.0 / 3.0], 300)
+    # enough rows for two formatting blocks; %s of floats keeps -0.0 apart from 0.0
+    vals = np.tile([0.0, -0.0, 1.5e-300, -2.5e300, np.inf, -np.inf, np.nan, 1.0 / 3.0], 600)
     flags = vals > 0
     labels = [f"r{i}" for i in range(vals.size)]
+    zeros = np.tile([0.0, -0.0, 2.5], 1600)
     path = tmp_path / "rows.csv"
-    pm.write_csv(path, "note", "v,flag,label", "%.12e,%d,%s", (vals, flags, labels))
-    want = "# note\nv,flag,label\n" + "".join(
-        f"{v:.12e},{int(b)},{s}\n" for v, b, s in zip(vals, flags, labels))
+    pm.write_csv(path, "note", "v,flag,label,z", "%.12e,%d,%s,%s", (vals, flags, labels, zeros))
+    want = "# note\nv,flag,label,z\n" + "".join(
+        f"{v:.12e},{int(b)},{s},{z}\n" for v, b, s, z in zip(vals, flags, labels, zeros))
+    assert vals.size > pm._CSV_BLOCK
     assert path.read_text() == want
+
+
+def _writers():
+    from liouville_workbench.closed_form_solver import SingularCurve, SolutionField
+    from liouville_workbench.generalized_integrator import GeneralizedState, Trajectory
+
+    rng = np.random.default_rng(17)
+    nt, na = 61, 97                 # 5917 rows: more than one block, a partial last block
+    alpha = np.linspace(0.0, 1.0, na)
+    t = np.concatenate(([0.0, -0.0], np.linspace(1e-3, 3.0, nt - 2)))
+    u = rng.standard_normal((nt, na)) * 10.0 ** rng.uniform(-14, 40, (nt, na))
+    mask = rng.random((nt, na)) < 0.2
+    u[mask] = np.nan
+    u[3, :6] = [0.0, -0.0, 5e-324, np.inf, -np.inf, 9.9999999999995]
+    n = 5000
+    curve_t = rng.uniform(0.5, 4.0, n)
+    sign = rng.choice([-1, 0, 1], n)
+    rows = lambda *cols: "".join(",".join(cols_i) + "\n" for cols_i in zip(*cols))
+    e12 = lambda xs: [f"{x:.12e}" for x in xs]
+    grid_t, grid_a = np.repeat(t, na), np.tile(alpha, nt)
+    traj = Trajectory(alpha, tuple(GeneralizedState(float(ti), ui) for ti, ui in zip(t, u)),
+                      t, t, t, t, "t_end", 1e8, 1.0, 1.0)
+    return {
+        "field": (SolutionField(alpha, t, u, mask, 0.0), "alpha,t,u,masked",
+                  rows(e12(grid_a), e12(grid_t), e12(u.ravel()), [str(int(m)) for m in mask.ravel()])),
+        "curve": (SingularCurve(curve_t / 4.0, curve_t, sign), "alpha,t_tilde,slope_sign",
+                  rows(e12(curve_t / 4.0), e12(curve_t), [str(s) for s in sign])),
+        "trajectory": (traj, "t,alpha,u", rows(e12(grid_t), e12(grid_a), e12(u.ravel()))),
+        "grid": (GridFunction(np.cumsum(rng.uniform(0.1, 1.0, n)), rng.standard_normal(n)),
+                 "node,value", None),
+    }
+
+
+@pytest.mark.parametrize("name", ["field", "curve", "trajectory", "grid"])
+def test_to_csv_writers_match_per_row_formatting(name, tmp_path):
+    obj, header, body = _writers()[name]
+    path = tmp_path / f"{name}.csv"
+    if name == "grid":
+        obj.to_csv(path)
+        body = "".join(f"{x:.12e},{y:.12e}\n" for x, y in zip(obj.nodes, obj.values))
+        assert path.read_text() == f"{header}\n{body}"
+    else:
+        obj.to_csv(path, comment="c")
+        assert path.read_text() == f"# c\n{header}\n{body}"
+    assert body.count("\n") > pm._CSV_BLOCK
+
+
+def test_field_write_memory_stays_per_block(tmp_path):
+    import tracemalloc
+
+    from liouville_workbench.closed_form_solver import SolutionField
+
+    nt, na = 257, 513
+    rng = np.random.default_rng(3)
+    fld = SolutionField(np.linspace(0.0, 1.0, na), np.linspace(0.0, 2.0, nt),
+                        rng.uniform(0.5, 5.0, (nt, na)), np.zeros((nt, na), bool), 0.5)
+    tracemalloc.start()
+    try:
+        fld.to_csv(tmp_path / "field.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "field.csv").stat().st_size > 7_000_000
+    assert peak < 4e6
+
+
+def _e12_lines(x, tmp_dir):
+    path = os.path.join(tmp_dir, "x.csv")
+    pm.write_csv(path, None, "x", "%.12e", (np.asarray(x, dtype=float),))
+    with open(path) as fh:
+        return fh.read().splitlines()[1:]
+
+
+class TestE12Exactness:
+    """write_csv's %.12e kernel against Python's own formatting, byte for byte."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_double(self, xs):
+        with tempfile.TemporaryDirectory() as d:
+            assert _e12_lines(xs, d) == ["%.12e" % x for x in xs]
+
+    def test_near_ties_and_the_half_band(self, tmp_path):
+        # (m + 1/2) 10^(e-12) rounded to a double, and its neighbours, sit within
+        # an ulp of a 13-digit tie; the offsets put the scaled value just inside
+        # and just outside the 1e-3 band around the half
+        rng = np.random.default_rng(11)
+        m = rng.integers(10**12, 10**13, 2000).astype(float)
+        scale = 10.0 ** rng.integers(-23, 24, 2000).astype(float)   # exponents -11..35
+        near = [(m + 0.5 + off) * scale for off in (0.0, -1.1e-3, -0.9e-3, 0.9e-3, 1.1e-3)]
+        ties = near[0]
+        xs = np.concatenate(near + [np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf), -ties])
+        assert _e12_lines(xs, tmp_path) == ["%.12e" % x for x in xs.tolist()]
+
+    def test_edges(self, tmp_path):
+        xs = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+              9.9999999999995, 9.99999999999949, -9.9999999999995, 999999999999.95,
+              1e-10, 9.99999999999999e-11, 1e35, 9.99999999999999e34, 1e100, -2.5e-100,
+              1.234e-250, -7.5e250, np.inf, -np.inf, np.nan, -np.nan]
+        assert _e12_lines(xs, tmp_path) == ["%.12e" % x for x in xs]
