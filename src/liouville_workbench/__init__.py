@@ -28,10 +28,10 @@ from .problem_model import (
 from .closed_form_solver import (
     SingularCurve,
     SolutionField,
-    denominator,
     evaluate_field,
     evaluate_u,
     jump_transport,
+    representation,
     singular_curve,
 )
 from .regularity_analyzer import (

@@ -136,7 +136,9 @@ def _cmd_classify(args) -> int:
 
 def _cmd_solve(args) -> int:
     spec, profile, t_max, B = _pipeline(args)
-    if args.dt:
+    if args.dt is not None:
+        if not 0.0 < args.dt < math.inf:   # nan too
+            raise ValueError(f"--dt must be positive and finite, got {args.dt}")
         # rounding may carry the last node past t_max, but never past g's data
         t_grid = np.arange(0.0, t_max + 0.5 * args.dt, args.dt)
         t_grid = t_grid[t_grid <= data_horizon(spec.g, math.inf)]
@@ -192,15 +194,22 @@ def _cmd_lp_scan(args) -> int:
     return 0
 
 
-def _nonlinearity_from(general: dict):
-    cfg = (general or {}).get("F", {"kind": "identity"})
+def _nonlinearity_from(general):
+    general = general or {}
+    cfg = general.get("F", {"kind": "identity"}) if isinstance(general, dict) else None
+    if not isinstance(cfg, dict):
+        raise ValueError("spec 'general' block must be an object, and its F too")
     kind = cfg.get("kind", "identity")
-    if kind == "identity":
-        return identity_F()
-    if kind == "power":
-        return power_F(float(cfg["p"]))
-    if kind == "table":
-        return table_F(cfg["nodes"], cfg["values"], float(cfg["c"]), float(cfg["d"]))
+    try:
+        if kind == "identity":
+            return identity_F()
+        if kind == "power":
+            return power_F(float(cfg["p"]))
+        if kind == "table":
+            return table_F(cfg["nodes"], cfg["values"], float(cfg["c"]), float(cfg["d"]))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{kind} F in spec 'general' block lacks a key or has a bad value: "
+                         f"{exc}") from exc
     raise ValueError(f"unknown nonlinearity kind {kind!r} in spec 'general' block")
 
 

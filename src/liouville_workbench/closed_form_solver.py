@@ -5,9 +5,10 @@ With psi0 and G in hand the solution of the periodic problem is
     u(alpha, t) = u0(alpha) g(t) / D(alpha, t)^2,
     D(alpha, t) = 1 - (1/2) psi0(alpha) G(t).
 
-Everything here is algebra on those two primitives: pointwise evaluation,
-field assembly with masking of the region at or beyond the zero set of D,
-the singular curve t~(alpha) solving psi0(alpha) G(t) = 2, and the transport
+The algebra is written once, in representation(), which the generalized
+integrator's envelopes share.  On it rest pointwise evaluation, field
+assembly with masking of the region at or beyond the zero set of D, the
+singular curve t~(alpha) solving psi0(alpha) G(t) = 2, and the transport
 of jump discontinuities in the data along characteristics.
 
 The formula stops representing the solution once D reaches zero, so field
@@ -102,10 +103,13 @@ class SingularCurve:
 # pointwise evaluation
 
 
-def denominator(profile: Psi0Profile, B: BoundaryIntegral, alpha, t):
-    """D(alpha, t) = 1 - (1/2) psi0(alpha) G(t)."""
-    out = 1.0 - 0.5 * np.asarray(profile.value(alpha)) * np.asarray(B.value(t))
-    return out if np.ndim(out) else float(out)
+def representation(g, u0, psi, G, e=1.0):
+    """g u0 (1 - (e/2) psi G)^(-2/e) and its bracket D, broadcast together: an
+    envelope at e = c or d with H0 for psi, and u at e = 1, whose int power 2 is
+    numpy's fast D * D for an array D (libm pow for a scalar).  Callers mask D <= 0."""
+    D = 1.0 - 0.5 * e * psi * G
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return g * u0 / D ** (2 if e == 1 else 2.0 / e), D
 
 
 def evaluate_u(profile: Psi0Profile, B: BoundaryIntegral, spec: ProblemSpec, alpha, t):
@@ -116,41 +120,37 @@ def evaluate_u(profile: Psi0Profile, B: BoundaryIntegral, spec: ProblemSpec, alp
     """
     alpha_arr = np.asarray(alpha, dtype=float)
     t_arr = np.asarray(t, dtype=float)
-    D = np.asarray(denominator(profile, B, alpha_arr, t_arr))
-    bad = np.abs(D) <= SINGULAR_ATOL
-    if np.any(bad):
+    # psi at least 1-d, so a point's D is an array, squared as D * D like the field's
+    out, D = representation(spec.g(t_arr), spec.u0(alpha_arr),
+                            np.atleast_1d(profile.value(alpha_arr)), np.asarray(B.value(t_arr)))
+    if np.any(bad := np.abs(D) <= SINGULAR_ATOL):
         idx = tuple(np.argwhere(bad)[0])
-        a_bad = float(np.broadcast_to(alpha_arr, D.shape)[idx])
-        t_bad = float(np.broadcast_to(t_arr, D.shape)[idx])
+        a_bad, t_bad = (float(np.broadcast_to(x, D.shape)[idx]) for x in (alpha_arr, t_arr))
         raise NearSingular(a_bad, t_bad, float(D[idx]))
-    out = spec.u0(alpha_arr) * spec.g(t_arr) / D**2
-    return out if np.ndim(out) else float(out)
+    return out if alpha_arr.ndim or t_arr.ndim else float(out[0])
 
 
 def evaluate_field(profile: Psi0Profile, B: BoundaryIntegral, spec: ProblemSpec,
                    alpha_grid, t_grid) -> SolutionField:
-    """Assemble u on alpha_grid x t_grid, masking D <= SINGULAR_ATOL.
+    """u on alpha_grid x t_grid by representation(), masked where D <= SINGULAR_ATOL.
 
     Masked entries hold NaN.  The one-sided rule keeps only the region where
     the representation formula is the classical solution (before the curve).
     """
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
-    psi = np.atleast_1d(profile.value(alpha_grid))
-    Gv = np.atleast_1d(B.value(t_grid))
-    D = 1.0 - 0.5 * psi[None, :] * Gv[:, None]
+    vals, D = representation(np.atleast_1d(spec.g(t_grid))[:, None],
+                             np.atleast_1d(spec.u0(alpha_grid))[None, :],
+                             np.atleast_1d(profile.value(alpha_grid))[None, :],
+                             np.atleast_1d(B.value(t_grid))[:, None])
     mask = D <= SINGULAR_ATOL
-    u0v = np.atleast_1d(np.asarray(spec.u0(alpha_grid), dtype=float))
-    gv = np.atleast_1d(np.asarray(spec.g(t_grid), dtype=float))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = u0v[None, :] * gv[:, None] / D**2
-    vals = np.where(mask, np.nan, vals)
+    vals[mask] = np.nan   # in place, as |D| below: no copy outlives the kernel's peak
     return SolutionField(
         alpha_nodes=alpha_grid,
         t_nodes=t_grid,
         values=vals,
         singular_mask=mask,
-        denominator_min=float(np.min(np.abs(D))),
+        denominator_min=float(np.min(np.abs(D, out=D))),
     )
 
 
@@ -168,8 +168,7 @@ def singular_curve(profile: Psi0Profile, B: BoundaryIntegral) -> SingularCurve:
     """
     if profile.M0 <= 0:
         raise EmptyCurve("psi0 <= 0 everywhere; the singular set is empty")
-    grid = profile.psi0.nodes
-    psi = profile.psi0.values
+    grid, psi = profile.psi0.nodes, profile.psi0.values
     idx = np.flatnonzero(psi > CURVE_RTOL * profile.M0)
     if idx.size == 0:
         raise EmptyCurve("no grid point clears the curve threshold")
@@ -178,19 +177,14 @@ def singular_curve(profile: Psi0Profile, B: BoundaryIntegral) -> SingularCurve:
     reached = ~np.isnan(t_all)
     if np.count_nonzero(reached) < 2:
         raise EmptyCurve("fewer than two curve samples reachable within the time horizon")
-    kept_idx = idx[reached]
-    alpha_s = grid[kept_idx]
+    alpha_s = grid[idx[reached]]
     t_s = t_all[reached]
 
     slope = np.gradient(t_s, alpha_s)
     fd_sign = np.sign(slope).astype(int)
-    # predicted slope t~'(alpha) = -2 f u0 / (g(t~) psi0^2) has the sign of -f,
-    # and sign(f) = sign(psi0') since psi0' = f u0 with u0 > 0
-    if profile.analytic is not None:
-        dpsi = profile.analytic(alpha_s)
-    else:
-        dpsi = np.gradient(psi, grid)[kept_idx]
-    theory = -np.sign(dpsi).astype(int)
+    # predicted slope t~'(alpha) = -2 f u0 / (g(t~) psi0^2) has the sign of
+    # -psi0' = -f u0, psi0's integrand
+    theory = -np.sign(profile.integrand(alpha_s)).astype(int)
     resolved = np.abs(slope) > 1e-6 * (1.0 + np.abs(t_s))
     mism = int(np.sum((fd_sign != theory) & resolved & (theory != 0)))
     return SingularCurve(alpha_samples=alpha_s, t_samples=t_s,
@@ -217,15 +211,18 @@ def jump_transport(profile: Psi0Profile, B: BoundaryIntegral, spec: ProblemSpec,
         if t is None:
             raise ValueError("axis 'alpha' transports in time; pass t=")
         q_alpha, q_t = float(jump_location), float(t)
-        base = float(spec.g(q_t))
+        base = spec.g(q_t)
     elif axis == "t":
         if alpha is None:
             raise ValueError("axis 't' transports in space; pass alpha=")
         q_alpha, q_t = float(alpha), float(jump_location)
-        base = float(spec.u0(q_alpha))
+        base = spec.u0(q_alpha)
     else:
         raise ValueError("axis must be 'alpha' or 't'")
-    D = float(denominator(profile, B, q_alpha, q_t))
+    # jump_size and the other datum are the two factors; numpy scalars, so
+    # that D = 0 gives inf rather than ZeroDivisionError
+    jump, D = representation(np.float64(jump_size), np.float64(base),
+                             np.asarray(profile.value(q_alpha)), np.asarray(B.value(q_t)))
     if D <= SINGULAR_ATOL:
-        raise NearSingular(q_alpha, q_t, D)
-    return jump_size * base / D**2
+        raise NearSingular(q_alpha, q_t, float(D))
+    return float(jump)

@@ -29,18 +29,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_form_solver import representation
 from .problem_model import (
     FunctionDescriptor,
     GridFunction,
     ProblemSpec,
     _KINDS,
+    _profile,
     _polynomial_derivative,
-    cell_simpson,
     cell_simpson_at,
     check_compatibility,
     cumulative_simpson,
     data_horizon,
-    interior_zeros,
     invert_power_integral,
     power_integral,
     power_integral_limit,
@@ -196,8 +196,8 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
     failure) and on incompatible data (check_compatibility with F reports a
     nonzero integral of f F(u0)).
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
+    if not (dt > 0 and t_end > 0 and blowup_cap > 0):   # nan too
+        raise ValueError(f"dt, t_end and blowup_cap must be positive, got {dt}, {t_end}, {blowup_cap}")
     compat = check_compatibility(spec, F)
     if not compat.ok:
         raise ValueError(f"data incompatible with periodic boundary values: "
@@ -348,27 +348,22 @@ def _g_and_ratio(g: FunctionDescriptor):
 
 
 def compute_H0_alpha0(spec: ProblemSpec, F: Nonlinearity) -> dict:
-    """H0(alpha) = integral_0^alpha f F(u0) dx by Simpson's rule on each cell,
-    f's first zero alpha0, and H0(alpha0) by the same rule on its partial cell.
+    """H0(alpha) = integral_0^alpha f F(u0) dx, built as the quadrature psi0
+    (bit for bit when F = u), f's first zero alpha0, and H0(alpha0) by the
+    same per-cell Simpson rule on its partial cell.
 
     window marks (0, alpha0] on the grid, widened by 1e-12 for a root a
     rounding below a node: hypotheses_ok asks H0 > 0 there (a violation is
     reported, not raised), and blowup_bounds samples its envelopes there.
     """
-    def w(x):
-        return np.asarray(spec.f(x)) * np.asarray(F(spec.u0(x)))
-
-    grid = spec.alpha_grid()
-    vals = cell_simpson(w, grid)
-    H0 = GridFunction(grid, vals)
-    zeros, _ = interior_zeros(spec.f, grid)
-    if zeros.size == 0:
+    prof = _profile(spec, lambda x: np.asarray(spec.f(x)) * np.asarray(F(spec.u0(x))))
+    H0, alpha0 = prof.psi0, prof.alpha0
+    if alpha0 is None:
         return {"H0": H0, "alpha0": None, "H0_alpha0": math.nan, "hypotheses_ok": False,
-                "window": np.zeros(grid.size, dtype=bool)}
-    alpha0 = float(zeros[0])
-    H0_a0 = float(cell_simpson_at(vals, w, grid, alpha0))
-    window = (grid > 0) & (grid <= alpha0 + 1e-12)
-    positive = bool(np.all(vals[window] > 0)) and H0_a0 > 0
+                "window": np.zeros(H0.nodes.size, dtype=bool)}
+    H0_a0 = float(cell_simpson_at(H0.values, prof.integrand, H0.nodes, alpha0))
+    window = (H0.nodes > 0) & (H0.nodes <= alpha0 + 1e-12)
+    positive = bool(np.all(H0.values[window] > 0)) and H0_a0 > 0
     return {"H0": H0, "alpha0": alpha0, "H0_alpha0": H0_a0, "hypotheses_ok": positive,
             "window": window}
 
@@ -483,12 +478,11 @@ def blowup_bounds(spec: ProblemSpec, F: Nonlinearity, trajectory: Trajectory) ->
     H0_dom = H0.values[domain]
 
     def envelope(I, e):
-        # g u0 (1 - (e/2) H0 I)^(-2/e), row i at stored time i, column j at
-        # node j; infinite once the bracket closes
-        arg = 1.0 - 0.5 * e * H0_dom[None, :] * I[:, None]
-        with np.errstate(over="ignore", divide="ignore"):
-            return np.where(arg > 0, g_t[:, None] * u0_dom / np.maximum(arg, 1e-300) ** (2.0 / e),
-                            np.inf)
+        # g u0 (1 - (e/2) H0 I)^(-2/e) at stored time i (row), node j (column); inf
+        # once the bracket closes, and a positive bracket 1 - x is >= 2**-53: no floor
+        value, arg = representation(g_t[:, None], u0_dom, H0_dom[None, :], I[:, None], e)
+        value[~(arg > 0)] = np.inf   # in place: one n_states x n_nodes array fewer
+        return value
 
     global_threshold = 2.0 / (d * H0_a0)
     if mono == "nondecreasing":

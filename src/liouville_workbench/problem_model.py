@@ -40,6 +40,7 @@ import hashlib
 import json
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -252,9 +253,9 @@ class _Kind:
 
 class _Polynomial(_Kind):
     def params(self, p):
+        if np.ndim(p["coeffs"]) != 1 or not len(p["coeffs"]):   # "12" is not [1, 2]
+            raise ValueError("polynomial needs a list of at least one coefficient")
         p["coeffs"] = tuple(float(c) for c in p["coeffs"])
-        if not p["coeffs"]:
-            raise ValueError("polynomial needs at least one coefficient")
 
     def coeffs(self, p):
         return p["coeffs"]
@@ -384,8 +385,8 @@ class _Table(_Kind):
     def params(self, p):
         nodes = np.asarray(p["nodes"], dtype=float)
         values = np.asarray(p["values"], dtype=float)
-        if nodes.shape != values.shape or nodes.ndim != 1:
-            raise ValueError("table nodes/values must be equal-length 1-d sequences")
+        if nodes.shape != values.shape or nodes.ndim != 1 or nodes.size < 2:
+            raise ValueError("table nodes/values must be equal-length 1-d sequences of 2 or more")
         if not np.all(np.diff(nodes) > 0):
             raise ValueError("table nodes must be strictly increasing")
         p["nodes"] = tuple(nodes.tolist())
@@ -483,8 +484,11 @@ class FunctionDescriptor:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown descriptor kind {self.kind!r}; "
                              f"expected one of {tuple(_KINDS)}")
-        p = dict(self.params)
-        _KINDS[self.kind].params(p)
+        try:
+            p = dict(self.params)
+            _KINDS[self.kind].params(p)
+        except (TypeError, IndexError) as exc:   # a list where a number goes, a short term
+            raise ValueError(f"malformed {self.kind} params: {exc}") from exc
         object.__setattr__(self, "params", p)
 
     # evaluation -----------------------------------------------------------
@@ -694,6 +698,8 @@ def load_problem_spec(path) -> ProblemSpec:
         raise ValueError(f"cannot read spec file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"spec file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError(f"spec file {path} must hold a JSON object")
     try:
         return ProblemSpec(
             f=FunctionDescriptor.from_dict(raw["f"]),
@@ -701,8 +707,8 @@ def load_problem_spec(path) -> ProblemSpec:
             g=FunctionDescriptor.from_dict(raw["g"]),
             n_alpha=int(raw.get("n_alpha", 513)),
         )
-    except KeyError as exc:
-        raise ValueError(f"spec file {path} is missing required key {exc}") from exc
+    except (KeyError, TypeError) as exc:   # a missing key, or "n_alpha": null
+        raise ValueError(f"spec file {path} lacks a key or has a bad value: {exc}") from exc
 
 
 def spec_hash(spec: ProblemSpec) -> str:
@@ -721,12 +727,13 @@ class Psi0Profile:
 
     M0 is the greatest value attained (>= 0 because psi0(0) = 0), argmax_set
     holds the locations where it is attained, omega the zero set of psi0, and
-    alpha0 the first zero of f in (0, 1).  When f u0 is one descriptor,
-    `analytic` holds it (psi0' itself), so off-node evaluation is its exact
-    integral and loses nothing to interpolation.
+    alpha0 the first zero of f in (0, 1).  integrand is psi0' = f u0 (f F(u0)
+    for the integrator's H0).  When f u0 is one descriptor, `analytic` holds
+    it, as the integrand too, so off-node evaluation is its exact integral.
     """
 
     psi0: GridFunction
+    integrand: Callable
     M0: float = 0.0
     argmax_set: np.ndarray = field(default_factory=lambda: np.array([]))
     omega: np.ndarray = field(default_factory=lambda: np.array([]))
@@ -796,7 +803,7 @@ def extract_features(profile: Psi0Profile, spec: ProblemSpec) -> dict:
     zeros, down = interior_zeros(spec.f, grid)
     crests = zeros[down]
     at_crests = (profile.value(crests) if profile.analytic is not None
-                 else cell_simpson_at(vals, lambda x: spec.f(x) * spec.u0(x), grid, crests))
+                 else cell_simpson_at(vals, profile.integrand, grid, crests))
     where = np.concatenate(([0.0], crests, [1.0]))
     psi = np.concatenate(([vals[0]], at_crests, [vals[-1]]))
     M0 = float(np.max(psi))
@@ -820,17 +827,20 @@ def build_psi0(spec: ProblemSpec, method: str = "auto") -> Psi0Profile:
     """
     if method not in ("auto", "quadrature"):
         raise ValueError("method must be 'auto' or 'quadrature'")
+    return _profile(spec, lambda x: spec.f(x) * spec.u0(x),
+                    _psi0_integrand(spec) if method == "auto" else None)
+
+
+def _profile(spec: ProblemSpec, w, analytic=None) -> Psi0Profile:
+    """int_0^alpha w, and its features: the closed form of analytic (w as one
+    descriptor) when given, else cell_simpson.  w = f u0 gives psi0."""
     grid = spec.alpha_grid()
-    analytic = _psi0_integrand(spec) if method == "auto" else None
-    if analytic is not None:
-        vals = np.asarray(power_integral(analytic, 1.0, grid))
-    else:
-        vals = cell_simpson(lambda x: spec.f(x) * spec.u0(x), grid)
+    vals = cell_simpson(w, grid) if analytic is None else power_integral(analytic, 1.0, grid)
     if not np.all(np.isfinite(vals)):
-        raise ValueError("psi0 = int f*u0 is not finite on [0, 1]")
-    bare = Psi0Profile(psi0=GridFunction(grid, vals), analytic=analytic)
-    feats = extract_features(bare, spec)
-    return dataclasses.replace(bare, **feats)
+        raise ValueError("psi0 = int f*u0 (or H0 = int f F(u0)) is not finite on [0, 1]")
+    bare = Psi0Profile(GridFunction(grid, vals), w if analytic is None else analytic,
+                       analytic=analytic)
+    return dataclasses.replace(bare, **extract_features(bare, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -901,8 +911,8 @@ def build_G(spec, t_max: float, n_t: int = 1025, method: str = "auto") -> Bounda
     desc = spec.g if isinstance(spec, ProblemSpec) else spec
     if method not in ("auto", "quadrature"):
         raise ValueError("method must be 'auto' or 'quadrature'")
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if not 0.0 < t_max < math.inf:   # nan too
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     if (last := data_horizon(desc, t_max)) < t_max:
         raise ValueError(f"t_max={t_max} is past t={last:.12g}, the last time "
                          f"{desc.kind} g has data")

@@ -156,15 +156,19 @@ def _sufficient_blowup(spec: ProblemSpec, grid: np.ndarray, alpha0: float | None
 # classification
 
 
-def _finite_profile(profile: Psi0Profile, spec: ProblemSpec, g_star: float, M0: float):
-    """C(alpha) = g(t*) u0 (1 - psi0/M0)^-2 on nodes clear of the argmax."""
+def _finite_blowup(profile: Psi0Profile, spec: ProblemSpec, t_star: float, g_star: float,
+                   **extra) -> RegularityReport:
+    """The FiniteBlowup report at t* with g(t*) = g_star: blow-up on the argmax
+    set, every other node tagged finite with the final profile
+    C(alpha) = g* u0 (1 - psi0/M0)^-2 there."""
     grid = profile.psi0.nodes
-    psi = profile.psi0.values
-    dist = 1.0 - psi / M0
+    dist = 1.0 - profile.psi0.values / profile.M0
     keep = np.abs(dist) > SINGULAR_ATOL
-    limits = np.where(keep, FINITE, INFINITE).astype("<U8")
     vals = g_star * np.asarray(spec.u0(grid[keep])) / dist[keep] ** 2
-    return GridFunction(grid[keep], vals), limits
+    return RegularityReport(verdict=VERDICT_FINITE, t_star=t_star,
+                            blowup_locations=profile.argmax_set,
+                            final_profile=GridFunction(grid[keep], vals),
+                            profile_limits=np.where(keep, FINITE, INFINITE).astype("<U8"), **extra)
 
 
 def classify(profile: Psi0Profile, B: BoundaryIntegral, spec: ProblemSpec) -> RegularityReport:
@@ -199,15 +203,7 @@ def classify(profile: Psi0Profile, B: BoundaryIntegral, spec: ProblemSpec) -> Re
                 f"stays below 2/M0={target:.6g}")
         return RegularityReport(verdict=VERDICT_GLOBAL, notes=(note,), **flags)
     t_star = invert_G(B, target)
-    final_profile, limits = _finite_profile(profile, spec, float(spec.g(t_star)), M0)
-    return RegularityReport(
-        verdict=VERDICT_FINITE,
-        t_star=t_star,
-        blowup_locations=profile.argmax_set,
-        final_profile=final_profile,
-        profile_limits=limits,
-        **flags,
-    )
+    return _finite_blowup(profile, spec, t_star, float(spec.g(t_star)), **flags)
 
 
 def singular_boundary_report(profile: Psi0Profile, spec: ProblemSpec) -> RegularityReport:
@@ -226,48 +222,27 @@ def singular_boundary_report(profile: Psi0Profile, spec: ProblemSpec) -> Regular
         raise ValueError("singular_boundary_report requires singular_boundary boundary data")
     beta = spec.g.params["beta"]
     beta_case = "beta=1" if beta == 1.0 else ("beta<1" if beta < 1.0 else "beta>1")
-    grid = profile.psi0.nodes
-    psi = profile.psi0.values
-    M0 = profile.M0
+    grid, psi, M0 = profile.psi0.nodes, profile.psi0.values, profile.M0
 
     if M0 > 0.0:
         t_star = 1.0 - (M0 / (2.0 * beta + M0)) ** (1.0 / beta)
         g_star = ((2.0 * beta + M0) / M0) ** ((1.0 + beta) / beta)
-        final_profile, limits = _finite_profile(profile, spec, g_star, M0)
-        return RegularityReport(
-            verdict=VERDICT_FINITE,
-            t_star=t_star,
-            blowup_locations=profile.argmax_set,
-            final_profile=final_profile,
-            beta_case=beta_case,
-            profile_limits=limits,
-            notes=(f"interior blow-up at t*={t_star:.12g} precedes the boundary "
-                   "blow-up time t_b=1",),
-        )
+        return _finite_blowup(profile, spec, t_star, g_star, beta_case=beta_case,
+                              notes=(f"interior blow-up at t*={t_star:.12g} precedes the "
+                                     "boundary blow-up time t_b=1",))
 
-    # boundary-driven branch: psi0 <= 0, divergence on its zero set at t_b = 1
-    on_zero_set = np.isin(grid, profile.omega)
-    if beta == 1.0:
-        limits = np.where(on_zero_set, INFINITE, FINITE).astype("<U8")
-        keep = ~on_zero_set
-        final_profile = (GridFunction(grid[keep],
-                                      4.0 * np.asarray(spec.u0(grid[keep])) / psi[keep] ** 2)
-                         if np.count_nonzero(keep) >= 2 else None)
-    elif beta > 1.0:
-        limits = np.where(on_zero_set, INFINITE, ZERO).astype("<U8")
-        keep = ~on_zero_set
-        final_profile = (GridFunction(grid[keep], np.zeros(np.count_nonzero(keep)))
-                         if np.count_nonzero(keep) >= 2 else None)
-    else:
-        limits = np.full(grid.shape, INFINITE, dtype="<U8")
-        final_profile = None
+    # boundary-driven branch: psi0 <= 0, divergence on its zero set at t_b = 1;
+    # off it the limit is finite for beta = 1, zero above and infinite below
+    keep = ~np.isin(grid, profile.omega) & (beta >= 1.0)
+    vals = (4.0 * np.asarray(spec.u0(grid[keep])) / psi[keep] ** 2 if beta == 1.0
+            else np.zeros(np.count_nonzero(keep)))
     return RegularityReport(
         verdict=VERDICT_BOUNDARY,
         t_star=1.0,
         blowup_locations=profile.omega,
-        final_profile=final_profile,
+        final_profile=GridFunction(grid[keep], vals) if np.count_nonzero(keep) >= 2 else None,
         beta_case=beta_case,
-        profile_limits=limits,
+        profile_limits=np.where(keep, FINITE if beta == 1.0 else ZERO, INFINITE).astype("<U8"),
         notes=("divergence is driven by the boundary data on the zero set of psi0; "
                f"interior limits are tagged per the beta taxonomy ({beta_case})",),
     )
@@ -306,7 +281,7 @@ def lp_norm(fld: SolutionField, p, t: float) -> float:
             return float(_parabolic_peak(row[j - 1], row[j], row[j + 1]))
         return float(row[j])
     p = float(p)
-    if p < 1.0:
+    if not p >= 1.0:   # nan too
         raise ValueError(f"p must be in [1, inf], got {p}")
     # unmasked samples of u = u0 g / D^2 are positive
     return float(cumulative_simpson(row ** p, h)[-1]) ** (1.0 / p)

@@ -252,6 +252,60 @@ class TestErrors:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        {"g": {"kind": "trigonometric", "params": {"terms": [[1.0]]}}},
+        {"g": {"kind": "trigonometric", "params": {"terms": 5}}},
+        {"g": {"kind": "polynomial", "params": [1, 2]}},
+        {"g": {"kind": "polynomial", "params": {"coeffs": "12"}}},   # not 1 + 2t
+        {"g": {"kind": "table", "params": {"nodes": [0.0], "values": [1.0]}}},
+        {"n_alpha": None},
+        None,   # a top-level list
+    ], ids=["short-term", "int-terms", "list-params", "string-coeffs", "one-node-table",
+            "null-n-alpha", "top-level-list"])
+    def test_malformed_spec_is_an_error(self, edit, tmp_path, capsys):
+        d = catalog.example_spec(2, n_alpha=65).to_dict()
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([d] if edit is None else {**d, **edit}))
+        rc = main(["classify", "--spec", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "t_max" not in err
+
+    @pytest.mark.parametrize("general", [
+        {"F": {"kind": "power"}},
+        "x",
+        {"F": {"kind": "table", "nodes": [0.5, 1.0, 2.0], "values": [0.5, 1.0, 2.0]}},
+        {"F": {"kind": "table", "nodes": 5, "values": 5, "c": 1.0, "d": 1.0}},
+    ], ids=["power-without-p", "string-block", "table-without-c-d", "int-table"])
+    def test_malformed_general_block_is_an_error(self, general, tmp_path, capsys):
+        d = {**catalog.example_spec(2, n_alpha=65).to_dict(), "general": general}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d))
+        rc = main(["simulate", "--spec", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["lp-scan", "--p", "1,nan"], "p must be in [1, inf], got nan"),
+        (["solve", "--dt", "0"], "--dt must be positive"),
+        (["solve", "--dt", "-0.1"], "--dt must be positive"),
+        (["solve", "--dt", "nan"], "--dt must be positive"),
+        (["solve", "--dt", "inf"], "--dt must be positive and finite"),
+        (["classify", "--t-max", "nan"], "t_max must be positive and finite, got nan"),
+        (["classify", "--t-max", "inf"], "t_max must be positive and finite, got inf"),
+        (["simulate", "--dt", "nan"], "must be positive, got nan"),
+        (["simulate", "--t-max", "nan"], "must be positive, got 0.001, nan"),
+        (["simulate", "--cap", "nan"], "must be positive, got 0.001, 1.0, nan"),
+    ], ids=["lp-nan", "solve-dt-0", "solve-dt-negative", "solve-dt-nan", "solve-dt-inf",
+            "classify-t-max-nan", "classify-t-max-inf", "simulate-dt-nan", "simulate-t-max-nan",
+            "simulate-cap-nan"])
+    def test_nan_and_nonpositive_numbers_are_errors(self, argv, message, spec2_path,
+                                                    tmp_path, capsys):
+        rc = main(argv + ["--spec", spec2_path, "--n-alpha", "65", "--out", str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
 
 class TestImports:
     def test_no_scipy_or_mpmath(self, spec2_path, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,12 +7,13 @@ import pytest
 from liouville_workbench import (
     EmptyCurve,
     NearSingular,
-    denominator,
     evaluate_field,
     evaluate_u,
     jump_transport,
+    representation,
     singular_curve,
 )
+from liouville_workbench.closed_form_solver import SINGULAR_ATOL
 
 T_STAR_2 = 0.5 * (math.sqrt(33.0) - 1.0)
 
@@ -52,8 +54,10 @@ class TestEvaluateU:
         assert abs(err.value.denominator) <= 1e-8
 
     def test_denominator(self, problem):
+        # D = 1 - psi0 G / 2 is the bracket that representation() returns with u
         _, profile, B = problem(2)
-        assert denominator(profile, B, 0.5, 1.0) == pytest.approx(0.75, rel=1e-13)
+        _, D = representation(1.0, 1.0, profile.value(0.5), B.value(1.0))
+        assert D == pytest.approx(0.75, rel=1e-13)
 
 
 class TestEvaluateField:
@@ -103,6 +107,51 @@ class TestEvaluateField:
         text = path.read_text()
         assert text.startswith("# probe=1")
         assert "alpha,t,u,masked" in text
+
+
+class TestRepresentation:
+    """evaluate_field, evaluate_u and jump_transport are representation() at e = 1."""
+
+    @pytest.mark.parametrize("method", ["auto", "quadrature"])
+    def test_callers_agree_bitwise_with_the_kernel(self, problem, method):
+        spec, profile, B = problem(2, n_alpha=129, method=method)
+        alpha, t = spec.alpha_grid(), np.linspace(0.0, 3.0, 31)   # t* ~ 2.37
+        u, D = representation(spec.g(t)[:, None], spec.u0(alpha)[None, :],
+                              profile.value(alpha)[None, :], B.value(t)[:, None])
+        fld = evaluate_field(profile, B, spec, alpha, t)
+        assert np.array_equal(fld.values, np.where(D <= SINGULAR_ATOL, np.nan, u), equal_nan=True)
+        assert fld.denominator_min == np.min(np.abs(D))
+        early = t < 2.0
+        grid_u = evaluate_u(profile, B, spec, alpha[None, :], t[early][:, None])
+        assert grid_u.tobytes() == u[early].tobytes()
+        # a single point gets the bits of the field
+        assert all(evaluate_u(profile, B, spec, alpha[j], t[i]) == u[i, j]
+                   for i, j in [(3, 5), (10, 64), (19, 100)])
+        for a, tt in [(0.3, 0.5), (0.71, 1.3), (0.05, 1.9)]:
+            psi, G = np.asarray(profile.value(a)), np.asarray(B.value(tt))
+            want, _ = representation(np.float64(0.37), np.float64(spec.g(tt)), psi, G)
+            assert jump_transport(profile, B, spec, a, 0.37, "alpha", t=tt) == want
+            want, _ = representation(np.float64(0.37), np.float64(spec.u0(a)), psi, G)
+            assert jump_transport(profile, B, spec, tt, 0.37, "t", alpha=a) == want
+
+    def test_envelope_exponent(self):
+        # e = 2: g u0 / (1 - psi G), the envelope of F = u^2
+        u, D = representation(3.0, 2.0, 0.5, 1.0, e=2.0)
+        assert (u, D) == (12.0, 0.5)
+
+    def test_field_peak_memory(self, problem):
+        # u and D are the only n_t x n_alpha float arrays left at once: the mask
+        # goes into u and |D| into D in place (about 3.05 MiB at 129 x 1025)
+        spec, profile, B = problem(2, n_alpha=1025)
+        t = np.linspace(0.0, 3.0, 129)
+        evaluate_field(profile, B, spec, spec.alpha_grid(), t)
+        tracemalloc.start()
+        try:
+            evaluate_field(profile, B, spec, spec.alpha_grid(), t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.3 * 2**20
 
 
 class TestSingularCurve:

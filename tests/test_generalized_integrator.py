@@ -8,6 +8,7 @@ from liouville_workbench import (
     FunctionDescriptor,
     ProblemSpec,
     blowup_bounds,
+    build_psi0,
     catalog,
     check_compatibility,
     compute_H0_alpha0,
@@ -236,6 +237,19 @@ class TestH0:
         assert out["alpha0"] == pytest.approx(float(a0), abs=1e-15)
         assert out["H0_alpha0"] == pytest.approx(want, abs=1e-7)
 
+
+    @pytest.mark.parametrize("spec", [
+        ProblemSpec(f=polynomial(1.0, -2.0), u0=polynomial(1.0, 0.5, -0.25), g=polynomial(1.0, 2.0)),
+        ProblemSpec(f=FunctionDescriptor("trigonometric", {"terms": [[1.0, 1.0, math.pi / 2]]}),
+                    u0=FunctionDescriptor("trigonometric", {"offset": 1.0, "terms": [[0.3, 1.0, 0.0]]}),
+                    g=polynomial(1.0, 2.0), n_alpha=257),
+    ], ids=["polynomial", "trigonometric"])
+    def test_identity_H0_is_the_quadrature_psi0(self, spec):
+        # one builder: with F = u the integrand f F(u0) is f u0 bit for bit
+        info = compute_H0_alpha0(spec, identity_F())
+        psi0 = build_psi0(spec, "quadrature")
+        assert info["H0"].values.tobytes() == psi0.psi0.values.tobytes()
+        assert info["alpha0"] == psi0.alpha0
 
     def test_one_window_for_hypotheses_and_envelopes(self):
         # alpha0 = 0.4999999999995 sits a rounding below the node 0.5; H0 > 0
