@@ -35,8 +35,9 @@ from .problem_model import (
     GridFunction,
     ProblemSpec,
     _KINDS,
+    _f_F_u0,
+    _fit_line,
     _profile,
-    _polynomial_derivative,
     cell_simpson_at,
     check_compatibility,
     cumulative_simpson,
@@ -64,9 +65,9 @@ class Nonlinearity:
     """F(u) with envelope constants c <= d satisfying cF <= uF' <= dF.
 
     kinds: identity (F(u)=u, c=d=1), power (F(u)=u^p, c=d=p), table
-    (piecewise-linear F with user-supplied c, d, validated on a log grid
-    over u in [1e-3, 1e3]; outside that window the envelope constants are
-    unverified).
+    (piecewise-linear F read through a GridFunction, with positive nodes,
+    nonnegative values and user-supplied c, d; c F <= u F' <= d F is checked
+    at each segment midpoint in [1e-3, 1e3], and unverified outside it).
     """
 
     kind: str
@@ -79,16 +80,12 @@ class Nonlinearity:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
         if not (0 < self.c <= self.d):
             raise ValueError(f"need 0 < c <= d, got c={self.c}, d={self.d}")
-        if self.kind == "table":
-            self._validate_table()
-
-    def _validate_table(self):
-        nodes = np.asarray(self.params["nodes"], dtype=float)
-        values = np.asarray(self.params["values"], dtype=float)
-        if nodes.ndim != 1 or nodes.shape != values.shape or nodes.size < 2:
-            raise ValueError("table nonlinearity needs matching 1-d nodes/values")
-        if not np.all(np.diff(nodes) > 0) or nodes[0] <= 0:
-            raise ValueError("table nodes must be strictly increasing and positive")
+        if self.kind != "table":
+            return
+        table = GridFunction(self.params["nodes"], self.params["values"])
+        nodes, values = table.nodes, table.values
+        if nodes[0] <= 0:
+            raise ValueError("table F nodes must be positive")
         if np.any(values < 0):
             raise ValueError("F must be nonnegative")
         # envelope check c F <= u F' <= d F at segment midpoints inside the
@@ -96,7 +93,7 @@ class Nonlinearity:
         mids = 0.5 * (nodes[:-1] + nodes[1:])
         slopes = np.diff(values) / np.diff(nodes)
         inside = (mids >= 1e-3) & (mids <= 1e3)
-        F_mid = np.interp(mids[inside], nodes, values)
+        F_mid = table(mids[inside])
         uFp = mids[inside] * slopes[inside]
         slack = 1e-9 * (1.0 + np.abs(F_mid))
         low_ok = self.c * F_mid <= uFp + slack
@@ -107,6 +104,7 @@ class Nonlinearity:
                 f"table nonlinearity violates c F <= u F' <= d F on [1e-3, 1e3] "
                 f"(worst margin {worst:.3e})"
             )
+        object.__setattr__(self, "_table", table)
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
@@ -115,8 +113,7 @@ class Nonlinearity:
         elif self.kind == "power":
             out = u ** self.params["p"]
         else:
-            out = np.interp(u, np.asarray(self.params["nodes"]),
-                            np.asarray(self.params["values"]))
+            out = self._table(u)
         return out if out.ndim else float(out)
 
 
@@ -309,37 +306,20 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
 
 
 def _g_and_ratio(g: FunctionDescriptor):
-    """t -> (g(t), g'(t)/g(t)) on scalars, as the integrator needs them per stage.
+    """t -> (g(t), g'(t)/g(t)) on the float t, as the integrator needs them per stage.
 
     The pair is g(t), g.derivative(t) / g(t) bit for bit, read straight off
-    the kind table on the 0-d array of t, which keeps each kind's own checks
-    (singular g's t < t_b), or for a polynomial off npoly.polyval's Horner
-    loop run in plain Python.  A non-finite g(t) raises.
+    the kind table, which keeps each kind's own checks (singular g's
+    t < t_b); a polynomial g runs the table's one Horner loop in plain
+    Python.  A non-finite g(t) raises.
     """
-    if g.is_polynomial():
-        coeffs = g.poly_coeffs()
-        dcoeffs = _polynomial_derivative(coeffs)
-
-        def horner(c, x):
-            acc = c[-1] + x * 0.0
-            for ci in c[-2::-1]:
-                acc = ci + acc * x
-            return acc
-
-        def value_and_slope(t):
-            return horner(coeffs, t), horner(dcoeffs, t)
-    else:
-        kind, p = _KINDS[g.kind], g.params
-
-        def value_and_slope(t):
-            x = np.asarray(t, dtype=float)
-            return float(kind.value(p, x)), float(kind.derivative(p, x))
+    kind, p = _KINDS[g.kind], g.params
 
     def g_and_ratio(t):
-        g_t, slope = value_and_slope(t)
+        g_t = float(kind.value(p, t))
         if not math.isfinite(g_t):
             raise ValueError(f"{g.kind} descriptor produced non-finite samples")
-        return g_t, slope / g_t
+        return g_t, float(kind.derivative(p, t)) / g_t
     return g_and_ratio
 
 
@@ -356,7 +336,7 @@ def compute_H0_alpha0(spec: ProblemSpec, F: Nonlinearity) -> dict:
     rounding below a node: hypotheses_ok asks H0 > 0 there (a violation is
     reported, not raised), and blowup_bounds samples its envelopes there.
     """
-    prof = _profile(spec, lambda x: np.asarray(spec.f(x)) * np.asarray(F(spec.u0(x))))
+    prof = _profile(spec, _f_F_u0(spec, F))
     H0, alpha0 = prof.psi0, prof.alpha0
     if alpha0 is None:
         return {"H0": H0, "alpha0": None, "H0_alpha0": math.nan, "hypotheses_ok": False,
@@ -382,7 +362,6 @@ class BoundsReport:
     and g^d, independent of the numerical trajectory.
     """
 
-    H0: GridFunction
     alpha0: float | None
     H0_alpha0: float
     c: float
@@ -455,7 +434,7 @@ def blowup_bounds(spec: ProblemSpec, F: Nonlinearity, trajectory: Trajectory) ->
 
     gc_lim, est_c = power_integral_limit(spec.g, c)
     gd_lim, est_d = power_integral_limit(spec.g, d)
-    report = dict(H0=H0, alpha0=alpha0, H0_alpha0=H0_a0, c=c, d=d, monotonicity=mono,
+    report = dict(alpha0=alpha0, H0_alpha0=H0_a0, c=c, d=d, monotonicity=mono,
                   int_gc_limit=gc_lim, int_gd_limit=gd_lim,
                   limits_estimated=est_c or est_d, state_times=times)
     not_applicable = dict(predicted="NotApplicable", crossing_time=None,
@@ -555,8 +534,7 @@ def detect_blowup(trajectory: Trajectory) -> dict:
     y = umax[sel] ** (-trajectory.c / 2.0)
     x = ts[sel]
     if len(y) >= 3:
-        A = np.vstack([x, np.ones_like(x)]).T
-        (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
+        (slope, intercept), *_ = _fit_line(x, y)
         t_extrap = float(-intercept / slope) if slope < 0 else None
     else:
         t_extrap = None

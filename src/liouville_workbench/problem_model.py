@@ -16,7 +16,9 @@ interpolated tables.  Each kind carries its own value, derivative, integral
 of any power and limit of that integral (one table, _KINDS), so the worked
 examples (polynomial data, the singular boundary family (1-t)^-(1+beta),
 exponential decay, trigonometric data) are integrated exactly while tables
-admit arbitrary sampled data.
+admit arbitrary sampled data.  Every polynomial (value, derivative, integral)
+goes through one Horner loop, _horner, and every table (a table g, a table F,
+a sampled psi0 or G) is checked by GridFunction.
 
 psi0 and G are the kind's closed-form integral (psi0 whenever f u0 is one
 descriptor: f itself when u0 = 1, or a polynomial product; G unless
@@ -125,6 +127,11 @@ def cell_simpson_at(vals, w, grid, x):
     return vals[i] + simpson_cells(w, np.array([grid[i], x]))[0]
 
 
+def _fit_line(x, y):
+    """np.linalg.lstsq's line y ~ slope x + intercept: ((slope, intercept), residuals, ...)."""
+    return np.linalg.lstsq(np.vstack([x, np.ones_like(x)]).T, y, rcond=None)
+
+
 def exprel(x):
     """(e^x - 1)/x, with its limit 1 at x = 0 and inf at x = inf."""
     x = np.asarray(x, dtype=float)
@@ -151,11 +158,11 @@ class GridFunction:
         nodes = np.asarray(self.nodes, dtype=float)
         values = np.asarray(self.values, dtype=float)
         if nodes.ndim != 1 or nodes.shape != values.shape:
-            raise ValueError("nodes and values must be 1-d arrays of equal length")
+            raise ValueError("table nodes and values must be 1-d arrays of equal length")
         if nodes.size < 2:
-            raise ValueError("a grid function needs at least two nodes")
+            raise ValueError("a table needs at least two nodes")
         if not np.all(np.diff(nodes) > 0):
-            raise ValueError("nodes must be strictly increasing")
+            raise ValueError("table nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
 
@@ -261,15 +268,15 @@ class _Polynomial(_Kind):
         return p["coeffs"]
 
     def value(self, p, x):
-        return npoly.polyval(x, self.coeffs(p))
+        return _horner(self.coeffs(p), x)
 
     def derivative(self, p, x):
-        return npoly.polyval(x, _polynomial_derivative(self.coeffs(p)))
+        return _horner(_polynomial_derivative(self.coeffs(p)), x)
 
     def integral(self, p, power, t):
         if not (float(power).is_integer() and power > 0):
             return super().integral(p, power, t)
-        return npoly.polyval(t, _polynomial_antiderivative(self.coeffs(p), int(power)))
+        return _horner(_polynomial_antiderivative(self.coeffs(p), int(power)), t)
 
     def scale(self, p, factor):
         p["coeffs"] = tuple(c * factor for c in p["coeffs"])
@@ -288,6 +295,15 @@ class _Constant(_Polynomial):
         p["value"] *= factor
 
 
+def _horner(c, x):
+    """sum c[k] x^k by npoly.polyval's own arithmetic, so bit for bit its value
+    on floats and arrays alike, without its per-call argument handling."""
+    acc = c[-1] + x * 0.0
+    for ci in c[-2::-1]:
+        acc = ci + acc * x
+    return acc
+
+
 @functools.lru_cache(maxsize=64)
 def _polynomial_antiderivative(coeffs, power):
     # a tuple, because every caller shares the cached value
@@ -301,11 +317,10 @@ def _polynomial_derivative(coeffs):
 
 class _Trigonometric(_Kind):
     def params(self, p):
-        p["terms"] = tuple(
-            (float(t[0]), float(t[1]), float(t[2]) if len(t) > 2 else 0.0) for t in p["terms"]
-        )
-        if not p["terms"]:
-            raise ValueError("trigonometric needs at least one term")
+        terms = p["terms"]
+        if not len(terms) or any(np.ndim(t) != 1 or len(t) not in (2, 3) for t in terms):
+            raise ValueError("trigonometric needs at least one term, each [A, k] or [A, k, phase]")
+        p["terms"] = tuple(tuple(map(float, t)) + (0.0,) * (3 - len(t)) for t in terms)
         p["offset"] = float(p.get("offset", 0.0))
 
     def value(self, p, x):
@@ -342,13 +357,13 @@ class _SingularBoundary(_Kind):
     def params(self, p):
         p["beta"] = float(p["beta"])
         p["t_b"] = float(p.get("t_b", 1.0))
-        if p["beta"] <= 0:
-            raise ValueError("singular_boundary exponent beta must be positive")
-        if p["t_b"] <= 0:
-            raise ValueError("singular_boundary blow-up time t_b must be positive")
+        for key, name in (("beta", "exponent beta"), ("t_b", "blow-up time t_b")):
+            if not 0 < p[key] < math.inf:   # nan too
+                raise ValueError(f"singular_boundary {name} must be positive and finite, got {p[key]}")
 
     def value(self, p, x):
-        beta, tb = p["beta"], p["t_b"]
+        # a float x as a 0-d array: its power is inf past the largest double, where float ** raises
+        beta, tb, x = p["beta"], p["t_b"], np.asarray(x)
         if np.any(x >= tb):
             raise ValueError(
                 f"singular_boundary data is finite only on [0, t_b={tb}); "
@@ -357,7 +372,7 @@ class _SingularBoundary(_Kind):
         return (1.0 - x / tb) ** (-(1.0 + beta))
 
     def derivative(self, p, x):
-        beta, tb = p["beta"], p["t_b"]
+        beta, tb, x = p["beta"], p["t_b"], np.asarray(x)
         return (1.0 + beta) / tb * (1.0 - x / tb) ** (-(2.0 + beta))
 
     def integral(self, p, power, t):
@@ -383,14 +398,8 @@ class _SingularBoundary(_Kind):
 
 class _Table(_Kind):
     def params(self, p):
-        nodes = np.asarray(p["nodes"], dtype=float)
-        values = np.asarray(p["values"], dtype=float)
-        if nodes.shape != values.shape or nodes.ndim != 1 or nodes.size < 2:
-            raise ValueError("table nodes/values must be equal-length 1-d sequences of 2 or more")
-        if not np.all(np.diff(nodes) > 0):
-            raise ValueError("table nodes must be strictly increasing")
-        p["nodes"] = tuple(nodes.tolist())
-        p["values"] = tuple(values.tolist())
+        table = GridFunction(p["nodes"], p["values"])
+        p["nodes"], p["values"] = tuple(table.nodes.tolist()), tuple(table.values.tolist())
 
     def value(self, p, x):
         nodes = np.asarray(p["nodes"])
@@ -701,11 +710,13 @@ def load_problem_spec(path) -> ProblemSpec:
     if not isinstance(raw, dict):
         raise ValueError(f"spec file {path} must hold a JSON object")
     try:
+        if not float(n_alpha := raw.get("n_alpha", 513)).is_integer():   # int() would truncate
+            raise ValueError(f"spec file {path}: n_alpha must be an integer, got {n_alpha}")
         return ProblemSpec(
             f=FunctionDescriptor.from_dict(raw["f"]),
             u0=FunctionDescriptor.from_dict(raw["u0"]),
             g=FunctionDescriptor.from_dict(raw["g"]),
-            n_alpha=int(raw.get("n_alpha", 513)),
+            n_alpha=int(n_alpha),
         )
     except (KeyError, TypeError) as exc:   # a missing key, or "n_alpha": null
         raise ValueError(f"spec file {path} lacks a key or has a bad value: {exc}") from exc
@@ -827,8 +838,13 @@ def build_psi0(spec: ProblemSpec, method: str = "auto") -> Psi0Profile:
     """
     if method not in ("auto", "quadrature"):
         raise ValueError("method must be 'auto' or 'quadrature'")
-    return _profile(spec, lambda x: spec.f(x) * spec.u0(x),
-                    _psi0_integrand(spec) if method == "auto" else None)
+    return _profile(spec, _f_F_u0(spec), _psi0_integrand(spec) if method == "auto" else None)
+
+
+def _f_F_u0(spec: ProblemSpec, F=None):
+    """x -> f(x) F(u0(x)), with F = None for F(u) = u: the integrand of psi0,
+    of H0 and of the compatibility defect."""
+    return lambda x: np.asarray(spec.f(x)) * (spec.u0(x) if F is None else np.asarray(F(spec.u0(x))))
 
 
 def _profile(spec: ProblemSpec, w, analytic=None) -> Psi0Profile:
@@ -970,9 +986,7 @@ def check_compatibility(spec: ProblemSpec, F=None) -> CompatibilityReport:
     descriptor, else cell_simpson on the cells of a fixed odd grid of at
     least 513 nodes, so it does not depend on n_alpha's parity.
     """
-    def w(x):
-        return np.asarray(spec.f(x)) * (spec.u0(x) if F is None else F(spec.u0(x)))
-
+    w = _f_F_u0(spec, F)
     grid = np.linspace(0.0, 1.0, max(spec.n_alpha | 1, 513))
     exact = _psi0_integrand(spec) if F is None else None
     defect = abs(float(cell_simpson(w, grid)[-1] if exact is None

@@ -35,6 +35,7 @@ from .problem_model import (
     INVERT_RTOL,
     ProblemSpec,
     Psi0Profile,
+    _fit_line,
     cumulative_simpson,
     invert_G,
 )
@@ -107,49 +108,31 @@ class CuspModel:
 # sufficient conditions (derivative sign tests; sufficient, never necessary)
 
 
-def _sufficient_global(spec: ProblemSpec, grid: np.ndarray) -> bool:
-    # (f u0)'' context: f u0' + f' u0 > 0 everywhere forces psi0 convex,
-    # hence M0 = 0 by psi0(0) = psi0(1) = 0
-    vals = spec.f(grid) * spec.u0.derivative(grid) + spec.f.derivative(grid) * spec.u0(grid)
-    return bool(np.all(vals > 0))
+def _sufficient_conditions(spec: ProblemSpec, grid: np.ndarray,
+                           alpha0: float | None) -> tuple[bool, bool]:
+    """(global, blowup): whether each derivative-sign condition fires on grid.
 
-
-def _sufficient_blowup(spec: ProblemSpec, grid: np.ndarray, alpha0: float | None) -> bool:
-    # fires when f u0' <= 0 up to some alpha1 past the first zero alpha0 of f,
-    # (f u0)' >= 0 from alpha1 on, and f vanishes again at some alpha2 >= alpha1
+    global: (f u0)' > 0 everywhere forces psi0 convex, hence M0 = 0 by
+    psi0(0) = psi0(1) = 0.  blowup: f u0' <= 0 on [0, alpha1] for some node
+    alpha1 past the first zero alpha0 of f, (f u0)' >= 0 on [alpha1, 1], and
+    f vanishes again at some alpha2 >= alpha1 (a zero node or a sign change)
+    later than alpha0's own node.
+    """
+    f = np.asarray(spec.f(grid))
+    a = f * np.asarray(spec.u0.derivative(grid))                                # f u0'
+    b = a + np.asarray(spec.f.derivative(grid)) * np.asarray(spec.u0(grid))    # (f u0)'
+    suff_global = bool(np.all(b > 0))
     if alpha0 is None:
-        return False
-    f_vals = np.asarray(spec.f(grid))
-    a_vals = f_vals * np.asarray(spec.u0.derivative(grid))
-    b_vals = a_vals + np.asarray(spec.f.derivative(grid)) * np.asarray(spec.u0(grid))
-    scale = max(float(np.max(np.abs(a_vals))), float(np.max(np.abs(b_vals))), 1e-300)
-    tol = 1e-12 * scale
-
-    ok_prefix = a_vals <= tol           # f u0' <= 0 holds on [0, alpha1]
-    ok_suffix = b_vals >= -tol          # (f u0)' >= 0 holds on [alpha1, 1]
-    bad_prefix = np.flatnonzero(~ok_prefix)
-    if bad_prefix.size and bad_prefix[0] == 0:
-        return False
-    prefix_end = grid[-1] if bad_prefix.size == 0 else grid[bad_prefix[0] - 1]
-    bad_suffix = np.flatnonzero(~ok_suffix)
-    if bad_suffix.size and bad_suffix[-1] == len(grid) - 1:
-        return False
-    suffix_start = grid[0] if bad_suffix.size == 0 else grid[bad_suffix[-1] + 1]
-
-    alpha1_lo = max(suffix_start, np.nextafter(alpha0, 1.0))
-    alpha1_hi = prefix_end
-    if alpha1_lo > alpha1_hi:
-        return False
-    # a zero alpha2 of f with alpha1 <= alpha2 <= 1 for some feasible alpha1;
-    # alpha2 must be a zero later than alpha0, so exclude alpha0's own node
-    f_tol = 1e-12 * max(float(np.max(np.abs(f_vals))), 1e-300)
-    late = grid >= max(alpha1_lo, alpha0 + 0.5 * (grid[1] - grid[0]))
-    if not np.any(late):
-        return False
-    f_late = f_vals[late]
-    if np.any(np.abs(f_late) <= f_tol):
-        return True
-    return bool(np.any(f_late[:-1] * f_late[1:] < 0))
+        return suff_global, False
+    tol = 1e-12 * max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-300)
+    prefix = np.logical_and.accumulate(a <= tol)
+    suffix = np.logical_and.accumulate((b >= -tol)[::-1])[::-1]
+    alpha1 = grid[prefix & suffix & (grid > alpha0)]
+    if not alpha1.size:
+        return suff_global, False
+    f_late = f[grid >= max(alpha1[0], alpha0 + 0.5 * (grid[1] - grid[0]))]
+    f_tol = 1e-12 * max(float(np.max(np.abs(f))), 1e-300)
+    return suff_global, bool(np.any(np.abs(f_late) <= f_tol) or np.any(f_late[:-1] * f_late[1:] < 0))
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +163,7 @@ def classify(profile: Psi0Profile, B: BoundaryIntegral, spec: ProblemSpec) -> Re
     between the two theorems (the norm grows without bound but never in
     finite time); it is reported Global with a note.
     """
-    grid = profile.psi0.nodes
-    suff_g = _sufficient_global(spec, grid)
-    suff_b = _sufficient_blowup(spec, grid, profile.alpha0)
+    suff_g, suff_b = _sufficient_conditions(spec, profile.psi0.nodes, profile.alpha0)
 
     if spec.g.kind == "singular_boundary":
         return dataclasses.replace(singular_boundary_report(profile, spec),
@@ -334,10 +315,8 @@ def fit_cusp(profile: Psi0Profile) -> list[CuspModel]:
                 raise ValueError(
                     f"not enough samples to fit a cusp at alpha={abar:.6g} (radius {radius:.3g})"
                 )
-            x = np.log(sel_x[good])
             y = np.log(drop[good])
-            A = np.vstack([x, np.ones_like(x)]).T
-            (slope, intercept), res, _, _ = np.linalg.lstsq(A, y, rcond=None)
+            (slope, intercept), res, _, _ = _fit_line(np.log(sel_x[good]), y)
             residual = math.sqrt(float(res[0]) / len(y)) if res.size else 0.0
             best = CuspModel(q=float(slope), C1=-math.exp(float(intercept)),
                              alpha_bar=float(abar), residual=residual)
@@ -376,10 +355,7 @@ def lp_blowup_fit(profile: Psi0Profile, B: BoundaryIntegral, spec: ProblemSpec) 
     norms = np.array([
         lp_norm(fld, 1.0, t) / (m0 * float(spec.g(t))) for t in t_samples
     ])
-    x = np.log(deltas)
-    y = np.log(norms)
-    A = np.vstack([x, np.ones_like(x)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
+    (slope, intercept), *_ = _fit_line(np.log(deltas), np.log(norms))
     return {
         "slope": float(slope),
         "prefactor": math.exp(float(intercept)),

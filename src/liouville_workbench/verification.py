@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form_solver import SolutionField, evaluate_field, uniform_spacing
-from .problem_model import GridFunction, ProblemSpec, build_G, build_psi0, data_horizon
+from .problem_model import GridFunction, ProblemSpec, _fit_line, build_G, build_psi0, data_horizon
 
 _CR0_INV = 0.75   # reciprocal of the equispaced cross-ratio 4/3
 
@@ -81,8 +81,7 @@ def pde_residual(fld: SolutionField, spec: ProblemSpec) -> ResidualReport:
     rs = np.log([r for _, r in levels])
     if not np.all(np.isfinite(rs)):
         return ResidualReport(max_res, math.nan, tuple(levels))
-    A = np.vstack([hs, np.ones_like(hs)]).T
-    (order, _), *_ = np.linalg.lstsq(A, rs, rcond=None)
+    (order, _), *_ = _fit_line(hs, rs)
     return ResidualReport(max_res, float(order), tuple(levels))
 
 

@@ -254,13 +254,15 @@ class TestErrors:
 
     @pytest.mark.parametrize("edit", [
         {"g": {"kind": "trigonometric", "params": {"terms": [[1.0]]}}},
+        {"g": {"kind": "trigonometric", "params": {"offset": 1, "terms": [[0.5, 1, 0, 7]]}}},
+        {"g": {"kind": "trigonometric", "params": {"offset": 1, "terms": ["12"]}}},   # not [1, 2]
         {"g": {"kind": "trigonometric", "params": {"terms": 5}}},
         {"g": {"kind": "polynomial", "params": [1, 2]}},
         {"g": {"kind": "polynomial", "params": {"coeffs": "12"}}},   # not 1 + 2t
         {"g": {"kind": "table", "params": {"nodes": [0.0], "values": [1.0]}}},
         {"n_alpha": None},
         None,   # a top-level list
-    ], ids=["short-term", "int-terms", "list-params", "string-coeffs", "one-node-table",
+    ], ids=["short-term", "long-term", "string-term", "int-terms", "list-params", "string-coeffs", "one-node-table",
             "null-n-alpha", "top-level-list"])
     def test_malformed_spec_is_an_error(self, edit, tmp_path, capsys):
         d = catalog.example_spec(2, n_alpha=65).to_dict()
@@ -270,6 +272,46 @@ class TestErrors:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error:") and "t_max" not in err
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"g": {"kind": "singular_boundary", "params": {"beta": math.nan}}},
+         "beta must be positive and finite, got nan"),
+        ({"g": {"kind": "singular_boundary", "params": {"beta": math.inf}}},
+         "beta must be positive and finite, got inf"),
+        ({"g": {"kind": "singular_boundary", "params": {"beta": 1.0, "t_b": math.nan}}},
+         "t_b must be positive and finite, got nan"),
+        ({"g": {"kind": "singular_boundary", "params": {"beta": 1.0, "t_b": math.inf}}},
+         "t_b must be positive and finite, got inf"),
+        ({"n_alpha": 64.7}, "n_alpha must be an integer, got 64.7"),
+        ({"n_alpha": math.inf}, "n_alpha must be an integer, got inf"),
+    ], ids=["beta-nan", "beta-inf", "t_b-nan", "t_b-inf", "fractional-n-alpha", "infinite-n-alpha"])
+    def test_bad_number_in_spec_is_named(self, edit, message, tmp_path, capsys):
+        # json writes and reads NaN and Infinity
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**catalog.example_spec(2, n_alpha=65).to_dict(), **edit}))
+        assert main(["classify", "--spec", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    def test_nan_beta_option_is_an_error(self, spec2_path, capsys):
+        assert main(["classify", "--spec", spec2_path, "--beta", "nan"]) == 2
+        assert "beta must be positive and finite, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        {"g": {"kind": "table", "params": {"nodes": [0.0, 2.0, 1.0], "values": [1.0, 2.0, 3.0]}}},
+        {"g": {"kind": "table", "params": {"nodes": [0.0, 1.0], "values": [1.0, 2.0, 3.0]}}},
+        {"general": {"F": {"kind": "table", "nodes": [0.5, 2.0, 1.0], "values": [0.5, 1.0, 2.0],
+                           "c": 1.0, "d": 1.0}}},
+        {"general": {"F": {"kind": "table", "nodes": [0.5], "values": [0.5], "c": 1.0, "d": 1.0}}},
+        {"general": {"F": {"kind": "table", "nodes": [0.5, 1.0], "values": [0.5, 1.0, 2.0],
+                           "c": 1.0, "d": 1.0}}},
+    ], ids=["unsorted-g", "ragged-g", "unsorted-F", "one-node-F", "ragged-F"])
+    def test_malformed_table_names_the_table(self, edit, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**catalog.example_spec(2, n_alpha=65).to_dict(), **edit}))
+        assert main(["simulate", "--spec", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "table" in err
 
     @pytest.mark.parametrize("general", [
         {"F": {"kind": "power"}},

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as npoly
 from scipy import integrate as sp_integrate
 from scipy import special as sp_special
 from scipy.integrate import simpson
@@ -494,6 +495,36 @@ class TestCompatibility:
         spec = ProblemSpec(f=constant(1.0), u0=constant(1.0), g=polynomial(1.0, 2.0))
         report = check_compatibility(spec)
         assert not report.ok
+
+
+class TestNumpyParity:
+    """_horner, the one polynomial evaluator, against npoly.polyval, which the
+    tests keep as the reference the way TestScipyParity keeps scipy."""
+
+    doubles = st.floats(allow_nan=False, allow_infinity=False)
+    probes = st.one_of(doubles, st.sampled_from([0.0, -0.0, -1.0, 1e154, -1e300]))
+
+    @given(coeffs=st.lists(probes, min_size=1, max_size=8),
+           x=st.one_of(probes, st.lists(probes, min_size=1, max_size=6)))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_horner_is_polyval_bit_for_bit(self, coeffs, x):
+        # degree 0-7, on a Python float and on an array; overflow gives inf and nan alike
+        c, x = tuple(coeffs), (x if isinstance(x, float) else np.array(x))
+        with np.errstate(all="ignore"):
+            got, want = np.asarray(pm._horner(c, x)), npoly.polyval(x, c)
+        assert got.shape == np.shape(want)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        same = ~np.isnan(want)   # every other value, and the sign of a zero, bit for bit
+        assert np.array_equal(got[same].view(np.int64), np.asarray(want)[same].view(np.int64))
+
+    def test_descriptor_calls_are_polyval(self):
+        g = polynomial(1.0, -0.3, 0.2, 0.01)
+        x = np.linspace(-3.0, 7.0, 513)
+        assert np.array_equal(g(x), npoly.polyval(x, g.poly_coeffs()))
+        assert g(2.5) == npoly.polyval(2.5, g.poly_coeffs())
+        assert np.array_equal(g.derivative(x), npoly.polyval(x, npoly.polyder(g.poly_coeffs())))
+        assert np.array_equal(pm.power_integral(g, 2.0, x), npoly.polyval(
+            x, npoly.polyint(npoly.polypow(g.poly_coeffs(), 2))))
 
 
 class TestScipyParity:

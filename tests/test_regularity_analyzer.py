@@ -142,6 +142,41 @@ class TestClassify:
         assert set(verdicts.values()) == {"Global"}, verdicts
 
 
+def _sin(amplitude):
+    return FunctionDescriptor("trigonometric", {"offset": 0.0, "terms": [[amplitude, 1.0, 0.0]]})
+
+
+class TestSufficientConditions:
+    """One hand-built case per branch of the derivative-sign conditions, read
+    off classify's report at n_alpha = 129 (h = 1/128): a = f u0', b = (f u0)'."""
+
+    @pytest.mark.parametrize("f, u0, flags", [
+        # a(0) = f(0) u0'(0) = 1/8 > 0: no prefix at all
+        (polynomial(0.25, -1.25, 1.0), polynomial(1.0, 0.5), (False, False)),
+        # u0 = 1 so a = 0, but b = f' = -2 pi cos(2 pi a) < 0 at alpha = 1
+        (_sin(-1.0), constant(1.0), (False, False)),
+        # a <= 0 up to alpha = 1/4 only, short of alpha0 = 1/2; b > 0 everywhere
+        (polynomial(-1.0, 2.0),
+         FunctionDescriptor("trigonometric", {"offset": 1.0, "terms": [[0.1, 1.0, 0.0]]}),
+         (True, False)),
+        # f = (a - 1/4)(a - 1): the late zero is the node alpha = 1, no sign change
+        (polynomial(0.25, -1.25, 1.0), constant(1.0), (False, True)),
+        # f = (a - 1/4)(a - 7/10): the late zero lies between nodes
+        (polynomial(0.175, -0.95, 1.0), constant(1.0), (False, True)),
+        # f = a vanishes at alpha = 0 only: no alpha0
+        (polynomial(0.0, 1.0), constant(1.0), (True, False)),
+        # alpha0 = 1/2 - 5e-15 and f(1/2) = 1e-14 is within the zero tolerance,
+        # but the node of alpha0 itself is no later zero
+        (polynomial(-1.0 + 1e-14, 2.0), constant(1.0), (True, False)),
+    ], ids=["prefix-fails-at-node-0", "suffix-fails-at-last-node", "window-ends-before-alpha0",
+            "late-zero-on-a-node", "late-zero-as-sign-change", "no-alpha0",
+            "alpha0-node-excluded"])
+    def test_flags(self, f, u0, flags):
+        spec = ProblemSpec(f=f, u0=u0, g=polynomial(1.0, 2.0), n_alpha=129)
+        report = classify(build_psi0(spec), build_G(spec, t_max=10.0), spec)
+        assert (report.sufficient_global, report.sufficient_blowup) == flags
+
+
 class TestSingularBoundaryReport:
     def test_example4_interior_blowup_first(self, problem):
         spec, profile, _ = problem(4)

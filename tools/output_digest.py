@@ -1,0 +1,113 @@
+"""Digest every output of the liouville CLI over a fixed set of specs.
+
+Writes the spec files into a temporary directory, runs each subcommand in a
+fresh `python -m liouville_workbench.cli` process, and prints one sha256
+for each file written and each stdout, the exit code, and stderr with the
+file:line locations of warnings stripped.  Two checkouts whose digests diff
+empty print the same bytes, so a refactor that must keep every output can be
+checked by running
+
+    python tools/output_digest.py > after.txt
+    python tools/output_digest.py OTHER_CHECKOUT/src > before.txt
+    diff before.txt after.txt
+
+The optional argument is the package's source directory (default: the src/
+next to this script).  Bytes can differ with the platform's libm, so compare
+digests made on one machine; this is not a test.
+"""
+
+import hashlib
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+def poly(*coeffs):
+    return {"kind": "polynomial", "params": {"coeffs": list(coeffs)}}
+
+
+def trig(offset, *terms):
+    return {"kind": "trigonometric", "params": {"offset": offset, "terms": [list(t) for t in terms]}}
+
+
+COS = trig(0.0, (1.0, 1.0, math.pi / 2))          # cos 2 pi a
+U0_SIN = trig(1.0, (0.3, 1.0, 0.0))               # 1 + 0.3 sin 2 pi a
+SAMPLED = {
+    "sampled-linear-g": (COS, U0_SIN, poly(1.0, 2.0)),
+    "sampled-exp-g": (COS, U0_SIN, {"kind": "exponential", "params": {"amplitude": 1.0, "rate": -0.3}}),
+    "sampled-table-g": (COS, U0_SIN, {"kind": "table", "params": {
+        "nodes": [0.0, 0.5, 1.0, 2.0, 4.0, 8.0], "values": [1.0, 1.4, 1.6, 2.5, 3.0, 4.0]}}),
+    "sampled-trig-g": (COS, U0_SIN, trig(1.0, (0.5, 1.0, 0.0))),
+    "sampled-polynomial-u0": (COS, poly(1.0, 0.5), poly(1.0, 2.0)),
+    "polynomial-u0": (poly(1.0, -2.0), poly(1.0, 1.0, -1.0), poly(1.0, 2.0)),
+}
+
+_F_NODES = [10.0 ** (k / 2) for k in range(-6, 7)]
+NONLINEARITIES = {
+    "F=u": None,
+    "F=u^2": {"F": {"kind": "power", "p": 2.0}},
+    "F=table": {"F": {"kind": "table", "nodes": _F_NODES, "values": [x ** 1.5 for x in _F_NODES],
+                      "c": 1.0, "d": 2.0}},
+}
+RUNS = {
+    "classify": ["classify"],
+    "classify-quadrature": ["classify", "--method", "quadrature"],
+    "solve": ["solve", "--plot"],
+    "solve-dt": ["solve", "--dt", "0.01"],
+    "singular-curve": ["singular-curve", "--plot"],
+    "lp-scan": ["lp-scan"],
+}
+
+_WARNING = re.compile(r"^.*?:\d+: (\w*Warning: )")
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(src, label, argv, tmp):
+    out = Path(tmp) / "out" / label.replace(" ", "_")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "liouville_workbench.cli", *argv, "--out", str(out)],
+                          cwd=tmp, env=env, capture_output=True)
+    lines = [f"{label} exit {proc.returncode}",
+             f"{label} stdout {digest(proc.stdout.replace(tmp.encode(), b'<tmp>'))}"]
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        lines.append(f"{label} file {path.relative_to(out)} {digest(path.read_bytes())}")
+    echo = False   # the source line a warning prints under its location
+    for line in proc.stderr.decode(errors="replace").replace(tmp, "<tmp>").splitlines():
+        if echo and line.startswith("  "):
+            continue
+        echo = bool(_WARNING.match(line))
+        lines.append(f"{label} stderr | " + _WARNING.sub(r"\1", line))
+    print("\n".join(lines), flush=True)
+
+
+def main():
+    src = str(Path(sys.argv[1] if len(sys.argv) > 1
+                   else Path(__file__).resolve().parents[1] / "src").resolve())
+    sys.path.insert(0, src)
+    from liouville_workbench import catalog
+
+    specs = {f"example{k}": catalog.example_spec(k).to_dict() for k in (1, 2, 3, 4)}
+    specs.update({name: {"f": f, "u0": u0, "g": g, "n_alpha": 129}
+                  for name, (f, u0, g) in SAMPLED.items()})
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, spec in specs.items():
+            for F_name, general in NONLINEARITIES.items():
+                path = Path(tmp) / f"{name}-{F_name}.json"
+                path.write_text(json.dumps(spec if general is None else {**spec, "general": general}))
+                run(src, f"{name} simulate {F_name}", ["simulate", "--spec", str(path)], tmp)
+            for run_name, argv in RUNS.items():
+                run(src, f"{name} {run_name}", [*argv, "--spec", str(Path(tmp) / f"{name}-F=u.json")],
+                    tmp)
+        run(src, "verify", ["verify"], tmp)
+        run(src, "reproduce-examples", ["reproduce-examples", "--plot"], tmp)
+
+
+if __name__ == "__main__":
+    main()
