@@ -174,10 +174,7 @@ def _cmd_singular_curve(args) -> int:
 
 def _cmd_lp_scan(args) -> int:
     spec, profile, t_max, B = _pipeline(args)
-    ps = []
-    for tok in args.p.split(","):
-        tok = tok.strip()
-        ps.append(math.inf if tok in ("inf", "Inf", "INF") else float(tok))
+    ps = [float(tok) for tok in args.p.split(",")]   # float reads "inf" and spaces
     report = classify(profile, B, spec)
     if report.t_star is not None:
         t_hi = min(t_max, 0.98 * report.t_star)
@@ -316,7 +313,7 @@ def _cmd_reproduce(args) -> int:
                    comment=_comment(spec, n_t=n, t_max=f"{t_hi:.12e}"))
         if report.final_profile is not None:
             report.final_profile.to_csv(os.path.join(args.out, f"{base}_final_profile.csv"),
-                                        header=("alpha", "C"))
+                                        header=("alpha", "C"), comment=_comment(spec))
         if args.plot:
             _write_text(os.path.join(args.out, f"{base}_field.gp"),
                         _surface_script(f"{base}_field.csv", n, n))

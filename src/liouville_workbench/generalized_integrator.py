@@ -91,10 +91,9 @@ class Nonlinearity:
         # envelope check c F <= u F' <= d F at segment midpoints inside the
         # verified window [1e-3, 1e3]
         mids = 0.5 * (nodes[:-1] + nodes[1:])
-        slopes = np.diff(values) / np.diff(nodes)
-        inside = (mids >= 1e-3) & (mids <= 1e3)
-        F_mid = table(mids[inside])
-        uFp = mids[inside] * slopes[inside]
+        mids = mids[(mids >= 1e-3) & (mids <= 1e3)]
+        F_mid = table(mids)
+        uFp = mids * table.slope(mids)
         slack = 1e-9 * (1.0 + np.abs(F_mid))
         low_ok = self.c * F_mid <= uFp + slack
         high_ok = uFp <= self.d * F_mid + slack

@@ -24,14 +24,16 @@ psi0 and G are the kind's closed-form integral (psi0 whenever f u0 is one
 descriptor: f itself when u0 = 1, or a polynomial product; G unless
 quadrature is requested), or else Simpson's rule on each grid cell with a
 midpoint sample (cell_simpson), which does not depend on the node parity.
-Both keep psi0(0) = 0 and G(0) = 0 exact.  As psi0' = f u0 with u0 > 0, M0
-and its argmax set are read off alpha = 0, alpha = 1 and the zeros where f
-crosses from + to - (interior_zeros).  data_horizon says how long g has
-data.  Every inverse (G^-1, the inverse of a power integral, the zeros of f)
-goes through one array inverter, _solve_increasing, which starts from a
-bracket per target taken from samples the caller already holds: the sampled
-G for G^-1, the grid cells where f changes sign for its zeros.  Integrals
-off the closed forms sum simpson_cells, or cumulative_simpson on samples.
+Both keep psi0(0) = 0 and G(0) = 0 exact; G off its nodes is the closed form
+plus the interpolated offset of its samples (BoundaryIntegral.value).  As
+psi0' = f u0 with u0 > 0, M0 and its argmax set are read off alpha = 0,
+alpha = 1 and the zeros where f crosses from + to - (interior_zeros).
+data_horizon says how long g has data.  Every inverse (G^-1, the inverse of
+a power integral, the zeros of f) goes through one array inverter,
+_solve_increasing, which starts from a bracket per target taken from samples
+the caller already holds: the sampled G for G^-1, the grid cells where f
+changes sign for its zeros.  Integrals off the closed forms sum
+simpson_cells, or cumulative_simpson on samples.
 """
 
 from __future__ import annotations
@@ -169,8 +171,13 @@ class GridFunction:
     def __call__(self, x):
         return np.interp(x, self.nodes, self.values)
 
-    def to_csv(self, path, header=("node", "value")):
-        write_csv(path, None, ",".join(header), "%.12e,%.12e", (self.nodes, self.values))
+    def slope(self, x):
+        """Slope of the cell holding x: at a node the cell it starts, past the ends the end cells."""
+        i = np.searchsorted(self.nodes[1:-1], x, side="right")   # the end cells cover the rest
+        return (self.values[i + 1] - self.values[i]) / (self.nodes[i + 1] - self.nodes[i])
+
+    def to_csv(self, path, header=("node", "value"), comment=None):
+        write_csv(path, comment, ",".join(header), "%.12e,%.12e", (self.nodes, self.values))
 
 
 def write_csv(path, comment, header, row, columns):
@@ -402,20 +409,19 @@ class _Table(_Kind):
         p["nodes"], p["values"] = tuple(table.nodes.tolist()), tuple(table.values.tolist())
 
     def value(self, p, x):
-        nodes = np.asarray(p["nodes"])
-        if np.any(x < nodes[0] - 1e-12) or np.any(x > nodes[-1] + 1e-12):
+        table = _table(p["nodes"], p["values"])
+        if np.any(x < table.nodes[0] - 1e-12) or np.any(x > table.nodes[-1] + 1e-12):
             raise ValueError("evaluation outside the table's declared domain")
-        return np.interp(x, nodes, np.asarray(p["values"]))
+        return table(x)
 
     def derivative(self, p, x):
-        nodes, values = np.asarray(p["nodes"]), np.asarray(p["values"])
-        slopes = np.diff(values) / np.diff(nodes)
-        return slopes[np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(slopes) - 1)]
+        return _table(p["nodes"], p["values"]).slope(x)
 
     def integral(self, p, power, t):
         if power != 1.0:
             return super().integral(p, power, t)
-        nodes, values = np.asarray(p["nodes"]), np.asarray(p["values"])
+        table = _table(p["nodes"], p["values"])
+        nodes, values = table.nodes, table.values
         # trapezoids are exact for the linear interpolant
         cum = np.concatenate(([0.0], np.cumsum(np.diff(nodes) * (values[:-1] + values[1:]) / 2.0)))
 
@@ -440,6 +446,9 @@ class _Table(_Kind):
 
     def scale(self, p, factor):
         p["values"] = tuple(v * factor for v in p["values"])
+
+
+_table = functools.lru_cache(maxsize=64)(GridFunction)   # one GridFunction per params tuples
 
 
 class _Exponential(_Kind):
@@ -576,9 +585,9 @@ def _solve_increasing(fun, slope, y, lo, hi, f_lo, f_hi=None, end=math.inf):
     lo and hi bracket each target from samples the caller already holds, with
     f_lo = fun(lo) <= y and f_hi = fun(hi) (evaluated here when None).  A
     target above f_hi has its bracket doubled from hi until fun reaches it.
-    Newton then starts at the chord point of the bracket, which is the root
-    where fun is linear there (a quadrature G), and steps on the exact slope,
-    falling back to the bracket midpoint whenever a step leaves the bracket.
+    Newton then starts at the chord point of the bracket and steps on the
+    exact slope, falling back to the bracket midpoint whenever a step leaves
+    the bracket.
     Each element is iterated on its own values only, so an array call agrees
     with scalar calls element by element.  Targets that fun does not reach by
     end (or by _T_REACH) come back NaN.
@@ -636,7 +645,7 @@ class ProblemSpec:
 
     The representation formula assumes the normalization u0(0) = 1 and
     g(0) = 1.  Inputs violating it are rescaled on construction with a
-    warning; u0 must be positive on [0, 1].
+    warning; u0 must be positive on [0, 1], and u0(1) = u0(0).
     """
 
     f: FunctionDescriptor
@@ -680,6 +689,8 @@ class ProblemSpec:
         probe = u0(np.linspace(0.0, 1.0, 4097))
         if np.min(probe) <= 0:
             raise ValueError("u0 must be strictly positive on [0, 1]")
+        if abs(probe[-1] - 1.0) > 1e-12:
+            raise ValueError(f"u0(1) = {probe[-1]:.12g} must equal u0(0) = 1, as u(1, 0) = u(0, 0) = g(0)")
 
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "u0", u0)
@@ -867,10 +878,10 @@ def _profile(spec: ProblemSpec, w, analytic=None) -> Psi0Profile:
 class BoundaryIntegral:
     """Sampled G(t) = int_0^t g, its limit, and a monotone inverse.
 
-    G holds samples on [0, t_max].  A quadrature-built G (`sampled`)
-    interpolates them there and continues past t_max as
-    G(t_max) + I(t) - I(t_max), with I the kind's closed-form integral; any
-    other G is that closed form outright.  `estimated` flags a G_infinity
+    G holds samples on [0, t_max].  Between them and past them G is the
+    kind's closed-form integral I plus the linear interpolant of the samples'
+    offset G - I, held at its last value past t_max: 0 for a closed-form G,
+    Simpson's error for a quadrature G.  `estimated` flags a G_infinity
     obtained by tail extrapolation (tables only) rather than a closed form.
     """
 
@@ -878,17 +889,14 @@ class BoundaryIntegral:
     G_infinity: float
     g_desc: FunctionDescriptor
     estimated: bool = False
-    sampled: bool = False
+
+    @functools.cached_property
+    def offset(self) -> np.ndarray:
+        """G - I at the nodes of G."""
+        return self.G.values - power_integral(self.g_desc, 1.0, self.G.nodes)
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
-        if not self.sampled:
-            out = power_integral(self.g_desc, 1.0, t)
-        else:
-            tm, G_end = self.t_max, self.G.values[-1]
-            ahead = np.maximum(t, tm)
-            out = np.where(t <= tm, self.G(t), G_end + power_integral(self.g_desc, 1.0, ahead)
-                           - power_integral(self.g_desc, 1.0, tm))
+        out = power_integral(self.g_desc, 1.0, t) + np.interp(t, self.G.nodes, self.offset)
         return out if np.ndim(out) else float(out)
 
     def invert(self, y):
@@ -904,10 +912,6 @@ class BoundaryIntegral:
                                      vals[i - 1], vals[i],
                                      _KINDS[self.g_desc.kind].end(self.g_desc.params))
         return t
-
-    @property
-    def t_max(self) -> float:
-        return float(self.G.nodes[-1])
 
 
 def data_horizon(g: FunctionDescriptor, t_max: float) -> float:
@@ -945,8 +949,7 @@ def build_G(spec, t_max: float, n_t: int = 1025, method: str = "auto") -> Bounda
     if not np.all(np.diff(vals) > 0):
         raise ValueError("G is not strictly increasing; g must be positive")
     G_inf, estimated = power_integral_limit(desc, 1.0)
-    return BoundaryIntegral(G=GridFunction(t_grid, vals), G_infinity=G_inf, g_desc=desc,
-                            estimated=estimated, sampled=method == "quadrature")
+    return BoundaryIntegral(GridFunction(t_grid, vals), G_inf, desc, estimated)
 
 
 def invert_G(B: BoundaryIntegral, target: float) -> float:

@@ -256,12 +256,12 @@ def lp_norm(fld: SolutionField, p, t: float) -> float:
         j = int(np.argmax(row_mask))
         raise NearSingular(float(fld.alpha_nodes[j]), float(fld.t_nodes[idx]), 0.0)
     row = fld.row(t, idx)
-    if p == math.inf or p == "inf":
+    p = float(p)   # every spelling of inf, "Infinity" too
+    if p == math.inf:
         j = int(np.argmax(row))
         if 0 < j < len(row) - 1:
             return float(_parabolic_peak(row[j - 1], row[j], row[j + 1]))
         return float(row[j])
-    p = float(p)
     if not p >= 1.0:   # nan too
         raise ValueError(f"p must be in [1, inf], got {p}")
     # unmasked samples of u = u0 g / D^2 are positive

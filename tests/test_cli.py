@@ -239,6 +239,13 @@ class TestReproduceExamples:
             assert (tmp_path / f"example{k}_field.csv").exists()
         assert (tmp_path / "example4_final_profile.csv").exists()
 
+    def test_every_csv_starts_with_the_spec_hash(self, tmp_path, capsys):
+        assert main(["reproduce-examples", "--out", str(tmp_path)]) == 0
+        csvs = sorted(tmp_path.glob("*.csv"))
+        assert "example4_final_profile.csv" in [p.name for p in csvs]
+        for path in csvs:
+            assert path.read_text().startswith("# spec_hash="), path.name
+
     def test_plot_scripts(self, tmp_path, capsys):
         assert main(["reproduce-examples", "--out", str(tmp_path), "--plot"]) == 0
         for k in (1, 2, 3, 4):
@@ -292,6 +299,16 @@ class TestErrors:
         assert main(["classify", "--spec", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    def test_u0_that_differs_at_the_ends_is_an_error(self, tmp_path, capsys):
+        d = catalog.example_spec(2, n_alpha=65).to_dict()
+        d["f"] = {"kind": "trigonometric", "params": {"terms": [[1.0, 1.0, math.pi / 2]]}}
+        d["u0"] = {"kind": "polynomial", "params": {"coeffs": [1.0, 0.5]}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d))
+        assert main(["classify", "--spec", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "u0(1) = 1.5 must equal u0(0) = 1" in err
 
     def test_nan_beta_option_is_an_error(self, spec2_path, capsys):
         assert main(["classify", "--spec", spec2_path, "--beta", "nan"]) == 2

@@ -239,7 +239,7 @@ class TestH0:
 
 
     @pytest.mark.parametrize("spec", [
-        ProblemSpec(f=polynomial(1.0, -2.0), u0=polynomial(1.0, 0.5, -0.25), g=polynomial(1.0, 2.0)),
+        ProblemSpec(f=polynomial(1.0, -2.0), u0=polynomial(1.0, 0.5, -0.5), g=polynomial(1.0, 2.0)),
         ProblemSpec(f=FunctionDescriptor("trigonometric", {"terms": [[1.0, 1.0, math.pi / 2]]}),
                     u0=FunctionDescriptor("trigonometric", {"offset": 1.0, "terms": [[0.3, 1.0, 0.0]]}),
                     g=polynomial(1.0, 2.0), n_alpha=257),

@@ -33,6 +33,9 @@ from liouville_workbench import (
 from liouville_workbench import problem_model as pm
 
 
+_COS = FunctionDescriptor("trigonometric", {"terms": [[1.0, 1.0, math.pi / 2]]})   # cos 2 pi a
+
+
 class TestGridFunction:
     def test_linear_interpolation(self):
         gf = GridFunction(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 6.0]))
@@ -43,6 +46,13 @@ class TestGridFunction:
     def test_rejects_unsorted_nodes(self):
         with pytest.raises(ValueError):
             GridFunction(np.array([0.0, 1.0, 1.0]), np.zeros(3))
+
+    def test_slope_of_the_cell_holding_x(self):
+        gf = GridFunction(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 6.0]))
+        # a node takes the cell it starts; past the ends, the end cells
+        np.testing.assert_array_equal(gf.slope([-1.0, 0.5, 1.0, 1.5, 2.0, 3.0]),
+                                      [2.0, 2.0, 4.0, 4.0, 4.0, 4.0])
+        assert gf.slope(0.25) == 2.0
 
     def test_csv_roundtrip(self, tmp_path):
         gf = GridFunction(np.linspace(0, 1, 5), np.arange(5.0) ** 2)
@@ -134,6 +144,17 @@ class TestProblemSpec:
                                g=singular_boundary(1.0, t_b=2.0))
         assert spec.g.params["t_b"] == pytest.approx(1.0)
         assert float(spec.f(1.0)) == pytest.approx(2.0, rel=1e-14)
+
+    def test_rejects_u0_that_differs_at_the_ends(self):
+        # u(0, t) = u(1, t) = g(t) meets u0 at t = 0 at both ends
+        with pytest.raises(ValueError, match=r"u0\(1\) = 1.5 must equal u0\(0\) = 1"):
+            ProblemSpec(f=_COS, u0=polynomial(1.0, 0.5), g=polynomial(1.0, 2.0))
+
+    def test_accepts_periodic_u0(self):
+        # u0(1) = 1 + 0.3 sin 2 pi is 1 to rounding
+        u0 = FunctionDescriptor("trigonometric", {"offset": 1.0, "terms": [[0.3, 1.0, 0.0]]})
+        spec = ProblemSpec(f=_COS, u0=u0, g=polynomial(1.0, 2.0))
+        assert spec.u0 == u0
 
     def test_alpha_grid_endpoints(self):
         spec = catalog.example_spec(2)
@@ -325,6 +346,27 @@ class TestBoundaryIntegral:
         B = build_G(spec, t_max=2.0, method="quadrature")
         assert B.value(3.0) == pytest.approx(12.0, rel=1e-13)
         assert invert_G(B, 12.0) == pytest.approx(3.0, rel=1e-13)
+
+    @pytest.mark.parametrize("n_t", [257, 1025])
+    def test_quadrature_t_star_exponential(self, n_t):
+        # G = 2 (e^(t/2) - 1) reaches 8 at t = 2 ln 5; reading G between its
+        # samples by linear interpolation missed it by 4.9e-7 and 1.2e-7
+        B = build_G(exponential(1.0, 0.5), t_max=4.0, n_t=n_t, method="quadrature")
+        assert abs(invert_G(B, 8.0) - 2.0 * math.log(5.0)) <= 1e-10
+
+    def test_quadrature_t_star_example2(self):
+        # G = t^2 + t is exact at the nodes and off them; linear interpolation missed by 1.2e-6
+        spec = catalog.example_spec(2)
+        B = build_G(spec, t_max=10.0, method="quadrature")
+        M0 = build_psi0(spec, method="quadrature").M0
+        assert abs(invert_G(B, 2.0 / M0) - (math.sqrt(33.0) - 1.0) / 2.0) <= 1e-12
+
+    def test_quadrature_continuous_across_t_max(self):
+        # one ulp of t either side of t_max moves G by about 2 ulps of G
+        B = build_G(exponential(1.0, 0.5), t_max=4.0, n_t=257, method="quadrature")
+        G_end = B.G.values[-1]
+        ts = [np.nextafter(4.0, 0.0), 4.0, np.nextafter(4.0, 5.0)]
+        assert np.all(np.abs(B.value(ts) - G_end) <= 8.0 * pm._EPS * G_end)
 
     def test_rejects_t_max_past_boundary(self):
         with pytest.raises(ValueError):

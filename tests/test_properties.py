@@ -22,6 +22,7 @@ from liouville_workbench import (
     lp_norm,
     polynomial,
     power_F,
+    power_integral,
     schwarzian,
     singular_boundary,
 )
@@ -100,6 +101,19 @@ class TestAccumulators:
         ts = B.invert(ys)
         assert np.all(np.abs(B.value(ts) - ys) <= INVERT_RTOL * (1.0 + ys))
         np.testing.assert_array_equal(ts, [invert_G(B, y) for y in ys])
+
+    @given(g=positive_g(), fracs=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6))
+    @settings(**COMMON)
+    def test_auto_G_is_the_closed_form_bit_for_bit(self, g, fracs):
+        # the interpolated offset of a closed-form G is 0, inside and past t_max
+        end = g.params.get("t_b", g.params.get("nodes", [math.inf])[-1])
+        t_max = 0.5 * end if math.isfinite(end) else 5.0
+        t_far = 0.99 * end if math.isfinite(end) else 2.0 * t_max
+        B = build_G(g, t_max=t_max)
+        ts = np.array(fracs) * t_far
+        assert B.value(ts).tobytes() == power_integral(g, 1.0, ts).tobytes()
+        for t in ts.tolist():
+            assert B.value(t) == power_integral(g, 1.0, t)
 
     @given(f=balanced_quadratic_f())
     @settings(**COMMON)

@@ -152,7 +152,7 @@ class TestSufficientConditions:
 
     @pytest.mark.parametrize("f, u0, flags", [
         # a(0) = f(0) u0'(0) = 1/8 > 0: no prefix at all
-        (polynomial(0.25, -1.25, 1.0), polynomial(1.0, 0.5), (False, False)),
+        (polynomial(0.25, -1.25, 1.0), polynomial(1.0, 0.5, -0.5), (False, False)),
         # u0 = 1 so a = 0, but b = f' = -2 pi cos(2 pi a) < 0 at alpha = 1
         (_sin(-1.0), constant(1.0), (False, False)),
         # a <= 0 up to alpha = 1/4 only, short of alpha0 = 1/2; b > 0 everywhere
@@ -249,6 +249,11 @@ class TestLpNorm:
     def test_sup_norm_with_vertex_refinement(self, field2):
         for fld in field2:
             assert lp_norm(fld, math.inf, 1.0) == pytest.approx(16.0 / 3.0, rel=1e-10)
+
+    @pytest.mark.parametrize("p", [math.inf, "inf", "INF", "Infinity"])
+    def test_every_spelling_of_inf(self, field2, p):
+        for fld in field2:
+            assert lp_norm(fld, p, 1.0) == lp_norm(fld, math.inf, 1.0)
 
     def test_norms_are_ordered(self, field2):
         for fld in field2:
