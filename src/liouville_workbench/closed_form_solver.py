@@ -60,8 +60,22 @@ class SolutionField:
     denominator_min: float
 
     def node(self, t: float) -> int:
-        """Index of the t node nearest t."""
-        return int(np.argmin(np.abs(self.t_nodes - t)))
+        """Index of the t node nearest t (the first of equals), as np.argmin finds it."""
+        idx = self._node_index.get(float(t))
+        return int(np.argmin(np.abs(self.t_nodes - t))) if idx is None else idx
+
+    @cached_property
+    def _node_index(self) -> dict:
+        """{t node: its first index}; empty when a node is NaN, which argmin picks."""
+        if np.isnan(self.t_nodes).any():
+            return {}
+        n = len(self.t_nodes)
+        return dict(zip(self.t_nodes.tolist()[::-1], range(n - 1, -1, -1)))
+
+    @cached_property
+    def masked_rows(self) -> np.ndarray:
+        """Whether each t row holds a masked sample."""
+        return self.singular_mask.any(axis=1)
 
     def row(self, t: float, idx: int | None = None) -> np.ndarray:
         """Samples u(., t) at an existing t node; idx, when given, is node(t)."""

@@ -308,17 +308,18 @@ def _g_and_ratio(g: FunctionDescriptor):
     """t -> (g(t), g'(t)/g(t)) on the float t, as the integrator needs them per stage.
 
     The pair is g(t), g.derivative(t) / g(t) bit for bit, read straight off
-    the kind table, which keeps each kind's own checks (singular g's
-    t < t_b); a polynomial g runs the table's one Horner loop in plain
-    Python.  A non-finite g(t) raises.
+    the kind table's bind, which keeps each kind's own checks (singular g's
+    t < t_b, a table's domain) and looks a table's GridFunction up once, here;
+    a polynomial g runs the table's one Horner loop in plain Python.  A
+    non-finite g(t) raises.
     """
-    kind, p = _KINDS[g.kind], g.params
+    value, derivative = _KINDS[g.kind].bind(g.params)
 
     def g_and_ratio(t):
-        g_t = float(kind.value(p, t))
+        g_t = float(value(t))
         if not math.isfinite(g_t):
             raise ValueError(f"{g.kind} descriptor produced non-finite samples")
-        return g_t, float(kind.derivative(p, t)) / g_t
+        return g_t, float(derivative(t)) / g_t
     return g_and_ratio
 
 

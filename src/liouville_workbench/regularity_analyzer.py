@@ -36,8 +36,8 @@ from .problem_model import (
     ProblemSpec,
     Psi0Profile,
     _fit_line,
-    cumulative_simpson,
     invert_G,
+    simpson_weights,
 )
 
 VERDICT_GLOBAL = "Global"
@@ -246,14 +246,15 @@ def lp_norm(fld: SolutionField, p, t: float) -> float:
     """||u(., t)||_p over alpha in [0, 1] from a sampled field row.
 
     Needs a uniform alpha grid of [0, 1] with at least 3 nodes, and raises
-    ValueError on a non-uniform one.  Finite p integrates u^p by
-    cumulative_simpson; p = inf takes the grid max sharpened by one
-    parabolic-fit step.  A masked row cannot be normed.
+    ValueError on a non-uniform one.  Finite p integrates u^p as one dot
+    product with simpson_weights, which is cumulative_simpson's rule (its
+    last value, to rounding) on either parity; p = inf takes the grid max
+    sharpened by one parabolic-fit step.  A masked row cannot be normed.
     """
     h = fld.alpha_step
     idx = fld.node(t)
-    if np.any(row_mask := fld.singular_mask[idx]):
-        j = int(np.argmax(row_mask))
+    if fld.masked_rows[idx]:
+        j = int(np.argmax(fld.singular_mask[idx]))
         raise NearSingular(float(fld.alpha_nodes[j]), float(fld.t_nodes[idx]), 0.0)
     row = fld.row(t, idx)
     p = float(p)   # every spelling of inf, "Infinity" too
@@ -265,7 +266,7 @@ def lp_norm(fld: SolutionField, p, t: float) -> float:
     if not p >= 1.0:   # nan too
         raise ValueError(f"p must be in [1, inf], got {p}")
     # unmasked samples of u = u0 g / D^2 are positive
-    return float(cumulative_simpson(row ** p, h)[-1]) ** (1.0 / p)
+    return float(simpson_weights(len(row)) @ row ** p * (h / 3.0)) ** (1.0 / p)
 
 
 def lp_asymptotic_constant(M0: float, C1: float, q: float) -> dict:

@@ -13,7 +13,7 @@ from liouville_workbench import (
     representation,
     singular_curve,
 )
-from liouville_workbench.closed_form_solver import SINGULAR_ATOL
+from liouville_workbench.closed_form_solver import SINGULAR_ATOL, SolutionField
 
 T_STAR_2 = 0.5 * (math.sqrt(33.0) - 1.0)
 
@@ -98,6 +98,25 @@ class TestEvaluateField:
         fld = evaluate_field(profile, B, spec, spec.alpha_grid(), np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             fld.row(0.37)
+
+    @pytest.mark.parametrize("t_nodes", [
+        [0.5, 0.0, 1.0, 0.25, 2.0],            # unsorted
+        [0.0, 0.5, 0.5, 1.0, 0.0, -0.0],       # repeated t, and -0.0 equal to 0.0
+        [0.0, 0.5, math.nan, 1.0, 0.5],        # argmin picks the NaN node for every t
+    ])
+    def test_node_is_argmin(self, t_nodes):
+        t_nodes = np.array(t_nodes)
+        n = len(t_nodes)
+        fld = SolutionField(np.linspace(0.0, 1.0, 3), t_nodes, np.ones((n, 3)),
+                            np.zeros((n, 3), dtype=bool), 1.0)
+        probes = t_nodes.tolist() + [-0.0, 0.3, 0.375, 0.75, 1.5, -1.0, 3.0, math.inf]
+        for t in probes + [np.float64(t) for t in probes]:
+            assert fld.node(t) == int(np.argmin(np.abs(t_nodes - t)))
+
+    def test_masked_rows(self, problem):
+        spec, profile, B = problem(2)
+        fld = evaluate_field(profile, B, spec, spec.alpha_grid(), np.array([0.0, 3.0, 1.0]))
+        assert fld.masked_rows.tolist() == [False, True, False]
 
     def test_csv_contains_comment(self, problem, tmp_path):
         spec, profile, B = problem(2)

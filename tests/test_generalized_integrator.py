@@ -25,6 +25,7 @@ from liouville_workbench import (
     singular_boundary,
     table_F,
 )
+from liouville_workbench import problem_model as pm
 from liouville_workbench.generalized_integrator import _g_and_ratio
 from liouville_workbench.problem_model import data_horizon
 
@@ -207,6 +208,33 @@ def test_polynomial_g_and_ratio_is_npoly_bit_for_bit():
         _g_and_ratio(exponential(1.0, 1.0))(800.0)
     with pytest.raises(ValueError, match="finite only on"):
         _g_and_ratio(singular_boundary(1.0))(1.0)
+
+
+def test_g_and_ratio_binds_a_table_once(monkeypatch):
+    # the table's GridFunction is looked up when the closure is made, not per
+    # call, and the domain check stays
+    table = FunctionDescriptor("table", {"nodes": [0.0, 1.0, 2.5, 4.0],
+                                         "values": [1.0, 3.0, 0.5, 2.0]})
+    ts = np.linspace(0.0, 4.0, 17).tolist()
+    want = [(table(t), table.derivative(t) / table(t)) for t in ts]
+    lookups = []
+    lookup = pm._table
+    monkeypatch.setattr(pm, "_table", lambda *args: lookups.append(args) or lookup(*args))
+    g_and_ratio = _g_and_ratio(table)
+    assert [g_and_ratio(t) for t in ts] == want
+    assert len(lookups) == 1
+    with pytest.raises(ValueError, match="outside the table's declared domain"):
+        g_and_ratio(4.0 + 1e-9)
+
+
+def test_singular_g_on_a_float_and_on_arrays():
+    # a float compare on a 0-d t, np.any on an array: the same values and the same error
+    kind, p = pm._KINDS["singular_boundary"], singular_boundary(0.7).params
+    ts = np.array([0.0, 0.25, 0.5, 0.999])
+    np.testing.assert_array_equal([kind.value(p, t) for t in ts.tolist()], kind.value(p, ts))
+    for t in (1.0, np.float64(1.5), np.array(1.0), np.array([0.5, 1.0])):
+        with pytest.raises(ValueError, match=r"finite only on \[0, t_b=1.0\)"):
+            kind.value(p, t)
 
 
 class TestH0:

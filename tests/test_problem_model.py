@@ -31,6 +31,7 @@ from liouville_workbench import (
     spec_hash,
 )
 from liouville_workbench import problem_model as pm
+from liouville_workbench.closed_form_solver import singular_curve
 
 
 _COS = FunctionDescriptor("trigonometric", {"terms": [[1.0, 1.0, math.pi / 2]]})   # cos 2 pi a
@@ -367,6 +368,37 @@ class TestBoundaryIntegral:
         G_end = B.G.values[-1]
         ts = [np.nextafter(4.0, 0.0), 4.0, np.nextafter(4.0, 5.0)]
         assert np.all(np.abs(B.value(ts) - G_end) <= 8.0 * pm._EPS * G_end)
+
+    @pytest.mark.parametrize("t_max", [0.999, 1.0 - 1e-9])
+    def test_quadrature_newton_steps_on_the_offset_slope(self, t_max, monkeypatch):
+        # example 4's curve: G' = g plus the offset's cell slope takes the
+        # quadrature Newton in as few evaluations of G as the closed form
+        # (g alone took 8 against 5 at t_max = 0.999, and 7 against 4 at 1 - 1e-9)
+        spec = catalog.example_spec(4)
+        profile = build_psi0(spec)
+        value, counts = BoundaryIntegral.value, []
+        monkeypatch.setattr(BoundaryIntegral, "value",
+                            lambda self, t: counts.append(1) or value(self, t))
+        for method in ("auto", "quadrature"):
+            B = build_G(spec, t_max=t_max, method=method)
+            assert (B.derivative is spec.g) == (method == "auto")   # a zero offset adds nothing
+            counts.clear()
+            singular_curve(profile, B)
+            if method == "auto":
+                auto = len(counts)
+        assert len(counts) <= auto
+
+    def test_quadrature_derivative_is_the_offset_cell_slope(self):
+        # G' matches G's centred difference inside a cell, and is g past t_max,
+        # where the offset is held at its last value
+        g = exponential(1.0, 0.5)
+        B = build_G(g, t_max=4.0, n_t=9, method="quadrature")
+        for t in (0.3, 1.7, 3.9):
+            d = 1e-6
+            assert float(B.derivative(np.array(t))) == pytest.approx(
+                (B.value(t + d) - B.value(t - d)) / (2.0 * d), rel=1e-8)
+        t = np.array([4.0, 5.0])
+        np.testing.assert_array_equal(B.derivative(t), g(t))
 
     def test_rejects_t_max_past_boundary(self):
         with pytest.raises(ValueError):

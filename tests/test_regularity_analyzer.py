@@ -24,6 +24,8 @@ from liouville_workbench import (
     singular_boundary_report,
 )
 from liouville_workbench import regularity_analyzer as ra
+from liouville_workbench.closed_form_solver import SolutionField
+from liouville_workbench.problem_model import cumulative_simpson, simpson_weights
 
 T_STAR_2 = 0.5 * (math.sqrt(33.0) - 1.0)
 
@@ -260,9 +262,34 @@ class TestLpNorm:
             assert lp_norm(fld, 1, 1.0) < lp_norm(fld, 2, 1.0) < lp_norm(fld, math.inf, 1.0)
 
     def test_masked_row_refuses(self, field2):
+        # the point is the row's first masked alpha node and the row's t node
         for fld in field2:
-            with pytest.raises(NearSingular):
+            j = int(np.flatnonzero(fld.singular_mask[2])[0])
+            with pytest.raises(NearSingular) as got:
                 lp_norm(fld, 1, 3.0)
+            assert (got.value.alpha, got.value.t) == (fld.alpha_nodes[j], 3.0)
+            assert got.value.denominator == 0.0
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 128, 129, 1024, 1025])
+    def test_weighted_rule_is_cumulative_simpson(self, n):
+        # one dot product against the last value of the running sum: the
+        # same rule, to rounding, on either parity
+        rng = np.random.default_rng(n)
+        row = np.exp(rng.normal(size=n))
+        fld = SolutionField(np.linspace(0.0, 1.0, n), np.array([0.0, 1.0]),
+                            np.vstack([row, row]), np.zeros((2, n), dtype=bool), 1.0)
+        h = fld.alpha_step
+        for p in (1.0, 2.0, 3.5):
+            want = cumulative_simpson(row ** p, h)[-1] ** (1.0 / p)
+            assert lp_norm(fld, p, 1.0) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_weights_are_read_only(self):
+        for n in (5, 6):
+            w = simpson_weights(n)
+            assert not w.flags.writeable
+            with pytest.raises(ValueError):
+                w[0] = 2.0
+            assert simpson_weights(n) is w
 
     def test_rejects_p_below_one(self, field2):
         for fld in field2:

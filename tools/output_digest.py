@@ -96,6 +96,8 @@ def main():
     specs = {f"example{k}": catalog.example_spec(k).to_dict() for k in (1, 2, 3, 4)}
     specs.update({name: {"f": f, "u0": u0, "g": g, "n_alpha": 129}
                   for name, (f, u0, g) in SAMPLED.items()})
+    # an even n_alpha: lp-scan's norms take Simpson's last-interval rule
+    specs["sampled-linear-g-n128"] = {**specs["sampled-linear-g"], "n_alpha": 128}
     with tempfile.TemporaryDirectory() as tmp:
         for name, spec in specs.items():
             for F_name, general in NONLINEARITIES.items():
