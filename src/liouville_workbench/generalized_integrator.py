@@ -35,10 +35,9 @@ from .problem_model import (
     GridFunction,
     ProblemSpec,
     _KINDS,
-    _f_F_u0,
     _fit_line,
+    _integrand,
     _profile,
-    cell_simpson_at,
     check_compatibility,
     cumulative_simpson,
     data_horizon,
@@ -328,20 +327,20 @@ def _g_and_ratio(g: FunctionDescriptor):
 
 
 def compute_H0_alpha0(spec: ProblemSpec, F: Nonlinearity) -> dict:
-    """H0(alpha) = integral_0^alpha f F(u0) dx, built as the quadrature psi0
-    (bit for bit when F = u), f's first zero alpha0, and H0(alpha0) by the
-    same per-cell Simpson rule on its partial cell.
+    """H0(alpha) = integral_0^alpha f F(u0) dx, built as psi0 is (the closed
+    form when f F(u0) is one descriptor, and psi0 bit for bit when F = u),
+    f's first zero alpha0, and H0(alpha0) read by the profile's value.
 
     window marks (0, alpha0] on the grid, widened by 1e-12 for a root a
     rounding below a node: hypotheses_ok asks H0 > 0 there (a violation is
     reported, not raised), and blowup_bounds samples its envelopes there.
     """
-    prof = _profile(spec, _f_F_u0(spec, F))
+    prof = _profile(spec, *_integrand(spec, F))
     H0, alpha0 = prof.psi0, prof.alpha0
     if alpha0 is None:
         return {"H0": H0, "alpha0": None, "H0_alpha0": math.nan, "hypotheses_ok": False,
                 "window": np.zeros(H0.nodes.size, dtype=bool)}
-    H0_a0 = float(cell_simpson_at(H0.values, prof.integrand, H0.nodes, alpha0))
+    H0_a0 = float(prof.value(alpha0))
     window = (H0.nodes > 0) & (H0.nodes <= alpha0 + 1e-12)
     positive = bool(np.all(H0.values[window] > 0)) and H0_a0 > 0
     return {"H0": H0, "alpha0": alpha0, "H0_alpha0": H0_a0, "hypotheses_ok": positive,

@@ -20,12 +20,13 @@ admit arbitrary sampled data.  Every polynomial (value, derivative, integral)
 goes through one Horner loop, _horner, and every table (a table g, a table F,
 a sampled psi0 or G) is checked by GridFunction.
 
-psi0 and G are the kind's closed-form integral (psi0 whenever f u0 is one
-descriptor: f itself when u0 = 1, or a polynomial product; G unless
-quadrature is requested), or else Simpson's rule on each grid cell with a
-midpoint sample (cell_simpson), which does not depend on the node parity.
-Both keep psi0(0) = 0 and G(0) = 0 exact; G off its nodes is the closed form
-plus the interpolated offset of its samples (BoundaryIntegral.value).  As
+psi0 and G are the kind's closed-form integral (psi0, and the generalized
+equation's H0 = int f F(u0), whenever the integrand is one descriptor, see
+_integrand; G unless quadrature is requested), or else Simpson's rule on
+each grid cell with a midpoint sample (cell_simpson), which does not depend
+on the node parity.  Both keep psi0(0) = 0 and G(0) = 0 exact.  Off its
+nodes psi0 (or H0) is read by Psi0Profile.value alone, and G is the closed
+form plus the interpolated offset of its samples (BoundaryIntegral.value).  As
 psi0' = f u0 with u0 > 0, M0 and its argmax set are read off alpha = 0,
 alpha = 1 and the zeros where f crosses from + to - (interior_zeros).
 data_horizon says how long g has data.  Every inverse (G^-1, the inverse of
@@ -136,13 +137,6 @@ def cell_simpson(w, x):
     simpson_cells along axis 0."""
     steps = simpson_cells(w, x)
     return np.concatenate((np.zeros((1,) + steps.shape[1:]), np.cumsum(steps, axis=0)))
-
-
-def cell_simpson_at(vals, w, grid, x):
-    """int_{grid[0]}^x w off the nodes: cell_simpson's vals at the node below x
-    plus the same rule on the partial cell from that node to x."""
-    i = np.searchsorted(grid, x, side="right") - 1
-    return vals[i] + simpson_cells(w, np.array([grid[i], x]))[0]
 
 
 def _fit_line(x, y):
@@ -435,7 +429,8 @@ class _Table(_Kind):
         lo, hi = table.nodes[0] - 1e-12, table.nodes[-1] + 1e-12
 
         def value(x):
-            if np.any(x < lo) or np.any(x > hi):
+            # a float x (the integrator's g(t) per stage) takes float compares, not np.any
+            if x < lo or x > hi if np.ndim(x) == 0 else np.any(x < lo) or np.any(x > hi):
                 raise ValueError("evaluation outside the table's declared domain")
             return table(x)
         return value, table.slope
@@ -779,8 +774,8 @@ class Psi0Profile:
     M0 is the greatest value attained (>= 0 because psi0(0) = 0), argmax_set
     holds the locations where it is attained, omega the zero set of psi0, and
     alpha0 the first zero of f in (0, 1).  integrand is psi0' = f u0 (f F(u0)
-    for the integrator's H0).  When f u0 is one descriptor, `analytic` holds
-    it, as the integrand too, so off-node evaluation is its exact integral.
+    for the integrator's H0); when it is one descriptor, `analytic` holds it,
+    as the integrand too.  value is the one reader between the nodes.
     """
 
     psi0: GridFunction
@@ -792,24 +787,35 @@ class Psi0Profile:
     analytic: FunctionDescriptor | None = None
 
     def value(self, alpha):
+        """psi0 (or H0) at alpha: the closed form of `analytic` if any, else the
+        sample at the node at or below alpha (the first node for alpha < 0)
+        plus cell_simpson's rule on the partial cell from there to alpha."""
         if self.analytic is not None:
             return power_integral(self.analytic, 1.0, alpha)
-        return self.psi0(alpha)
+        grid, vals = self.psi0.nodes, self.psi0.values
+        i = np.maximum(np.searchsorted(grid, alpha, side="right") - 1, 0)
+        return vals[i] + simpson_cells(self.integrand, np.array([grid[i], alpha]))[0]
 
 
-def _psi0_integrand(spec: ProblemSpec) -> FunctionDescriptor | None:
-    """f u0 as one descriptor: f itself when u0 = 1, the product when both
-    are polynomial, otherwise None."""
-    if spec.u0.is_polynomial() and len(c := spec.u0.poly_coeffs()) == 1:
+def _integrand(spec: ProblemSpec, F=None):
+    """(w, closed), with F = None for F(u) = u: w is x -> f(x) F(u0(x)), the
+    integrand of psi0, of H0 and of the compatibility defect, and closed is w
+    as one descriptor when it is one, else None.  For any F a constant u0
+    makes it f scaled by the constant F(u0), or f itself when that is 1; for
+    F = u it is also the product of polynomial f and u0."""
+    f, u0 = spec.f, spec.u0
+    w = lambda x: np.asarray(f(x)) * (u0(x) if F is None else np.asarray(F(u0(x))))
+    if u0.is_polynomial() and len(c := u0.poly_coeffs()) == 1:
         # 1/u0(0) can leave a constant u0 one rounding away from 1, and the
         # singular family cannot be rescaled
-        if c[0] == 1.0:
-            return spec.f
-        if spec.f.kind != "singular_boundary":
-            return spec.f.scaled(c[0])
-    if spec.f.is_polynomial() and spec.u0.is_polynomial():
-        return polynomial(*npoly.polymul(spec.f.poly_coeffs(), spec.u0.poly_coeffs()))
-    return None
+        k = c[0] if F is None else float(F(c[0]))
+        if k == 1.0:
+            return w, f
+        if f.kind != "singular_boundary":
+            return w, f.scaled(k)
+    if (F is None or F.kind == "identity") and f.is_polynomial() and u0.is_polynomial():
+        return w, polynomial(*npoly.polymul(f.poly_coeffs(), u0.poly_coeffs()))
+    return w, None
 
 
 def interior_zeros(desc, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -844,19 +850,16 @@ def extract_features(profile: Psi0Profile, spec: ProblemSpec) -> dict:
 
     psi0' = f u0 with u0 > 0, so psi0 is greatest at alpha = 0, at alpha = 1
     or where f crosses from + to -.  M0 is the largest psi0 over these
-    candidates, taken from the exact integral when f u0 is one descriptor
-    and otherwise from the node below plus Simpson's rule on the partial
-    cell; it counts as 0 at or below ZERO_SET_RTOL max|psi0|, the zero-set
-    tolerance.  The argmax set holds the candidates within FEATURE_ATOL of
-    the largest, and alpha0 is the first zero of f in (0, 1).
+    candidates, each read by profile.value; it counts as 0 at or below
+    ZERO_SET_RTOL max|psi0|, the zero-set tolerance.  The argmax set holds the
+    candidates within FEATURE_ATOL of the largest, and alpha0 is the first
+    zero of f in (0, 1).
     """
     grid, vals = profile.psi0.nodes, profile.psi0.values
     zeros, down = interior_zeros(spec.f, grid)
     crests = zeros[down]
-    at_crests = (profile.value(crests) if profile.analytic is not None
-                 else cell_simpson_at(vals, profile.integrand, grid, crests))
     where = np.concatenate(([0.0], crests, [1.0]))
-    psi = np.concatenate(([vals[0]], at_crests, [vals[-1]]))
+    psi = np.concatenate(([vals[0]], profile.value(crests), [vals[-1]]))
     M0 = float(np.max(psi))
     argmax_set = where[psi >= M0 - FEATURE_ATOL]
 
@@ -873,18 +876,13 @@ def build_psi0(spec: ProblemSpec, method: str = "auto") -> Psi0Profile:
     """Cumulative integral psi0(alpha) = int_0^alpha f u0 dz with features.
 
     method "auto" takes the closed-form integral of f*u0 when it is one
-    descriptor (see _psi0_integrand) and cell_simpson otherwise; "quadrature"
+    descriptor (see _integrand) and cell_simpson otherwise; "quadrature"
     forces cell_simpson (useful for convergence studies).
     """
     if method not in ("auto", "quadrature"):
         raise ValueError("method must be 'auto' or 'quadrature'")
-    return _profile(spec, _f_F_u0(spec), _psi0_integrand(spec) if method == "auto" else None)
-
-
-def _f_F_u0(spec: ProblemSpec, F=None):
-    """x -> f(x) F(u0(x)), with F = None for F(u) = u: the integrand of psi0,
-    of H0 and of the compatibility defect."""
-    return lambda x: np.asarray(spec.f(x)) * (spec.u0(x) if F is None else np.asarray(F(spec.u0(x))))
+    w, closed = _integrand(spec)
+    return _profile(spec, w, closed if method == "auto" else None)
 
 
 def _profile(spec: ProblemSpec, w, analytic=None) -> Psi0Profile:
@@ -1024,15 +1022,14 @@ def check_compatibility(spec: ProblemSpec, F=None) -> CompatibilityReport:
 
     F is the nonlinearity of the generalized equation, identity by default.
     Periodic boundary values are consistent only when the defect vanishes;
-    failure is reported, not raised.  The defect is exact when f u0 is one
-    descriptor, else cell_simpson on the cells of a fixed odd grid of at
-    least 513 nodes, so it does not depend on n_alpha's parity.
+    failure is reported, not raised.  The defect is exact when f F(u0) is one
+    descriptor (_integrand), else cell_simpson on the cells of a fixed odd
+    grid of at least 513 nodes, so it does not depend on n_alpha's parity.
     """
-    w = _f_F_u0(spec, F)
+    w, closed = _integrand(spec, F)
     grid = np.linspace(0.0, 1.0, max(spec.n_alpha | 1, 513))
-    exact = _psi0_integrand(spec) if F is None else None
-    defect = abs(float(cell_simpson(w, grid)[-1] if exact is None
-                       else power_integral(exact, 1.0, 1.0)))
+    defect = abs(float(cell_simpson(w, grid)[-1] if closed is None
+                       else power_integral(closed, 1.0, 1.0)))
     scale = float(np.max(np.abs(w(grid))))
     ok = defect <= COMPAT_RTOL * scale if scale > 0 else True
     return CompatibilityReport(ok=ok, defect=defect)

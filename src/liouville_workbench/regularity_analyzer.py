@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed_form_solver import SINGULAR_ATOL, SolutionField, evaluate_field
+from .closed_form_solver import SINGULAR_ATOL, SolutionField, evaluate_field, representation
 from .errors import NearSingular
 from .problem_model import (
     BoundaryIntegral,
@@ -143,14 +143,15 @@ def _finite_blowup(profile: Psi0Profile, spec: ProblemSpec, t_star: float, g_sta
                    **extra) -> RegularityReport:
     """The FiniteBlowup report at t* with g(t*) = g_star: blow-up on the argmax
     set, every other node tagged finite with the final profile
-    C(alpha) = g* u0 (1 - psi0/M0)^-2 there."""
+    C(alpha) = g* u0 (1 - psi0/M0)^-2 there, which is representation() at
+    G(t*) = 2/M0.  g_star is passed in, so the singular family's closed form
+    gives g(t*) exactly where g at the rounded t* would not."""
     grid = profile.psi0.nodes
-    dist = 1.0 - profile.psi0.values / profile.M0
-    keep = np.abs(dist) > SINGULAR_ATOL
-    vals = g_star * np.asarray(spec.u0(grid[keep])) / dist[keep] ** 2
+    vals, D = representation(g_star, spec.u0(grid), profile.psi0.values, 2.0 / profile.M0)
+    keep = np.abs(D) > SINGULAR_ATOL
     return RegularityReport(verdict=VERDICT_FINITE, t_star=t_star,
                             blowup_locations=profile.argmax_set,
-                            final_profile=GridFunction(grid[keep], vals),
+                            final_profile=GridFunction(grid[keep], vals[keep]),
                             profile_limits=np.where(keep, FINITE, INFINITE).astype("<U8"), **extra)
 
 

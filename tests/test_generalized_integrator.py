@@ -235,6 +235,17 @@ def test_singular_g_on_a_float_and_on_arrays():
     for t in (1.0, np.float64(1.5), np.array(1.0), np.array([0.5, 1.0])):
         with pytest.raises(ValueError, match=r"finite only on \[0, t_b=1.0\)"):
             kind.value(p, t)
+    # a table g too, with the error just past its 1e-12 slack at either end
+    kind = pm._KINDS["table"]
+    p = FunctionDescriptor("table", {"nodes": [0.0, 1.0, 2.0, 4.0], "values": [1.0, 1.5, 2.0, 3.0]}).params
+    value, _ = kind.bind(p)
+    ts = np.array([-1e-12, 0.0, 1.2345, 2.0, 4.0 + 1e-12])
+    np.testing.assert_array_equal([value(t) for t in ts.tolist()], value(ts))
+    np.testing.assert_array_equal([kind.value(p, t) for t in ts.tolist()], kind.value(p, ts))
+    for t in (-2e-12, 4.0 + 2e-12, np.float64(-2e-12), np.array(4.0 + 2e-12), np.array([1.0, 4.0 + 2e-12]),
+              np.array([-2e-12, 1.0])):
+        with pytest.raises(ValueError, match="outside the table's declared domain"):
+            value(t)
 
 
 class TestH0:
@@ -266,18 +277,29 @@ class TestH0:
         assert out["H0_alpha0"] == pytest.approx(want, abs=1e-7)
 
 
-    @pytest.mark.parametrize("spec", [
-        ProblemSpec(f=polynomial(1.0, -2.0), u0=polynomial(1.0, 0.5, -0.5), g=polynomial(1.0, 2.0)),
-        ProblemSpec(f=FunctionDescriptor("trigonometric", {"terms": [[1.0, 1.0, math.pi / 2]]}),
-                    u0=FunctionDescriptor("trigonometric", {"offset": 1.0, "terms": [[0.3, 1.0, 0.0]]}),
-                    g=polynomial(1.0, 2.0), n_alpha=257),
-    ], ids=["polynomial", "trigonometric"])
-    def test_identity_H0_is_the_quadrature_psi0(self, spec):
-        # one builder: with F = u the integrand f F(u0) is f u0 bit for bit
-        info = compute_H0_alpha0(spec, identity_F())
-        psi0 = build_psi0(spec, "quadrature")
+    _COS_U0_ONE = ProblemSpec(f=FunctionDescriptor("trigonometric", {"terms": [[1.0, 1.0, math.pi / 2]]}),
+                              u0=constant(1.0), g=polynomial(1.0, 2.0), n_alpha=129)
+
+    @pytest.mark.parametrize("spec, F", [
+        (ProblemSpec(f=polynomial(1.0, -2.0), u0=polynomial(1.0, 0.5, -0.5), g=polynomial(1.0, 2.0)),
+         identity_F()),
+        (ProblemSpec(f=FunctionDescriptor("trigonometric", {"terms": [[1.0, 1.0, math.pi / 2]]}),
+                     u0=FunctionDescriptor("trigonometric", {"offset": 1.0, "terms": [[0.3, 1.0, 0.0]]}),
+                     g=polynomial(1.0, 2.0), n_alpha=257), identity_F()),
+        # f F(u0) = f = cos 2 pi a for every F with F(1) = 1: H0 is psi0's closed form
+        (_COS_U0_ONE, identity_F()),
+        (_COS_U0_ONE, power_F(2.0)),
+        (_COS_U0_ONE, table_F([0.5, 1.0, 2.0], [0.5**1.5, 1.0, 2.0**1.5], 1.0, 2.0)),
+    ], ids=["polynomial", "trigonometric", "cos-u0-one-u", "cos-u0-one-u^2", "cos-u0-one-table"])
+    def test_identity_H0_is_the_quadrature_psi0(self, spec, F):
+        # one builder: when f F(u0) is f u0 (F = u, or u0 = 1 and F(1) = 1)
+        # H0 is psi0 bit for bit, closed form exactly when psi0 has one, and
+        # the compatibility defect is psi0's
+        info, psi0 = compute_H0_alpha0(spec, F), build_psi0(spec)
         assert info["H0"].values.tobytes() == psi0.psi0.values.tobytes()
         assert info["alpha0"] == psi0.alpha0
+        assert info["H0_alpha0"] == psi0.value(psi0.alpha0)
+        assert check_compatibility(spec, F).defect == check_compatibility(spec).defect
 
     def test_one_window_for_hypotheses_and_envelopes(self):
         # alpha0 = 0.4999999999995 sits a rounding below the node 0.5; H0 > 0

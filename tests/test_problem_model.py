@@ -275,6 +275,31 @@ class TestPsi0:
         assert profile.M0 == pytest.approx(want, abs=5e-9)
         np.testing.assert_allclose(profile.argmax_set, [self.COS_CREST], rtol=0, atol=1e-12)
 
+    def test_value_between_nodes_without_a_closed_form(self):
+        # f u0 = cos(2 pi a) (1 + 0.3 sin 2 pi a) is not one descriptor: value
+        # is the node sample plus Simpson's rule on the partial cell, not a
+        # chord (5.8e-5 off mid-cell), and below 0 it integrates back from
+        # the first node instead of wrapping to the last cell
+        import mpmath
+
+        u0 = FunctionDescriptor("trigonometric", {"offset": 1.0, "terms": [[0.3, 1.0, 0.0]]})
+        spec = ProblemSpec(f=_COS, u0=u0, g=polynomial(1.0, 2.0), n_alpha=129)
+        profile = build_psi0(spec)
+        assert profile.analytic is None
+
+        def want(a):
+            with mpmath.workdps(30):
+                return float(mpmath.quad(lambda z: mpmath.cos(2 * mpmath.pi * z)
+                                         * (1 + mpmath.mpf("0.3") * mpmath.sin(2 * mpmath.pi * z)),
+                                         [0, a]))
+        grid = spec.alpha_grid()
+        mid = 0.5 * (grid[:-1] + grid[1:])[::8]
+        np.testing.assert_allclose(profile.value(mid), [want(a) for a in mid], rtol=0, atol=1e-8)
+        assert [profile.value(a) for a in mid.tolist()] == profile.value(mid).tolist()
+        for a in (-0.05, 1.05):
+            assert profile.value(a) == pytest.approx(want(a), abs=1e-6)
+        assert profile.value(grid).tobytes() == profile.psi0.values.tobytes()
+
     @pytest.mark.parametrize("method", ["auto", "quadrature"])
     def test_equal_maxima_at_every_down_crossing(self, method):
         # f = sin 4 pi a: psi0 = (1 - cos 4 pi a)/(4 pi) peaks at 1/4 and 3/4,

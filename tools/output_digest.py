@@ -3,19 +3,22 @@
 Writes the spec files into a temporary directory, runs each subcommand in a
 fresh `python -m liouville_workbench.cli` process, and prints one sha256
 for each file written and each stdout, the exit code, and stderr with the
-file:line locations of warnings stripped.  Two checkouts whose digests diff
-empty print the same bytes, so a refactor that must keep every output can be
+file:line locations of warnings stripped.  Two checkouts whose digests are
+equal print the same bytes, so a refactor that must keep every output can be
 checked by running
 
-    python tools/output_digest.py > after.txt
-    python tools/output_digest.py OTHER_CHECKOUT/src > before.txt
-    diff before.txt after.txt
+    python tools/output_digest.py --against OTHER_CHECKOUT/src
 
-The optional argument is the package's source directory (default: the src/
-next to this script).  Bytes can differ with the platform's libm, so compare
-digests made on one machine; this is not a test.
+which runs the same specs through both source trees, prints only the lines
+that differ ("-" for OTHER_CHECKOUT, "+" for this one) and exits 1 when any
+do.  The optional positional argument is the package's source directory
+(default: the src/ next to this script); the example specs are read from its
+catalog.  Bytes can differ with the platform's libm, so compare digests made
+on one machine; this is not a test.
 """
 
+import argparse
+import difflib
 import hashlib
 import json
 import math
@@ -44,6 +47,8 @@ SAMPLED = {
     "sampled-trig-g": (COS, U0_SIN, trig(1.0, (0.5, 1.0, 0.0))),
     "sampled-polynomial-u0": (COS, poly(1.0, 0.5), poly(1.0, 2.0)),
     "polynomial-u0": (poly(1.0, -2.0), poly(1.0, 1.0, -1.0), poly(1.0, 2.0)),
+    # f F(u0) = f for every F below: H0 takes psi0's closed form, H0(alpha0) = 1/(2 pi)
+    "cos-f-u0-one": (COS, {"kind": "constant", "params": {"value": 1.0}}, poly(1.0, 2.0)),
 }
 
 _F_NODES = [10.0 ** (k / 2) for k in range(-6, 7)]
@@ -70,6 +75,7 @@ def digest(data: bytes) -> str:
 
 
 def run(src, label, argv, tmp):
+    """The digest lines of one CLI run in the directory tmp."""
     out = Path(tmp) / "out" / label.replace(" ", "_")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "liouville_workbench.cli", *argv, "--out", str(out)],
@@ -84,12 +90,33 @@ def run(src, label, argv, tmp):
             continue
         echo = bool(_WARNING.match(line))
         lines.append(f"{label} stderr | " + _WARNING.sub(r"\1", line))
-    print("\n".join(lines), flush=True)
+    return lines
+
+
+def listing(src, specs):
+    """The digest lines of every run over specs with the package in src, one
+    list a run, as each run ends."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, spec in specs.items():
+            for F_name, general in NONLINEARITIES.items():
+                path = Path(tmp) / f"{name}-{F_name}.json"
+                path.write_text(json.dumps(spec if general is None else {**spec, "general": general}))
+                yield run(src, f"{name} simulate {F_name}", ["simulate", "--spec", str(path)], tmp)
+            for run_name, argv in RUNS.items():
+                yield run(src, f"{name} {run_name}",
+                          [*argv, "--spec", str(Path(tmp) / f"{name}-F=u.json")], tmp)
+        yield run(src, "verify", ["verify"], tmp)
+        yield run(src, "reproduce-examples", ["reproduce-examples", "--plot"], tmp)
 
 
 def main():
-    src = str(Path(sys.argv[1] if len(sys.argv) > 1
-                   else Path(__file__).resolve().parents[1] / "src").resolve())
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", nargs="?", default=Path(__file__).resolve().parents[1] / "src",
+                        help="the package's source directory (default: the src/ next to this script)")
+    parser.add_argument("--against", metavar="OTHER_SRC",
+                        help="also run OTHER_SRC and print only the lines that differ")
+    args = parser.parse_args()
+    src = str(Path(args.src).resolve())
     sys.path.insert(0, src)
     from liouville_workbench import catalog
 
@@ -98,18 +125,18 @@ def main():
                   for name, (f, u0, g) in SAMPLED.items()})
     # an even n_alpha: lp-scan's norms take Simpson's last-interval rule
     specs["sampled-linear-g-n128"] = {**specs["sampled-linear-g"], "n_alpha": 128}
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, spec in specs.items():
-            for F_name, general in NONLINEARITIES.items():
-                path = Path(tmp) / f"{name}-{F_name}.json"
-                path.write_text(json.dumps(spec if general is None else {**spec, "general": general}))
-                run(src, f"{name} simulate {F_name}", ["simulate", "--spec", str(path)], tmp)
-            for run_name, argv in RUNS.items():
-                run(src, f"{name} {run_name}", [*argv, "--spec", str(Path(tmp) / f"{name}-F=u.json")],
-                    tmp)
-        run(src, "verify", ["verify"], tmp)
-        run(src, "reproduce-examples", ["reproduce-examples", "--plot"], tmp)
+    if args.against is None:
+        for lines in listing(src, specs):
+            print("\n".join(lines), flush=True)
+        return 0
+    before, after = ([line for lines in listing(tree, specs) for line in lines]
+                     for tree in (str(Path(args.against).resolve()), src))
+    diff = [line for line in difflib.unified_diff(before, after, n=0, lineterm="")
+            if not line.startswith(("---", "+++", "@@"))]
+    if diff:
+        print("\n".join(diff))
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
