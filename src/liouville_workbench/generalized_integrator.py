@@ -31,6 +31,7 @@ import numpy as np
 
 from .closed_form_solver import representation
 from .problem_model import (
+    CumulativeSimpson,
     FunctionDescriptor,
     GridFunction,
     ProblemSpec,
@@ -39,7 +40,6 @@ from .problem_model import (
     _integrand,
     _profile,
     check_compatibility,
-    cumulative_simpson,
     data_horizon,
     invert_power_integral,
     power_integral,
@@ -189,7 +189,9 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
     takes the fixed steps min(dt, t_end - t).  The run stops at t_end or as
     soon as max u reaches blowup_cap.  Raises on nonpositive u (numerical
     failure) and on incompatible data (check_compatibility with F reports a
-    nonzero integral of f F(u0)).
+    nonzero integral of f F(u0)).  The stages k1-k4, the stage input, their
+    sum, f F(u) and psi live in buffers allocated once per run; each accepted
+    state is a new array, stored as is, so no stored state aliases another.
     """
     if not (dt > 0 and t_end > 0 and blowup_cap > 0):   # nan too
         raise ValueError(f"dt, t_end and blowup_cap must be positive, got {dt}, {t_end}, {blowup_cap}")
@@ -198,26 +200,25 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
         raise ValueError(f"data incompatible with periodic boundary values: "
                          f"|integral f F(u0)| is {compat.defect:.3e}")
     grid = spec.alpha_grid()
-    h = grid[1] - grid[0]
-
     f_grid = np.asarray(spec.f(grid))
-    psi_buf = np.empty_like(grid)
-
-    def psi_of(u):
-        return cumulative_simpson(f_grid * np.asarray(F(u)), h, out=psi_buf)
-
+    k1, k2, k3, k4, stage, acc, w = (np.empty_like(grid) for _ in range(7))
+    simpson = CumulativeSimpson(grid.size, grid[1] - grid[0])
     g_and_ratio = _g_and_ratio(spec.g)
 
     def check_positive(t, u):
-        if u.min() <= 0.0:
+        if np.minimum.reduce(u) <= 0.0:
             j = int(np.argmin(u))
             raise RuntimeError(f"u became nonpositive at t={t:.6g}, alpha={grid[j]:.6g} "
                                f"(u={u[j]:.3e}); reduce dt or the blow-up cap")
 
-    def rhs(t, u, g_ratio):
-        # g_ratio is g'(t)/g(t)
+    def rhs(t, u, g_ratio, k):
+        # k = u (g'(t)/g(t) + psi), psi the cumulative Simpson integral of f F(u)
         check_positive(t, u)
-        return u * (g_ratio + psi_of(u))
+        psi = simpson(np.multiply(f_grid, F(u), out=w))
+        return np.multiply(u, np.add(psi, g_ratio, out=k), out=k)
+
+    def stage_input(u, c, k):
+        return np.add(u, np.multiply(k, c, out=stage), out=stage)   # u + c k
 
     t = 0.0
     g_t, r_t = g_and_ratio(t)
@@ -228,7 +229,7 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
     t_dense, umax_dense, argmax_dense, drift_dense = [], [], [], []
 
     def record_dense(t, u, g_t):
-        j = int(np.argmax(u))
+        j = int(u.argmax())
         t_dense.append(t)
         umax_dense.append(float(u[j]))
         argmax_dense.append(j)
@@ -244,7 +245,7 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
     step_index = 0
     while t < t_end - 1e-12 * (1.0 + t_end):
         # stage 1 does not depend on the step, so it prices the step
-        k1 = rhs(t, u, r_t)
+        rhs(t, u, r_t, k1)
         j = argmax_dense[-1]
         rate = float(k1[j]) / umax_dense[-1]
         step = min(dt, t_end - t, h_err, _GROWTH_LOG / rate if rate > 0 else math.inf)
@@ -256,15 +257,19 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
             # overwriting Runge-Kutta intermediates with boundary values
             # would cost two orders of accuracy; only the accepted state is
             # projected back onto the boundary condition
-            k2 = rhs(t + 0.5 * step, u + 0.5 * step * k1, r_half)
-            k3 = rhs(t + 0.5 * step, u + 0.5 * step * k2, r_half)
-            k4 = rhs(t + step, u + step * k3, r_next)
-            u_new = u + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            rhs(t + 0.5 * step, stage_input(u, 0.5 * step, k1), r_half, k2)
+            rhs(t + 0.5 * step, stage_input(u, 0.5 * step, k2), r_half, k3)
+            rhs(t + step, stage_input(u, step, k3), r_next, k4)
+            # u + step/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
+            np.add(k1, np.multiply(k2, 2.0, out=acc), out=acc)
+            np.add(acc, np.multiply(k3, 2.0, out=stage), out=acc)
+            np.add(acc, k4, out=acc)
+            u_new = u + np.multiply(acc, step / 6.0, out=acc)
             err = abs(float(u_new[0]) - g_next) / g_next
             h_err = step * min(5.0, 0.9 * (_STEP_RTOL / max(err, 1e-300)) ** 0.2)
             u_new[0] = g_next
             check_positive(t + step, u_new)
-            grew = float(u_new.max()) > _GROWTH_TRIGGER * umax_dense[-1]
+            grew = float(np.maximum.reduce(u_new)) > _GROWTH_TRIGGER * umax_dense[-1]
             if step <= dt_min or not (grew or err > _STEP_RTOL):
                 break
             step = min(h_err, step / 10.0) if grew else h_err
@@ -275,7 +280,7 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
 
         hit_cap = umax_dense[-1] >= blowup_cap
         if step_index % store_every == 0 or hit_cap or t >= t_end - 1e-12 * (1.0 + t_end):
-            states.append(GeneralizedState(t, u.copy()))
+            states.append(GeneralizedState(t, u))
         if hit_cap:
             stop_reason = "blowup_cap"
             break
@@ -421,7 +426,9 @@ def blowup_bounds(spec: ProblemSpec, F: Nonlinearity, trajectory: Trajectory) ->
     running integral of g^c, lower from g^d, with the global/blow-up verdict
     read off their limits.  Mixed monotonicity yields a not-applicable report.
     When c == d (identity and power F) the two envelopes are one array,
-    computed once.  Envelopes are sampled on compute_H0_alpha0's window.
+    computed once, and so are the margins: (u - env)/env, negated for the
+    upper side.  Envelopes are sampled on compute_H0_alpha0's window, and the
+    states are read on it alone; a report shares no array with the states.
     """
     info = compute_H0_alpha0(spec, F)
     H0, alpha0 = info["H0"], info["alpha0"]
@@ -459,7 +466,7 @@ def blowup_bounds(spec: ProblemSpec, F: Nonlinearity, trajectory: Trajectory) ->
         # g u0 (1 - (e/2) H0 I)^(-2/e) at stored time i (row), node j (column); inf
         # once the bracket closes, and a positive bracket 1 - x is >= 2**-53: no floor
         value, arg = representation(g_t[:, None], u0_dom, H0_dom[None, :], I[:, None], e)
-        value[~(arg > 0)] = np.inf   # in place: one n_states x n_nodes array fewer
+        np.copyto(value, np.inf, where=~(arg > 0))
         return value
 
     global_threshold = 2.0 / (d * H0_a0)
@@ -479,18 +486,21 @@ def blowup_bounds(spec: ProblemSpec, F: Nonlinearity, trajectory: Trajectory) ->
         lower = envelope(np.asarray(power_integral(spec.g, d, times)), c)
         upper = lower if c == d else envelope(np.asarray(power_integral(spec.g, c, times)), d)
 
-    u_states = np.array([s.u for s in trajectory.states])[:, domain]
+    # the window is nodes 1 .. k, so each state is read on one slice
+    u_states = np.array([s.u[1:1 + dom_nodes.size] for s in trajectory.states])
+    with np.errstate(invalid="ignore"):   # NaN where the envelope is inf
+        rel = (u_states - lower) / lower   # lower: u above env; upper: u below
+        margins = (rel, None if upper is None else
+                   -rel if upper is lower else -((u_states - upper) / upper))
     violations, min_margins = [], []
-    for side, env in (("lower", lower), ("upper", upper)):
+    for side, env, m in zip(("lower", "upper"), (lower, upper), margins):
         if env is None:
             min_margins.append(None)
             continue
-        finite = np.isfinite(env)
-        sign = 1.0 if side == "lower" else -1.0   # lower: u above env; upper: u below
-        margins = np.where(finite, sign * (u_states - env) / np.where(finite, env, 1.0), np.nan)
-        min_margins.append(float(np.nanmin(margins)) if np.any(finite) else None)
-        i, j = (k[:1000] for k in np.nonzero(margins < 0))
-        violations += zip(dom_nodes[j].tolist(), times[i].tolist(), margins[i, j].tolist(),
+        low = float(np.fmin.reduce(m, axis=None, initial=np.nan))   # nanmin's arithmetic
+        min_margins.append(low if low == low or np.isfinite(env).any() else None)
+        i, j = np.unravel_index(np.flatnonzero(m < 0)[:1000], m.shape)
+        violations += zip(dom_nodes[j].tolist(), times[i].tolist(), m[i, j].tolist(),
                           [side] * i.size)
 
     return BoundsReport(**report, predicted=predicted, crossing_time=crossing,

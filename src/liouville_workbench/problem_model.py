@@ -85,22 +85,40 @@ def cumulative_simpson(y, h, out=None):
 
     Even intervals take the parabola through the next node, odd intervals and
     the last one the parabola through the previous node.  out, if given, is a
-    buffer of y's length that receives the result.  The integrator's psi uses it.
+    buffer of y's length that receives the result.  One call of the reusable
+    form CumulativeSimpson, which the integrator keeps for a whole run.
     """
-    n = len(y)
-    out = np.empty(n) if out is None else out
-    s, lo, hi = out[1:], out[1:n - 1:2], out[2::2]   # all intervals, even ones, odd ones
-    a, q, mid = 1.25 * y, 0.25 * y, 2.0 * y[1:n - 1:2]
-    np.add(a[0:n - 2:2], mid, out=lo)
-    lo -= q[2::2]
-    np.add(a[2::2], mid, out=hi)
-    hi -= q[0:n - 2:2]
-    if n % 2 == 0:
-        s[-1] = a[-1] + 2.0 * y[-2] - q[-3]
-    s *= h / 3.0
-    s.cumsum(out=s)
-    out[0] = 0.0
-    return out
+    return CumulativeSimpson(len(y), h, out)(y)
+
+
+class CumulativeSimpson:
+    """cumulative_simpson(., h, out) on n >= 3 nodes, with the views of out and
+    the scratch arrays built once: form(y) refills out and returns it.  Only
+    the nodes that end a pair are scaled by 5/4 and 1/4, out[0] = 0 is written
+    here once, and a new y leaves no trace of the last one."""
+
+    def __init__(self, n, h, out=None):
+        self.out = out = np.empty(n) if out is None else out
+        out[0] = 0.0
+        m = (n - 1) // 2   # paired intervals; an even n has one interval left over
+        self.even, self.step, self.end = n % 2 == 0, h / 3.0, 2 * m + 1
+        self.s, self.lo, self.hi = out[1:], out[1:2 * m:2], out[2:2 * m + 1:2]
+        self.a, self.q, self.mid = np.empty(m + 1), np.empty(m + 1), np.empty(m)
+
+    def __call__(self, y):
+        a, q, mid, lo, hi, s = self.a, self.q, self.mid, self.lo, self.hi, self.s
+        pair_ends = y[0:self.end:2]
+        np.multiply(pair_ends, 1.25, out=a)
+        np.multiply(pair_ends, 0.25, out=q)
+        np.multiply(y[1:self.end:2], 2.0, out=mid)
+        np.subtract(np.add(a[:-1], mid, out=lo), q[1:], out=lo)
+        np.subtract(np.add(a[1:], mid, out=hi), q[:-1], out=hi)
+        if self.even:
+            y3, y2, y1 = y[-3:].tolist()
+            s[-1] = 1.25 * y1 + 2.0 * y2 - 0.25 * y3
+        np.multiply(s, self.step, out=s)
+        np.add.accumulate(s, out=s)
+        return self.out
 
 
 @functools.lru_cache(maxsize=16)
@@ -789,12 +807,19 @@ class Psi0Profile:
     def value(self, alpha):
         """psi0 (or H0) at alpha: the closed form of `analytic` if any, else the
         sample at the node at or below alpha (the first node for alpha < 0)
-        plus cell_simpson's rule on the partial cell from there to alpha."""
+        plus cell_simpson's rule on the partial cell from there to alpha.  On
+        a node that cell has zero width, and the sample is returned as is."""
         if self.analytic is not None:
             return power_integral(self.analytic, 1.0, alpha)
         grid, vals = self.psi0.nodes, self.psi0.values
         i = np.maximum(np.searchsorted(grid, alpha, side="right") - 1, 0)
-        return vals[i] + simpson_cells(self.integrand, np.array([grid[i], alpha]))[0]
+        x0, out = grid[i], vals[i]
+        if not np.any(off := x0 != alpha):
+            return out
+        if np.ndim(off) == 0:
+            return out + simpson_cells(self.integrand, np.array([x0, alpha]))[0]
+        out[off] += simpson_cells(self.integrand, np.array([x0[off], np.asarray(alpha)[off]]))[0]
+        return out
 
 
 def _integrand(spec: ProblemSpec, F=None):

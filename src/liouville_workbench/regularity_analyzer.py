@@ -260,9 +260,9 @@ def lp_norm(fld: SolutionField, p, t: float) -> float:
     row = fld.row(t, idx)
     p = float(p)   # every spelling of inf, "Infinity" too
     if p == math.inf:
-        j = int(np.argmax(row))
-        if 0 < j < len(row) - 1:
-            return float(_parabolic_peak(row[j - 1], row[j], row[j + 1]))
+        j = int(row.argmax())
+        if 0 < j < len(row) - 1:   # Python floats, whose ** 2 is libm pow as numpy's
+            return float(_parabolic_peak(*row[j - 1:j + 2].tolist()))
         return float(row[j])
     if not p >= 1.0:   # nan too
         raise ValueError(f"p must be in [1, inf], got {p}")

@@ -25,9 +25,13 @@ from liouville_workbench import (
     singular_boundary,
     table_F,
 )
+from liouville_workbench import generalized_integrator as gi
 from liouville_workbench import problem_model as pm
 from liouville_workbench.generalized_integrator import _g_and_ratio
 from liouville_workbench.problem_model import data_horizon
+
+
+_F_NODES = np.geomspace(1e-3, 1e3, 400)
 
 
 def quadratic_F_spec(g=None):
@@ -123,6 +127,32 @@ class TestIntegrateGeneral:
         spec = quadratic_F_spec()
         with pytest.raises(ValueError):
             integrate_general(spec, identity_F(), t_end=1.0, dt=0.0)
+
+    @pytest.mark.parametrize("n_alpha", [64, 65])
+    @pytest.mark.parametrize("F", [identity_F(), power_F(2.0),
+                                   table_F(_F_NODES, _F_NODES ** 1.5, c=1.0, d=2.0)],
+                             ids=["u", "u^2", "table"])
+    def test_reused_buffers_keep_runs_equal_and_states_apart(self, F, n_alpha, monkeypatch):
+        # every stage runs on buffers allocated once per run: a second run on
+        # the same spec is the first bit for bit, and no stored u shares memory
+        # with another, in its own run or the next
+        spec = ProblemSpec(f=polynomial(1.0, -2.0), u0=constant(1.0), g=exponential(1.0, 0.3),
+                           n_alpha=n_alpha)
+        calls = []
+        bind = gi._g_and_ratio
+        monkeypatch.setattr(gi, "_g_and_ratio",
+                            lambda g: lambda t, pair=bind(g): calls.append(t) or pair(t))
+        first = integrate_general(spec, F, t_end=2.0, dt=0.5)
+        # one call at t = 0, then two per trial step: a step at dt = 0.5 was rejected
+        assert (len(calls) - 1) // 2 > first.t_dense.size - 1
+        second = integrate_general(spec, F, t_end=2.0, dt=0.5)
+        for name in ("t_dense", "umax_dense", "argmax_dense", "drift_rel_dense", "alpha"):
+            assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+        assert first.stop_reason == second.stop_reason
+        assert [s.t for s in first.states] == [s.t for s in second.states]
+        assert all(a.u.tobytes() == b.u.tobytes() for a, b in zip(first.states, second.states))
+        us = [s.u for s in first.states + second.states]
+        assert not any(np.shares_memory(a, b) for k, a in enumerate(us) for b in us[k + 1:])
 
     def test_csv(self, tmp_path):
         spec = quadratic_F_spec()
@@ -396,9 +426,32 @@ class TestBounds:
         assert report.crossing_time is None
 
     @staticmethod
-    def loop_reference(spec, F, traj, report):
-        # the envelopes built row by row and the violations entry by entry,
-        # as blowup_bounds once did
+    def margin_reference(traj, domain, lower, upper):
+        # margins with the finite-envelope masks, violations in 2-D np.nonzero
+        # order cut to 1000 per side, as blowup_bounds once did; also the
+        # uncut count of each side
+        times, dom_nodes = traj.state_times, traj.alpha[domain]
+        u_states = np.array([s.u[domain] for s in traj.states])
+        violations, min_margins, counts = [], [], []
+        for side, env in (("lower", lower), ("upper", upper)):
+            if env is None:
+                min_margins.append(None)
+                continue
+            finite = np.isfinite(env)
+            sign = 1.0 if side == "lower" else -1.0
+            margins = np.where(finite, sign * (u_states - env) / np.where(finite, env, 1.0),
+                               np.nan)
+            min_margins.append(float(np.nanmin(margins)) if np.any(finite) else None)
+            rows, cols = np.nonzero(margins < 0)
+            counts.append(rows.size)
+            for i, j in zip(rows[:1000], cols[:1000]):
+                violations.append((float(dom_nodes[j]), float(times[i]), float(margins[i, j]),
+                                   side))
+        return min_margins, tuple(violations), counts
+
+    @classmethod
+    def loop_reference(cls, spec, F, traj, report):
+        # the envelopes built row by row, as blowup_bounds once did
         info = compute_H0_alpha0(spec, F)
         domain = info["window"]
         times, dom_nodes = traj.state_times, traj.alpha[domain]
@@ -421,21 +474,7 @@ class TestBounds:
         else:
             lower = envelope(np.asarray(power_integral(spec.g, F.d, times)), F.c)
             upper = envelope(np.asarray(power_integral(spec.g, F.c, times)), F.d)
-        u_states = np.array([s.u[domain] for s in traj.states])
-        violations, min_margins = [], []
-        for side, env in (("lower", lower), ("upper", upper)):
-            if env is None:
-                min_margins.append(None)
-                continue
-            finite = np.isfinite(env)
-            sign = 1.0 if side == "lower" else -1.0
-            margins = np.where(finite, sign * (u_states - env) / np.where(finite, env, 1.0),
-                               np.nan)
-            min_margins.append(float(np.nanmin(margins)) if np.any(finite) else None)
-            for i, j in np.argwhere(margins < 0)[:1000]:
-                violations.append((float(dom_nodes[j]), float(times[i]), float(margins[i, j]),
-                                   side))
-        return lower, upper, min_margins, tuple(violations)
+        return (lower, upper) + cls.margin_reference(traj, domain, lower, upper)[:2]
 
     @pytest.mark.parametrize("case", ["decaying_identity", "increasing_cube", "table_c_below_d"])
     def test_whole_array_bounds_match_the_loops(self, case):
@@ -463,8 +502,15 @@ class TestBounds:
         assert report.min_lower_margin == lo_min
         assert report.min_upper_margin == up_min
         assert report.violations == violations
-        if case == "decaying_identity":   # c == d: one envelope, both sides capped
+        # the margins again from the report's own envelopes and the whole states
+        domain = compute_H0_alpha0(spec, F)["window"]
+        mins, again, counts = self.margin_reference(traj, domain, report.lower_envelope,
+                                                    report.upper_envelope)
+        assert mins == [report.min_lower_margin, report.min_upper_margin]
+        assert again == report.violations
+        if case == "decaying_identity":   # c == d: one envelope, both sides past the cap
             assert report.lower_envelope is report.upper_envelope
+            assert min(counts) > 1000
             assert [v[3] for v in violations].count("lower") == 1000
             assert [v[3] for v in violations].count("upper") == 1000
         elif case == "increasing_cube":

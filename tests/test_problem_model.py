@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -299,6 +300,13 @@ class TestPsi0:
         for a in (-0.05, 1.05):
             assert profile.value(a) == pytest.approx(want(a), abs=1e-6)
         assert profile.value(grid).tobytes() == profile.psi0.values.tobytes()
+        # on a node the partial cell has zero width: the sample, and no integrand call
+        calls = []
+        counted = dataclasses.replace(
+            profile, integrand=lambda x, w=profile.integrand: calls.append(x) or w(x))
+        assert counted.value(grid).tobytes() == profile.psi0.values.tobytes()
+        assert counted.value(float(grid[7])) == profile.psi0.values[7]
+        assert calls == []
 
     @pytest.mark.parametrize("method", ["auto", "quadrature"])
     def test_equal_maxima_at_every_down_crossing(self, method):
@@ -637,6 +645,18 @@ class TestScipyParity:
         out = np.empty(n)
         assert pm.cumulative_simpson(y, h, out=out) is out
         np.testing.assert_array_equal(out, sp_integrate.cumulative_simpson(y, dx=h, initial=0.0))
+
+    @pytest.mark.parametrize("n", [3, 4, 128, 129, 2048, 2049])
+    def test_reusable_form_is_bitwise_scipy_on_every_call(self, n):
+        # one form, its views and scratch built once, refilled by a new y
+        rng = np.random.default_rng(n)
+        h = 1.0 / (n - 1)
+        form = pm.CumulativeSimpson(n, h)
+        for _ in range(2):
+            y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            assert form(y) is form.out
+            want = sp_integrate.cumulative_simpson(y, dx=h, initial=0.0)
+            assert form.out.tobytes() == want.tobytes()
 
     def test_exprel_matches_scipy(self):
         x = np.array([0.0, 1e-310, -1e-310, 1e-300, -1e-300, 1e-8, -1e-8, 1.0, -1.0,

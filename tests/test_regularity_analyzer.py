@@ -252,6 +252,29 @@ class TestLpNorm:
         for fld in field2:
             assert lp_norm(fld, math.inf, 1.0) == pytest.approx(16.0 / 3.0, rel=1e-10)
 
+    def test_sup_norm_is_a_float_from_numpy_arithmetic(self, field2):
+        # the peak is taken on Python floats; it equals the parabola on numpy
+        # scalars (whose ** 2 is libm pow, not d * d: 1 ulp apart on about
+        # 1 in 20000 of these triples), and lp_norm returns a float
+        def numpy_peak(ym, y0, yp):
+            denom = ym - 2.0 * y0 + yp
+            if abs(denom) < 1e-300 or denom >= 0:
+                return y0
+            return max(y0 - 0.125 * (ym - yp) ** 2 / denom, y0)
+
+        rng = np.random.default_rng(0)
+        triples = rng.standard_normal((20000, 3)) * 10.0 ** rng.uniform(-5, 5, (20000, 1))
+        triples[:, 1] = 3.0 * np.abs(triples[:, 1])
+        assert [ra._parabolic_peak(*r) for r in triples.tolist()] == [
+            float(numpy_peak(*r)) for r in triples]
+        for fld in field2:
+            for t in fld.t_nodes[~fld.masked_rows].tolist():
+                row = fld.row(t, fld.node(t))
+                j = int(np.argmax(row))
+                want = numpy_peak(*row[j - 1:j + 2]) if 0 < j < row.size - 1 else row[j]
+                got = lp_norm(fld, math.inf, t)
+                assert type(got) is float and got == float(want)
+
     @pytest.mark.parametrize("p", [math.inf, "inf", "INF", "Infinity"])
     def test_every_spelling_of_inf(self, field2, p):
         for fld in field2:
