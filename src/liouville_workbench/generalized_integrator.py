@@ -35,7 +35,6 @@ from .problem_model import (
     FunctionDescriptor,
     GridFunction,
     ProblemSpec,
-    _KINDS,
     _fit_line,
     _integrand,
     _profile,
@@ -187,11 +186,12 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
     step with err > tol, or with more than 10% sup-norm growth, is retried
     shorter; dt itself never changes, so a run in which neither bound binds
     takes the fixed steps min(dt, t_end - t).  The run stops at t_end or as
-    soon as max u reaches blowup_cap.  Raises on nonpositive u (numerical
-    failure) and on incompatible data (check_compatibility with F reports a
-    nonzero integral of f F(u0)).  The stages k1-k4, the stage input, their
-    sum, f F(u) and psi live in buffers allocated once per run; each accepted
-    state is a new array, stored as is, so no stored state aliases another.
+    soon as max u reaches blowup_cap.  Raises on nonpositive or NaN u
+    (numerical failure) and on incompatible data (check_compatibility with F
+    reports a nonzero integral of f F(u0)).  The stages k1-k4, the stage
+    input, their sum, f F(u) and psi live in buffers allocated once per run;
+    each accepted state is a new array, stored as is, so no stored state
+    aliases another.
     """
     if not (dt > 0 and t_end > 0 and blowup_cap > 0):   # nan too
         raise ValueError(f"dt, t_end and blowup_cap must be positive, got {dt}, {t_end}, {blowup_cap}")
@@ -206,9 +206,10 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
     g_and_ratio = _g_and_ratio(spec.g)
 
     def check_positive(t, u):
-        if np.minimum.reduce(u) <= 0.0:
-            j = int(np.argmin(u))
-            raise RuntimeError(f"u became nonpositive at t={t:.6g}, alpha={grid[j]:.6g} "
+        if not np.minimum.reduce(u) > 0.0:   # nan too
+            j = int(np.argmin(u))   # the first NaN, if any
+            what = "NaN" if math.isnan(u[j]) else "nonpositive"
+            raise RuntimeError(f"u became {what} at t={t:.6g}, alpha={grid[j]:.6g} "
                                f"(u={u[j]:.3e}); reduce dt or the blow-up cap")
 
     def rhs(t, u, g_ratio, k):
@@ -312,12 +313,11 @@ def _g_and_ratio(g: FunctionDescriptor):
     """t -> (g(t), g'(t)/g(t)) on the float t, as the integrator needs them per stage.
 
     The pair is g(t), g.derivative(t) / g(t) bit for bit, read straight off
-    the kind table's bind, which keeps each kind's own checks (singular g's
-    t < t_b, a table's domain) and looks a table's GridFunction up once, here;
-    a polynomial g runs the table's one Horner loop in plain Python.  A
-    non-finite g(t) raises.
+    g's bound kind, which keeps each kind's own checks (singular g's t < t_b,
+    a table's domain); a polynomial g runs the one Horner loop in plain
+    Python.  A non-finite g(t) raises.
     """
-    value, derivative = _KINDS[g.kind].bind(g.params)
+    value, derivative = g.bound.value, g.bound.derivative
 
     def g_and_ratio(t):
         g_t = float(value(t))

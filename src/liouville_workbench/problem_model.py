@@ -12,13 +12,14 @@ module is built from two primitives:
     G(t)        = integral_0^t    g(s) ds,      G(0) = 0.
 
 Data functions are represented by a small closed-form catalog plus linearly
-interpolated tables.  Each kind carries its own value, derivative, integral
-of any power and limit of that integral (one table, _KINDS), so the worked
-examples (polynomial data, the singular boundary family (1-t)^-(1+beta),
-exponential decay, trigonometric data) are integrated exactly while tables
-admit arbitrary sampled data.  Every polynomial (value, derivative, integral)
-goes through one Horner loop, _horner, and every table (a table g, a table F,
-a sampled psi0 or G) is checked by GridFunction.
+interpolated tables.  Each kind is one class (_KINDS) with its own value,
+derivative, integral of any power and limit of that integral, bound once by
+each FunctionDescriptor to its checked params, so the worked examples
+(polynomial data, the singular boundary family (1-t)^-(1+beta), exponential
+decay, trigonometric data) are integrated exactly while tables admit
+arbitrary sampled data.  Every polynomial (value, derivative, integral) goes
+through one Horner loop, _horner, and every table (a table g, a table F, a
+sampled psi0 or G) is checked by GridFunction.
 
 psi0 and G are the kind's closed-form integral (psi0, and the generalized
 equation's H0 = int f F(u0), whenever the integrand is one descriptor, see
@@ -176,7 +177,7 @@ def exprel(x):
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Sampled function with linear interpolation between strictly increasing nodes.
+    """Finite samples, linearly interpolated between strictly increasing nodes.
 
     Evaluation at a node returns the stored value exactly.
     """
@@ -191,6 +192,8 @@ class GridFunction:
             raise ValueError("table nodes and values must be 1-d arrays of equal length")
         if nodes.size < 2:
             raise ValueError("a table needs at least two nodes")
+        if not (np.isfinite(nodes).all() and np.isfinite(values).all()):
+            raise ValueError("table nodes and values must be finite")
         if not np.all(np.diff(nodes) > 0):
             raise ValueError("table nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
@@ -267,70 +270,69 @@ def _cells(spec, x):
 
 
 class _Kind:
-    """What one descriptor kind does; every method takes the params dict p.
+    """One descriptor kind bound to its params, built once per FunctionDescriptor.
 
-    integral(p, power, t) is int_0^t value^power, 2048 simpson_cells summed
-    unless the kind has a closed form; limit(p, power) is its limit at
-    end(p), the end of the data's life, as (value, estimated), and last(p)
-    the last time with data.  params and scale validate or rescale p in place.
+    The constructor checks the params dict p, normalizes it in place and keeps
+    what the methods read.  integral(power, t) is int_0^t value^power, 2048
+    simpson_cells summed unless the kind has a closed form; limit(power) is
+    its limit at end, the end of the data's life, as (value, estimated), and
+    last the last time with data.  scale(p, factor) rescales a params dict in
+    place, without a kind object.
     """
 
-    def integral(self, p, power, t):
+    end = last = math.inf
+
+    def integral(self, power, t):
         s = np.multiply.outer(np.linspace(0.0, 1.0, 2049), t)
-        steps = simpson_cells(lambda x: np.asarray(self.value(p, x)) ** power, s)
+        steps = simpson_cells(lambda x: np.asarray(self.value(x)) ** power, s)
         # cells last and contiguous, so every t is summed pairwise, as a scalar t is
         return np.ascontiguousarray(np.moveaxis(steps, 0, -1)).sum(axis=-1)
 
-    def bind(self, p):
-        """(x -> value, x -> derivative) with p bound once."""
-        return functools.partial(self.value, p), functools.partial(self.derivative, p)
-
-    def limit(self, p, power):
+    def limit(self, power):
         # constants, polynomials and positive trigonometric data (almost
         # periodic, positive mean) all integrate to infinity
         return math.inf, False
 
-    def end(self, p):
-        return math.inf
-
-    def last(self, p):
-        return self.end(p)
-
 
 class _Polynomial(_Kind):
-    def params(self, p):
+    def __init__(self, p):
         if np.ndim(p["coeffs"]) != 1 or not len(p["coeffs"]):   # "12" is not [1, 2]
             raise ValueError("polynomial needs a list of at least one coefficient")
-        p["coeffs"] = tuple(float(c) for c in p["coeffs"])
+        p["coeffs"] = self.coeffs = tuple(float(c) for c in p["coeffs"])
+        self.antiderivatives = {}   # of value^power, by power
 
-    def coeffs(self, p):
-        return p["coeffs"]
+    def value(self, x):
+        return _horner(self.coeffs, x)
 
-    def value(self, p, x):
-        return _horner(self.coeffs(p), x)
+    @functools.cached_property
+    def derivative_coeffs(self):
+        return npoly.polyder(self.coeffs).tolist()
 
-    def derivative(self, p, x):
-        return _horner(_polynomial_derivative(self.coeffs(p)), x)
+    def derivative(self, x):
+        return _horner(self.derivative_coeffs, x)
 
-    def integral(self, p, power, t):
+    def integral(self, power, t):
         if not (float(power).is_integer() and power > 0):
-            return super().integral(p, power, t)
-        return _horner(_polynomial_antiderivative(self.coeffs(p), int(power)), t)
+            return super().integral(power, t)
+        if (c := self.antiderivatives.get(power)) is None:
+            c = npoly.polyint(npoly.polypow(self.coeffs, int(power))).tolist()
+            self.antiderivatives[power] = c
+        return _horner(c, t)
 
-    def scale(self, p, factor):
+    @staticmethod
+    def scale(p, factor):
         p["coeffs"] = tuple(c * factor for c in p["coeffs"])
 
 
 class _Constant(_Polynomial):
     # the degree-0 polynomial, stored as {"value": v}
 
-    def params(self, p):
+    def __init__(self, p):
         p["value"] = float(p["value"])
+        super().__init__({"coeffs": [p["value"]]})
 
-    def coeffs(self, p):
-        return (p["value"],)
-
-    def scale(self, p, factor):
+    @staticmethod
+    def scale(p, factor):
         p["value"] *= factor
 
 
@@ -343,49 +345,39 @@ def _horner(c, x):
     return acc
 
 
-@functools.lru_cache(maxsize=64)
-def _polynomial_antiderivative(coeffs, power):
-    # a tuple, because every caller shares the cached value
-    return tuple(npoly.polyint(npoly.polypow(coeffs, power)).tolist())
-
-
-@functools.lru_cache(maxsize=64)
-def _polynomial_derivative(coeffs):
-    return tuple(npoly.polyder(coeffs).tolist())
-
-
 class _Trigonometric(_Kind):
-    def params(self, p):
+    def __init__(self, p):
         terms = p["terms"]
         if not len(terms) or any(np.ndim(t) != 1 or len(t) not in (2, 3) for t in terms):
             raise ValueError("trigonometric needs at least one term, each [A, k] or [A, k, phase]")
-        p["terms"] = tuple(tuple(map(float, t)) + (0.0,) * (3 - len(t)) for t in terms)
-        p["offset"] = float(p.get("offset", 0.0))
+        p["terms"] = self.terms = tuple(tuple(map(float, t)) + (0.0,) * (3 - len(t)) for t in terms)
+        p["offset"] = self.offset = float(p.get("offset", 0.0))
 
-    def value(self, p, x):
-        out = np.full_like(x, p["offset"])
-        for amp, freq, phase in p["terms"]:
+    def value(self, x):
+        out = np.full_like(x, self.offset)
+        for amp, freq, phase in self.terms:
             out = out + amp * np.sin(2.0 * np.pi * freq * x + phase)
         return out
 
-    def derivative(self, p, x):
+    def derivative(self, x):
         out = np.zeros_like(x)
-        for amp, freq, phase in p["terms"]:
+        for amp, freq, phase in self.terms:
             w = 2.0 * np.pi * freq
             out = out + amp * w * np.cos(w * x + phase)
         return out
 
-    def integral(self, p, power, t):
+    def integral(self, power, t):
         if power != 1.0:
-            return super().integral(p, power, t)
+            return super().integral(power, t)
         # A (cos(phase) - cos(2 pi k t + phase)) / (2 pi k), written with
         # sinc(kt) = sin(pi k t)/(pi k t) so that k -> 0 gives A sin(phase) t
-        out = p["offset"] * t
-        for amp, freq, phase in p["terms"]:
+        out = self.offset * t
+        for amp, freq, phase in self.terms:
             out = out + amp * t * np.sinc(freq * t) * np.sin(np.pi * freq * t + phase)
         return out
 
-    def scale(self, p, factor):
+    @staticmethod
+    def scale(p, factor):
         p["offset"] *= factor
         p["terms"] = tuple((a * factor, f, ph) for a, f, ph in p["terms"])
 
@@ -393,133 +385,123 @@ class _Trigonometric(_Kind):
 class _SingularBoundary(_Kind):
     # g^power = (1 - t/t_b)^-(e + 1) with e = power (1 + beta) - 1
 
-    def params(self, p):
+    def __init__(self, p):
         p["beta"] = float(p["beta"])
         p["t_b"] = float(p.get("t_b", 1.0))
         for key, name in (("beta", "exponent beta"), ("t_b", "blow-up time t_b")):
             if not 0 < p[key] < math.inf:   # nan too
                 raise ValueError(f"singular_boundary {name} must be positive and finite, got {p[key]}")
+        self.beta, self.end = p["beta"], p["t_b"]
+        self.last = self.end * (1.0 - 1e-9)   # the data are finite on [0, t_b) only
 
-    def value(self, p, x):
+    def value(self, x):
         # a float x as a 0-d array: its power is inf past the largest double, where float ** raises;
         # its domain test is a float compare, 3 us faster than np.any
-        beta, tb, x = p["beta"], p["t_b"], np.asarray(x)
+        tb, x = self.end, np.asarray(x)
         if float(x) >= tb if x.ndim == 0 else np.any(x >= tb):
             raise ValueError(
                 f"singular_boundary data is finite only on [0, t_b={tb}); "
                 f"got t up to {float(np.max(x))}"
             )
-        return (1.0 - x / tb) ** (-(1.0 + beta))
+        return (1.0 - x / tb) ** (-(1.0 + self.beta))
 
-    def derivative(self, p, x):
-        beta, tb, x = p["beta"], p["t_b"], np.asarray(x)
-        return (1.0 + beta) / tb * (1.0 - x / tb) ** (-(2.0 + beta))
+    def derivative(self, x):
+        tb = self.end
+        return (1.0 + self.beta) / tb * (1.0 - np.asarray(x) / tb) ** (-(2.0 + self.beta))
 
-    def integral(self, p, power, t):
-        tb, e = p["t_b"], power * p["beta"] + (power - 1.0)
+    def integral(self, power, t):
+        tb, e = self.end, power * self.beta + (power - 1.0)
         if e == 0.0:
             return -tb * np.log(1.0 - t / tb)
         return (tb / e) * ((1.0 - t / tb) ** (-e) - 1.0)
 
-    def limit(self, p, power):
-        e = power * p["beta"] + (power - 1.0)
-        return (-p["t_b"] / e if e < 0 else math.inf), False
+    def limit(self, power):
+        e = power * self.beta + (power - 1.0)
+        return (-self.end / e if e < 0 else math.inf), False
 
-    def end(self, p):
-        return p["t_b"]
-
-    def last(self, p):
-        # the data are finite on [0, t_b) only
-        return p["t_b"] * (1.0 - 1e-9)
-
-    def scale(self, p, factor):
+    @staticmethod
+    def scale(p, factor):
         raise ValueError("the singular_boundary family is already normalized; cannot rescale")
 
 
 class _Table(_Kind):
-    def params(self, p):
-        table = GridFunction(p["nodes"], p["values"])
+    def __init__(self, p):
+        self.table = table = GridFunction(p["nodes"], p["values"])
         p["nodes"], p["values"] = tuple(table.nodes.tolist()), tuple(table.values.tolist())
+        self.end = self.last = p["nodes"][-1]
+        self.lo, self.hi = table.nodes[0] - 1e-12, table.nodes[-1] + 1e-12   # the domain, with slack
 
-    def bind(self, p):
-        # the GridFunction looked up once: _table's key hashes both params tuples
-        table = _table(p["nodes"], p["values"])
-        lo, hi = table.nodes[0] - 1e-12, table.nodes[-1] + 1e-12
+    def value(self, x):
+        # a float x (the integrator's g(t) per stage) takes float compares, not np.any
+        lo, hi = self.lo, self.hi
+        if x < lo or x > hi if np.ndim(x) == 0 else np.any(x < lo) or np.any(x > hi):
+            raise ValueError("evaluation outside the table's declared domain")
+        return self.table(x)
 
-        def value(x):
-            # a float x (the integrator's g(t) per stage) takes float compares, not np.any
-            if x < lo or x > hi if np.ndim(x) == 0 else np.any(x < lo) or np.any(x > hi):
-                raise ValueError("evaluation outside the table's declared domain")
-            return table(x)
-        return value, table.slope
+    def derivative(self, x):
+        return self.table.slope(x)
 
-    def value(self, p, x):
-        return self.bind(p)[0](x)
+    @functools.cached_property
+    def area_to_nodes(self):
+        """int_{nodes[0]}^{nodes[i]} at every node i: trapezoids are exact for
+        the linear interpolant."""
+        nodes, values = self.table.nodes, self.table.values
+        return np.concatenate(([0.0], np.cumsum(np.diff(nodes) * (values[:-1] + values[1:]) / 2.0)))
 
-    def derivative(self, p, x):
-        return _table(p["nodes"], p["values"]).slope(x)
-
-    def integral(self, p, power, t):
+    def integral(self, power, t):
         if power != 1.0:
-            return super().integral(p, power, t)
-        table = _table(p["nodes"], p["values"])
-        nodes, values = table.nodes, table.values
-        # trapezoids are exact for the linear interpolant
-        cum = np.concatenate(([0.0], np.cumsum(np.diff(nodes) * (values[:-1] + values[1:]) / 2.0)))
+            return super().integral(power, t)
+        nodes, values, cum = self.table.nodes, self.table.values, self.area_to_nodes
 
         def area(x):  # int_{nodes[0]}^x
             i = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(nodes) - 2)
-            return cum[i] + (x - nodes[i]) * (values[i] + self.value(p, x)) / 2.0
+            return cum[i] + (x - nodes[i]) * (values[i] + self.value(x)) / 2.0
 
         return area(t) - area(0.0)
 
-    def limit(self, p, power):
+    def limit(self, power):
         # no data past the last node: extrapolate a geometric tail and flag it
-        horizon = p["nodes"][-1]
-        g_end = float(self.value(p, horizon)) ** power
-        g_mid = float(self.value(p, horizon / 2.0)) ** power
+        horizon = self.end
+        g_end = float(self.value(horizon)) ** power
+        g_mid = float(self.value(horizon / 2.0)) ** power
         if g_end >= 0.5 * g_mid:
             return math.inf, True
         k = math.log(g_mid / g_end) / (horizon / 2.0)
-        return float(self.integral(p, power, horizon)) + g_end / k, True
+        return float(self.integral(power, horizon)) + g_end / k, True
 
-    def end(self, p):
-        return p["nodes"][-1]
-
-    def scale(self, p, factor):
+    @staticmethod
+    def scale(p, factor):
         p["values"] = tuple(v * factor for v in p["values"])
 
 
-_table = functools.lru_cache(maxsize=64)(GridFunction)   # one GridFunction per params tuples
-
-
 class _Exponential(_Kind):
-    def params(self, p):
-        p["amplitude"] = float(p["amplitude"])
-        p["rate"] = float(p["rate"])
+    def __init__(self, p):
+        p["amplitude"] = self.amplitude = float(p["amplitude"])
+        p["rate"] = self.rate = float(p["rate"])
 
-    def value(self, p, x):
-        return p["amplitude"] * np.exp(p["rate"] * x)
+    def value(self, x):
+        return self.amplitude * np.exp(self.rate * x)
 
-    def derivative(self, p, x):
-        return p["amplitude"] * p["rate"] * np.exp(p["rate"] * x)
+    def derivative(self, x):
+        return self.amplitude * self.rate * np.exp(self.rate * x)
 
-    def integral(self, p, power, t):
+    def integral(self, power, t):
         # A^power (e^{rp t} - 1)/rp with rp = rate * power; exprel stays exact
         # as rp -> 0, where expm1(rp t)/rp loses every digit
-        return p["amplitude"] ** power * t * exprel(p["rate"] * power * t)
+        return self.amplitude ** power * t * exprel(self.rate * power * t)
 
-    def limit(self, p, power):
-        amp, rp = p["amplitude"], p["rate"] * power
+    def limit(self, power):
+        amp, rp = self.amplitude, self.rate * power
         return (-(amp**power) / rp if rp < 0 else math.inf), False
 
-    def scale(self, p, factor):
+    @staticmethod
+    def scale(p, factor):
         p["amplitude"] *= factor
 
 
-_KINDS = {"constant": _Constant(), "polynomial": _Polynomial(),
-          "trigonometric": _Trigonometric(), "singular_boundary": _SingularBoundary(),
-          "table": _Table(), "exponential": _Exponential()}
+_KINDS = {"constant": _Constant, "polynomial": _Polynomial,
+          "trigonometric": _Trigonometric, "singular_boundary": _SingularBoundary,
+          "table": _Table, "exponential": _Exponential}
 
 
 @dataclass(frozen=True)
@@ -535,6 +517,9 @@ class FunctionDescriptor:
                          the blow-up family (1 - t/tb)^-(1+b), finite on [0, tb)
       table              {"nodes": [...], "values": [...]}    linear interpolation
       exponential        {"amplitude": A, "rate": r}          A*exp(r*x)
+
+    bound is the kind's object, built once here with the params checked and
+    read; it is not a field, so equality, repr and to_dict see kind and params.
     """
 
     kind: str
@@ -546,39 +531,40 @@ class FunctionDescriptor:
                              f"expected one of {tuple(_KINDS)}")
         try:
             p = dict(self.params)
-            _KINDS[self.kind].params(p)
-        except (TypeError, IndexError) as exc:   # a list where a number goes, a short term
+            bound = _KINDS[self.kind](p)
+        except (TypeError, IndexError, KeyError) as exc:   # a list for a number, a short term, no key
             raise ValueError(f"malformed {self.kind} params: {exc}") from exc
         object.__setattr__(self, "params", p)
+        object.__setattr__(self, "bound", bound)
 
     # evaluation -----------------------------------------------------------
 
     def __call__(self, x):
-        out = _KINDS[self.kind].value(self.params, np.asarray(x, dtype=float))
+        out = self.bound.value(np.asarray(x, dtype=float))
         if not np.isfinite(out).all():
             raise ValueError(f"{self.kind} descriptor produced non-finite samples")
         return out if np.ndim(out) else float(out)
 
     def derivative(self, x):
         """Pointwise derivative (piecewise slope for tables)."""
-        out = _KINDS[self.kind].derivative(self.params, np.asarray(x, dtype=float))
+        out = self.bound.derivative(np.asarray(x, dtype=float))
         return out if np.ndim(out) else float(out)
 
     def scaled(self, factor: float) -> "FunctionDescriptor":
         """Return the descriptor multiplied pointwise by a constant."""
         p = dict(self.params)
-        _KINDS[self.kind].scale(p, factor)
+        self.bound.scale(p, factor)
         return FunctionDescriptor(self.kind, p)
 
     # polynomial plumbing ----------------------------------------------------
 
     def is_polynomial(self) -> bool:
-        return isinstance(_KINDS[self.kind], _Polynomial)
+        return isinstance(self.bound, _Polynomial)
 
     def poly_coeffs(self):
         if not self.is_polynomial():
             raise ValueError(f"{self.kind} descriptor has no polynomial coefficients")
-        return _KINDS[self.kind].coeffs(self.params)
+        return self.bound.coeffs
 
     # serialization ----------------------------------------------------------
 
@@ -598,7 +584,7 @@ class FunctionDescriptor:
 
 def power_integral(desc: FunctionDescriptor, power: float, t) -> float | np.ndarray:
     """integral_0^t g(s)^power ds, in closed form where the kind has one."""
-    out = _KINDS[desc.kind].integral(desc.params, power, np.asarray(t, dtype=float))
+    out = desc.bound.integral(power, np.asarray(t, dtype=float))
     return out if np.ndim(out) else float(out)
 
 
@@ -609,13 +595,13 @@ def power_integral_limit(desc: FunctionDescriptor, power: float) -> tuple[float,
     their last node, so a geometric tail is fitted there and flagged.  For
     the singular family the limit is taken at t_b.
     """
-    value, estimated = _KINDS[desc.kind].limit(desc.params, power)
+    value, estimated = desc.bound.limit(power)
     return float(value), estimated
 
 
 def invert_power_integral(desc: FunctionDescriptor, power: float, y):
     """Elementwise t with integral_0^t g^power = y; NaN where it never gets there."""
-    end = _KINDS[desc.kind].end(desc.params)
+    end = desc.bound.end
     return _solve_increasing(lambda t: power_integral(desc, power, t),
                              lambda t: np.asarray(desc(t)) ** power, y,
                              0.0, min(1.0, end), 0.0, end=end)
@@ -972,14 +958,14 @@ class BoundaryIntegral:
         i = np.clip(np.searchsorted(vals, y[reach]), 1, len(vals) - 1)
         t[reach] = _solve_increasing(self.value, self.derivative, y[reach], nodes[i - 1], nodes[i],
                                      vals[i - 1], vals[i],
-                                     _KINDS[self.g_desc.kind].end(self.g_desc.params))
+                                     self.g_desc.bound.end)
         return t
 
 
 def data_horizon(g: FunctionDescriptor, t_max: float) -> float:
     """min(t_max, the last time g has data): the last node of a table, and
     t_b (1 - 1e-9) for the singular family, which blows up at t_b."""
-    return min(t_max, _KINDS[g.kind].last(g.params))
+    return min(t_max, g.bound.last)
 
 
 def build_G(spec, t_max: float, n_t: int = 1025, method: str = "auto") -> BoundaryIntegral:

@@ -314,21 +314,26 @@ class TestErrors:
         assert main(["classify", "--spec", spec2_path, "--beta", "nan"]) == 2
         assert "beta must be positive and finite, got nan" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", [
-        {"g": {"kind": "table", "params": {"nodes": [0.0, 2.0, 1.0], "values": [1.0, 2.0, 3.0]}}},
-        {"g": {"kind": "table", "params": {"nodes": [0.0, 1.0], "values": [1.0, 2.0, 3.0]}}},
-        {"general": {"F": {"kind": "table", "nodes": [0.5, 2.0, 1.0], "values": [0.5, 1.0, 2.0],
-                           "c": 1.0, "d": 1.0}}},
-        {"general": {"F": {"kind": "table", "nodes": [0.5], "values": [0.5], "c": 1.0, "d": 1.0}}},
-        {"general": {"F": {"kind": "table", "nodes": [0.5, 1.0], "values": [0.5, 1.0, 2.0],
-                           "c": 1.0, "d": 1.0}}},
-    ], ids=["unsorted-g", "ragged-g", "unsorted-F", "one-node-F", "ragged-F"])
-    def test_malformed_table_names_the_table(self, edit, tmp_path, capsys):
+    @pytest.mark.parametrize("edit, message", [
+        ({"g": {"kind": "table", "params": {"nodes": [0.0, 2.0, 1.0], "values": [1.0, 2.0, 3.0]}}}, "table"),
+        ({"g": {"kind": "table", "params": {"nodes": [0.0, 1.0], "values": [1.0, 2.0, 3.0]}}}, "table"),
+        ({"general": {"F": {"kind": "table", "nodes": [0.5, 2.0, 1.0], "values": [0.5, 1.0, 2.0],
+                            "c": 1.0, "d": 1.0}}}, "table"),
+        ({"general": {"F": {"kind": "table", "nodes": [0.5], "values": [0.5], "c": 1.0, "d": 1.0}}}, "table"),
+        ({"general": {"F": {"kind": "table", "nodes": [0.5, 1.0], "values": [0.5, 1.0, 2.0],
+                            "c": 1.0, "d": 1.0}}}, "table"),
+        ({"g": {"kind": "table", "params": {"nodes": [0.0, 1.0, 2.0], "values": [1.0, math.nan, 3.0]}}},
+         "table nodes and values must be finite"),
+        # the NaN sits at u = 1e4, outside the [1e-3, 1e3] window the envelope check reads
+        ({"general": {"F": {"kind": "table", "nodes": [1e-3, 1.0, 1e4], "values": [1e-3, 1.0, math.nan],
+                            "c": 1.0, "d": 1.0}}}, "table nodes and values must be finite"),
+    ], ids=["unsorted-g", "ragged-g", "unsorted-F", "one-node-F", "ragged-F", "nan-g", "nan-F"])
+    def test_malformed_table_names_the_table(self, edit, message, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**catalog.example_spec(2, n_alpha=65).to_dict(), **edit}))
         assert main(["simulate", "--spec", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "table" in err
+        assert err.startswith("error:") and message in err
 
     @pytest.mark.parametrize("general", [
         {"F": {"kind": "power"}},

@@ -128,6 +128,12 @@ class TestIntegrateGeneral:
         with pytest.raises(ValueError):
             integrate_general(spec, identity_F(), t_end=1.0, dt=0.0)
 
+    def test_nan_u_is_a_numerical_failure(self):
+        # u^80 overflows, and 0 * inf at f's zero alpha = 1/2 gives NaN, which
+        # compares false against 0 and the growth and step-error tests alike
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="u became NaN at"):
+            integrate_general(catalog.example_spec(2, n_alpha=129), power_F(80), t_end=0.05, dt=1e-3)
+
     @pytest.mark.parametrize("n_alpha", [64, 65])
     @pytest.mark.parametrize("F", [identity_F(), power_F(2.0),
                                    table_F(_F_NODES, _F_NODES ** 1.5, c=1.0, d=2.0)],
@@ -241,37 +247,38 @@ def test_polynomial_g_and_ratio_is_npoly_bit_for_bit():
 
 
 def test_g_and_ratio_binds_a_table_once(monkeypatch):
-    # the table's GridFunction is looked up when the closure is made, not per
-    # call, and the domain check stays
+    # the table's GridFunction and cumulative trapezoid are built once per
+    # descriptor, not per read, and the domain check stays
+    built = []
+    grid_function = pm.GridFunction
+    monkeypatch.setattr(pm, "GridFunction", lambda *args: built.append(args) or grid_function(*args))
     table = FunctionDescriptor("table", {"nodes": [0.0, 1.0, 2.5, 4.0],
                                          "values": [1.0, 3.0, 0.5, 2.0]})
     ts = np.linspace(0.0, 4.0, 17).tolist()
     want = [(table(t), table.derivative(t) / table(t)) for t in ts]
-    lookups = []
-    lookup = pm._table
-    monkeypatch.setattr(pm, "_table", lambda *args: lookups.append(args) or lookup(*args))
     g_and_ratio = _g_and_ratio(table)
     assert [g_and_ratio(t) for t in ts] == want
-    assert len(lookups) == 1
+    area = power_integral(table, 1.0, 2.0)
+    cum = table.bound.area_to_nodes
+    assert power_integral(table, 1.0, 2.0) == area and table.bound.area_to_nodes is cum
+    assert len(built) == 1
     with pytest.raises(ValueError, match="outside the table's declared domain"):
         g_and_ratio(4.0 + 1e-9)
 
 
 def test_singular_g_on_a_float_and_on_arrays():
     # a float compare on a 0-d t, np.any on an array: the same values and the same error
-    kind, p = pm._KINDS["singular_boundary"], singular_boundary(0.7).params
+    kind = singular_boundary(0.7).bound
     ts = np.array([0.0, 0.25, 0.5, 0.999])
-    np.testing.assert_array_equal([kind.value(p, t) for t in ts.tolist()], kind.value(p, ts))
+    np.testing.assert_array_equal([kind.value(t) for t in ts.tolist()], kind.value(ts))
     for t in (1.0, np.float64(1.5), np.array(1.0), np.array([0.5, 1.0])):
         with pytest.raises(ValueError, match=r"finite only on \[0, t_b=1.0\)"):
-            kind.value(p, t)
+            kind.value(t)
     # a table g too, with the error just past its 1e-12 slack at either end
-    kind = pm._KINDS["table"]
-    p = FunctionDescriptor("table", {"nodes": [0.0, 1.0, 2.0, 4.0], "values": [1.0, 1.5, 2.0, 3.0]}).params
-    value, _ = kind.bind(p)
+    value = FunctionDescriptor("table", {"nodes": [0.0, 1.0, 2.0, 4.0],
+                                         "values": [1.0, 1.5, 2.0, 3.0]}).bound.value
     ts = np.array([-1e-12, 0.0, 1.2345, 2.0, 4.0 + 1e-12])
     np.testing.assert_array_equal([value(t) for t in ts.tolist()], value(ts))
-    np.testing.assert_array_equal([kind.value(p, t) for t in ts.tolist()], kind.value(p, ts))
     for t in (-2e-12, 4.0 + 2e-12, np.float64(-2e-12), np.array(4.0 + 2e-12), np.array([1.0, 4.0 + 2e-12]),
               np.array([-2e-12, 1.0])):
         with pytest.raises(ValueError, match="outside the table's declared domain"):

@@ -36,6 +36,14 @@ from liouville_workbench.closed_form_solver import singular_curve
 
 
 _COS = FunctionDescriptor("trigonometric", {"terms": [[1.0, 1.0, math.pi / 2]]})   # cos 2 pi a
+_ONE_OF_EACH_KIND = [   # (descriptor, a range it has data on)
+    (constant(2.0), 0.0, 1.0),
+    (polynomial(1.0, -2.0, 0.5, 3.0), -1.0, 2.0),
+    (FunctionDescriptor("trigonometric", {"offset": 2.0, "terms": [[0.7, 1.0, 0.2], [0.3, 3.0]]}), 0.0, 3.0),
+    (singular_boundary(0.7, t_b=2.0), 0.0, 1.99),
+    (FunctionDescriptor("table", {"nodes": [0.0, 1.0, 2.5, 4.0], "values": [1.0, 3.0, 0.5, 2.0]}), 0.0, 4.0),
+    (exponential(1.7, -0.3), 0.0, 10.0),
+]
 
 
 class TestGridFunction:
@@ -113,6 +121,39 @@ class TestFunctionDescriptor:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             FunctionDescriptor("rational", {})
+
+    @pytest.mark.parametrize("kind, params, missing", [
+        ("constant", {}, "value"),
+        ("polynomial", {}, "coeffs"),
+        ("trigonometric", {"offset": 1.0}, "terms"),
+        ("singular_boundary", {"t_b": 1.0}, "beta"),
+        ("table", {"nodes": [0.0, 1.0]}, "values"),
+        ("exponential", {"amplitude": 1.0}, "rate"),
+    ])
+    def test_missing_param_key_is_malformed(self, kind, params, missing):
+        with pytest.raises(ValueError, match=f"malformed {kind} params: '{missing}'"):
+            FunctionDescriptor(kind, params)
+
+    @pytest.mark.parametrize("desc, lo, hi", _ONE_OF_EACH_KIND, ids=lambda v: getattr(v, "kind", None))
+    def test_bound_float_read_is_the_descriptor_read(self, desc, lo, hi):
+        # the integrator reads g through the bound kind on floats, the rest of
+        # the code through the descriptor, which reads a 0-d array
+        ts = [lo, hi] + np.random.default_rng(3).uniform(lo, hi, 200).tolist()
+        for t in ts:
+            assert float(desc.bound.value(t)) == desc(np.array(t)) == desc(t)
+            assert float(desc.bound.derivative(t)) == desc.derivative(np.array(t)) == desc.derivative(t)
+
+    @pytest.mark.parametrize("desc, lo, hi", _ONE_OF_EACH_KIND, ids=lambda v: getattr(v, "kind", None))
+    def test_scaled_is_the_pointwise_product(self, desc, lo, hi):
+        ts, before = np.linspace(lo, hi, 101), desc.to_dict()
+        if desc.kind == "singular_boundary":
+            with pytest.raises(ValueError, match="cannot rescale"):
+                desc.scaled(2.5)
+            return
+        for k in (2.5, -0.75, 1.0 / 3.0):
+            want = k * desc(ts)
+            np.testing.assert_allclose(desc.scaled(k)(ts), want, rtol=1e-15, atol=1e-15 * np.max(np.abs(want)))
+        assert desc.scaled(1.0) == desc and desc.to_dict() == before
 
 
 class TestProblemSpec:

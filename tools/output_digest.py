@@ -49,6 +49,14 @@ SAMPLED = {
     "polynomial-u0": (poly(1.0, -2.0), poly(1.0, 1.0, -1.0), poly(1.0, 2.0)),
     # f F(u0) = f for every F below: H0 takes psi0's closed form, H0(alpha0) = 1/(2 pi)
     "cos-f-u0-one": (COS, {"kind": "constant", "params": {"value": 1.0}}, poly(1.0, 2.0)),
+    # g(0), u0(0) or t_b is not 1: ProblemSpec rescales g or u0 by its kind's scale, or time and f
+    "rescaled-trig-g": (COS, U0_SIN, trig(2.0, (0.5, 1.0, 0.0))),
+    "rescaled-exp-g": (COS, U0_SIN, {"kind": "exponential", "params": {"amplitude": 3.0, "rate": -0.3}}),
+    "rescaled-table-g": (COS, U0_SIN, {"kind": "table", "params": {
+        "nodes": [0.0, 0.5, 1.0, 2.0, 4.0, 8.0], "values": [2.0, 2.8, 3.2, 5.0, 6.0, 8.0]}}),
+    "rescaled-polynomial-g": (COS, U0_SIN, poly(2.0, 4.0)),
+    "rescaled-constant-u0": (COS, {"kind": "constant", "params": {"value": 2.0}}, poly(1.0, 2.0)),
+    "rescaled-singular-g": (COS, U0_SIN, {"kind": "singular_boundary", "params": {"beta": 1.0, "t_b": 2.0}}),
 }
 
 _F_NODES = [10.0 ** (k / 2) for k in range(-6, 7)]
