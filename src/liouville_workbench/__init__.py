@@ -16,7 +16,6 @@ from .problem_model import (
     check_compatibility,
     constant,
     exponential,
-    extract_features,
     invert_G,
     load_problem_spec,
     polynomial,

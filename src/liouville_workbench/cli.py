@@ -29,12 +29,10 @@ from .closed_form_solver import SINGULAR_ATOL, evaluate_field, singular_curve
 from .errors import EmptyCurve, NearSingular, NoFiniteTime
 from .generalized_integrator import (
     DRIFT_RTOL,
+    Nonlinearity,
     blowup_bounds,
     detect_blowup,
-    identity_F,
     integrate_general,
-    power_F,
-    table_F,
 )
 from .problem_model import (
     COMPAT_RTOL,
@@ -65,6 +63,12 @@ def _comment(spec, **extra) -> str:
     parts += [f"{k}={v}" for k, v in extra.items()]
     parts.append(_TOL_BANNER)
     return " ".join(parts)
+
+
+def _path(args, name):
+    """args.out joined with name, the directory made first: called only to write a file."""
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
 
 
 def _write_text(path, text, comment=None):
@@ -128,8 +132,7 @@ def _cmd_classify(args) -> int:
     text = report.to_text() + f"compatibility_defect: {compat.defect:.6e}\n"
     sys.stdout.write(text)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_text(os.path.join(args.out, "classify.txt"), text,
+        _write_text(_path(args, "classify.txt"), text,
                     comment=_comment(spec, t_max=t_max, method=args.method))
     return 0
 
@@ -145,30 +148,24 @@ def _cmd_solve(args) -> int:
     else:
         t_grid = np.linspace(0.0, t_max, 257)
     fld = evaluate_field(profile, B, spec, spec.alpha_grid(), t_grid)
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "field.csv")
-    fld.to_csv(csv_path, comment=_comment(spec, n_t=len(t_grid), t_max=t_max))
+    fld.to_csv(_path(args, "field.csv"), comment=_comment(spec, n_t=len(t_grid), t_max=t_max))
     masked = int(np.count_nonzero(fld.singular_mask))
     print(f"field: {len(t_grid)}x{spec.n_alpha} samples, {masked} masked, "
           f"min |D| = {fld.denominator_min:.3e}")
     if args.plot:
-        _write_text(os.path.join(args.out, "field.gp"),
-                    _surface_script("field.csv", spec.n_alpha, len(t_grid)))
+        _write_text(_path(args, "field.gp"), _surface_script("field.csv", spec.n_alpha, len(t_grid)))
     return 0
 
 
 def _cmd_singular_curve(args) -> int:
     spec, profile, t_max, B = _pipeline(args)
     curve = singular_curve(profile, B)
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "singular_curve.csv")
-    curve.to_csv(csv_path, comment=_comment(spec, t_max=t_max))
+    curve.to_csv(_path(args, "singular_curve.csv"), comment=_comment(spec, t_max=t_max))
     print(f"singular curve: {len(curve.alpha_samples)} samples, "
           f"earliest t = {float(np.min(curve.t_samples)):.6e} at "
           f"alpha = {float(curve.alpha_samples[np.argmin(curve.t_samples)]):.6e}")
     if args.plot:
-        _write_text(os.path.join(args.out, "singular_curve.gp"),
-                    _curve_script("singular_curve.csv"))
+        _write_text(_path(args, "singular_curve.gp"), _curve_script("singular_curve.csv"))
     return 0
 
 
@@ -182,8 +179,7 @@ def _cmd_lp_scan(args) -> int:
         t_hi = t_max
     t_grid = np.linspace(0.0, t_hi, 101)
     fld = evaluate_field(profile, B, spec, spec.alpha_grid(), t_grid)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "lp_scan.csv")
+    path = _path(args, "lp_scan.csv")
     p_txt = ["inf" if p == math.inf else f"{p:.12e}" for p in ps]
     write_csv(path, _comment(spec, t_max=t_max, p=args.p), "t,p,norm", "%.12e,%s,%.12e",
               (t_grid[:, None], p_txt, [[lp_norm(fld, p, float(t)) for p in ps] for t in t_grid]))
@@ -191,36 +187,16 @@ def _cmd_lp_scan(args) -> int:
     return 0
 
 
-def _nonlinearity_from(general):
-    general = general or {}
-    cfg = general.get("F", {"kind": "identity"}) if isinstance(general, dict) else None
-    if not isinstance(cfg, dict):
-        raise ValueError("spec 'general' block must be an object, and its F too")
-    kind = cfg.get("kind", "identity")
-    try:
-        if kind == "identity":
-            return identity_F()
-        if kind == "power":
-            return power_F(float(cfg["p"]))
-        if kind == "table":
-            return table_F(cfg["nodes"], cfg["values"], float(cfg["c"]), float(cfg["d"]))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{kind} F in spec 'general' block lacks a key or has a bad value: "
-                         f"{exc}") from exc
-    raise ValueError(f"unknown nonlinearity kind {kind!r} in spec 'general' block")
-
-
 def _cmd_simulate(args) -> int:
     spec = _load_spec(args)
     with open(args.spec) as fh:
-        general = json.load(fh).get("general", {})
-    F = _nonlinearity_from(general)
+        general = json.load(fh).get("general") or {}
+    F = Nonlinearity.from_dict(general.get("F", {}) if isinstance(general, dict) else None)
     t_end = data_horizon(spec.g, args.t_max)
     traj = integrate_general(spec, F, t_end=t_end, dt=args.dt, blowup_cap=args.cap)
     bounds = blowup_bounds(spec, F, traj)
     det = detect_blowup(traj)
-    os.makedirs(args.out, exist_ok=True)
-    traj.to_csv(os.path.join(args.out, "trajectory.csv"),
+    traj.to_csv(_path(args, "trajectory.csv"),
                 comment=_comment(spec, dt=args.dt, t_end=t_end, cap=args.cap,
                                  F=F.kind, c=F.c, d=F.d))
     summary = bounds.to_text() + "".join([
@@ -231,7 +207,7 @@ def _cmd_simulate(args) -> int:
         f"t_extrapolated: {'' if det['t_extrapolated'] is None else format(det['t_extrapolated'], '.12e')}\n",
         f"max_drift_rel: {float(np.max(traj.drift_rel_dense)):.6e}\n",
     ])
-    _write_text(os.path.join(args.out, "bounds.txt"), summary,
+    _write_text(_path(args, "bounds.txt"), summary,
                 comment=_comment(spec, dt=args.dt, t_end=t_end, cap=args.cap))
     sys.stdout.write(summary)
     return 0
@@ -285,13 +261,11 @@ def _cmd_verify(args) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_text(os.path.join(args.out, "verify_summary.txt"), text)
+        _write_text(_path(args, "verify_summary.txt"), text)
     return 0
 
 
 def _cmd_reproduce(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     n = 129
     for k in (1, 2, 3, 4):
         spec = catalog.example_spec(k, n_alpha=n)
@@ -307,16 +281,13 @@ def _cmd_reproduce(args) -> int:
         t_grid = np.linspace(0.0, t_hi, n)
         fld = evaluate_field(profile, B, spec, spec.alpha_grid(), t_grid)
         base = f"example{k}"
-        _write_text(os.path.join(args.out, f"{base}_report.txt"), report.to_text(),
-                    comment=_comment(spec))
-        fld.to_csv(os.path.join(args.out, f"{base}_field.csv"),
-                   comment=_comment(spec, n_t=n, t_max=f"{t_hi:.12e}"))
+        _write_text(_path(args, f"{base}_report.txt"), report.to_text(), comment=_comment(spec))
+        fld.to_csv(_path(args, f"{base}_field.csv"), comment=_comment(spec, n_t=n, t_max=f"{t_hi:.12e}"))
         if report.final_profile is not None:
-            report.final_profile.to_csv(os.path.join(args.out, f"{base}_final_profile.csv"),
+            report.final_profile.to_csv(_path(args, f"{base}_final_profile.csv"),
                                         header=("alpha", "C"), comment=_comment(spec))
         if args.plot:
-            _write_text(os.path.join(args.out, f"{base}_field.gp"),
-                        _surface_script(f"{base}_field.csv", n, n))
+            _write_text(_path(args, f"{base}_field.gp"), _surface_script(f"{base}_field.csv", n, n))
         t_txt = "" if report.t_star is None else f" t*={report.t_star:.6f}"
         locs = np.atleast_1d(report.blowup_locations)
         loc_txt = "" if locs.size == 0 else f" at alpha={', '.join(f'{a:.4f}' for a in locs)}"

@@ -60,48 +60,57 @@ _STEP_RTOL = 1e-4 * DRIFT_RTOL   # local error allowed per step at alpha = 0
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """F(u) with envelope constants c <= d satisfying cF <= uF' <= dF.
+    """F(u) with envelope constants c <= d satisfying c F <= u F' <= d F, read
+    off the kind and params once, here: c and d are not fields.
 
-    kinds: identity (F(u)=u, c=d=1), power (F(u)=u^p, c=d=p), table
-    (piecewise-linear F read through a GridFunction, with positive nodes,
-    nonnegative values and user-supplied c, d; c F <= u F' <= d F is checked
-    at each segment midpoint in [1e-3, 1e3], and unverified outside it).
+    kinds: identity (F(u)=u, c=d=1, params {}), power (F(u)=u^p, c=d=p,
+    params {"p": p} with 0 < p < inf), table (piecewise-linear F read through
+    a GridFunction, params {"nodes", "values", "c", "d"} with positive nodes,
+    nonnegative values and the stated 0 < c <= d; c F <= u F' <= d F is
+    checked at each segment midpoint in [1e-3, 1e3], and unverified outside
+    it).  Every error starts with "F: ".
     """
 
     kind: str
-    c: float
-    d: float
     params: dict
 
     def __post_init__(self):
-        if self.kind not in ("identity", "power", "table"):
-            raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
-        if not (0 < self.c <= self.d):
-            raise ValueError(f"need 0 < c <= d, got c={self.c}, d={self.d}")
-        if self.kind != "table":
-            return
-        table = GridFunction(self.params["nodes"], self.params["values"])
-        nodes, values = table.nodes, table.values
-        if nodes[0] <= 0:
-            raise ValueError("table F nodes must be positive")
-        if np.any(values < 0):
-            raise ValueError("F must be nonnegative")
-        # envelope check c F <= u F' <= d F at segment midpoints inside the
-        # verified window [1e-3, 1e3]
-        mids = 0.5 * (nodes[:-1] + nodes[1:])
-        mids = mids[(mids >= 1e-3) & (mids <= 1e3)]
-        F_mid = table(mids)
-        uFp = mids * table.slope(mids)
-        slack = 1e-9 * (1.0 + np.abs(F_mid))
-        low_ok = self.c * F_mid <= uFp + slack
-        high_ok = uFp <= self.d * F_mid + slack
-        if not (np.all(low_ok) and np.all(high_ok)):
-            worst = float(np.min(np.minimum(uFp - self.c * F_mid, self.d * F_mid - uFp)))
-            raise ValueError(
-                f"table nonlinearity violates c F <= u F' <= d F on [1e-3, 1e3] "
-                f"(worst margin {worst:.3e})"
-            )
-        object.__setattr__(self, "_table", table)
+        p = dict(self.params)
+        try:
+            if self.kind == "identity":
+                c = d = 1.0
+            elif self.kind == "power":
+                p["p"] = c = d = float(p["p"])
+                if not 0 < c < math.inf:   # nan too
+                    raise ValueError(f"power p must be positive and finite, got {c}")
+            elif self.kind == "table":
+                p["c"], p["d"] = c, d = float(p["c"]), float(p["d"])
+                if not (0 < c <= d):
+                    raise ValueError(f"need 0 < c <= d, got c={c}, d={d}")
+                self.__dict__["_table"] = table = GridFunction(p["nodes"], p["values"])
+                nodes, values = table.nodes, table.values
+                if nodes[0] <= 0:
+                    raise ValueError("table nodes must be positive")
+                if np.any(values < 0):
+                    raise ValueError("table values must be nonnegative")
+                # envelope check c F <= u F' <= d F at segment midpoints inside the
+                # verified window [1e-3, 1e3]
+                mids = 0.5 * (nodes[:-1] + nodes[1:])
+                mids = mids[(mids >= 1e-3) & (mids <= 1e3)]
+                F_mid = table(mids)
+                uFp = mids * table.slope(mids)
+                slack = 1e-9 * (1.0 + np.abs(F_mid))
+                if not (np.all(c * F_mid <= uFp + slack) and np.all(uFp <= d * F_mid + slack)):
+                    worst = float(np.min(np.minimum(uFp - c * F_mid, d * F_mid - uFp)))
+                    raise ValueError(f"table nonlinearity violates c F <= u F' <= d F on "
+                                     f"[1e-3, 1e3] (worst margin {worst:.3e})")
+            else:
+                raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
+        except (TypeError, KeyError) as exc:   # a list for a number, no key
+            raise ValueError(f"F: malformed {self.kind} params: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"F: {exc}") from exc
+        self.__dict__.update(params=p, c=c, d=d)
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
@@ -113,20 +122,24 @@ class Nonlinearity:
             out = self._table(u)
         return out if out.ndim else float(out)
 
+    @classmethod
+    def from_dict(cls, block: dict) -> "Nonlinearity":
+        """A spec's general.F block, {"kind": ..., **params}; kind defaults to identity."""
+        if not isinstance(block, dict):
+            raise ValueError("F: the spec's general block and its F must be objects")
+        return cls(block.get("kind", "identity"), {k: v for k, v in block.items() if k != "kind"})
+
 
 def identity_F() -> Nonlinearity:
-    return Nonlinearity("identity", 1.0, 1.0, {})
+    return Nonlinearity("identity", {})
 
 
 def power_F(p: float) -> Nonlinearity:
-    if p <= 0:
-        raise ValueError("power nonlinearity needs p > 0")
-    return Nonlinearity("power", float(p), float(p), {"p": float(p)})
+    return Nonlinearity("power", {"p": p})
 
 
 def table_F(nodes, values, c: float, d: float) -> Nonlinearity:
-    return Nonlinearity("table", float(c), float(d),
-                        {"nodes": tuple(nodes), "values": tuple(values)})
+    return Nonlinearity("table", {"nodes": tuple(nodes), "values": tuple(values), "c": c, "d": d})
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +167,6 @@ class Trajectory:
     stop_reason: str
     cap: float
     c: float
-    d: float
 
     @property
     def state_times(self) -> np.ndarray:
@@ -305,7 +317,6 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
         stop_reason=stop_reason,
         cap=blowup_cap,
         c=F.c,
-        d=F.d,
     )
 
 

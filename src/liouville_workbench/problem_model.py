@@ -25,11 +25,14 @@ psi0 and G are the kind's closed-form integral (psi0, and the generalized
 equation's H0 = int f F(u0), whenever the integrand is one descriptor, see
 _integrand; G unless quadrature is requested), or else Simpson's rule on
 each grid cell with a midpoint sample (cell_simpson), which does not depend
-on the node parity.  Both keep psi0(0) = 0 and G(0) = 0 exact.  Off its
-nodes psi0 (or H0) is read by Psi0Profile.value alone, and G is the closed
-form plus the interpolated offset of its samples (BoundaryIntegral.value).  As
-psi0' = f u0 with u0 > 0, M0 and its argmax set are read off alpha = 0,
-alpha = 1 and the zeros where f crosses from + to - (interior_zeros).
+on the node parity.  Both keep psi0(0) = 0 and G(0) = 0 exact.  Like a
+descriptor, Psi0Profile and BoundaryIntegral take only what defines them and
+derive the rest once, on construction.  Psi0Profile(psi0, integrand, f) reads
+psi0 (or H0) off its nodes by its value alone and, as psi0' = f u0 with
+u0 > 0, reads M0 and its argmax set off alpha = 0, alpha = 1 and the zeros
+where f crosses from + to - (interior_zeros).  BoundaryIntegral(G, g_desc)
+reads G as the closed form plus the interpolated offset of its samples (its
+value), and takes G_infinity from g's power_integral_limit.
 data_horizon says how long g has data.  Every inverse (G^-1, the inverse of
 a power integral, the zeros of f) goes through one array inverter,
 _solve_increasing, which starts from a bracket per target taken from samples
@@ -41,14 +44,13 @@ the whole integral is wanted).
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import json
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -736,8 +738,9 @@ def load_problem_spec(path) -> ProblemSpec:
     """Read a problem spec from a JSON file.
 
     Expected layout: top-level keys "f", "u0", "g" (each {"kind":..., "params":...})
-    plus "n_alpha".  An optional "general" block configures the generalized
-    integrator and is passed through untouched by this function.
+    plus "n_alpha".  An error in a datum's descriptor starts with its key
+    ("g: ...").  An optional "general" block configures the generalized
+    integrator; it is not read here (Nonlinearity.from_dict reads its F).
     """
     try:
         with open(path) as fh:
@@ -751,12 +754,13 @@ def load_problem_spec(path) -> ProblemSpec:
     try:
         if not float(n_alpha := raw.get("n_alpha", 513)).is_integer():   # int() would truncate
             raise ValueError(f"spec file {path}: n_alpha must be an integer, got {n_alpha}")
-        return ProblemSpec(
-            f=FunctionDescriptor.from_dict(raw["f"]),
-            u0=FunctionDescriptor.from_dict(raw["u0"]),
-            g=FunctionDescriptor.from_dict(raw["g"]),
-            n_alpha=int(n_alpha),
-        )
+        data = {}
+        for key in ("f", "u0", "g"):
+            try:
+                data[key] = FunctionDescriptor.from_dict(raw[key])
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from exc
+        return ProblemSpec(**data, n_alpha=int(n_alpha))
     except (KeyError, TypeError) as exc:   # a missing key, or "n_alpha": null
         raise ValueError(f"spec file {path} lacks a key or has a bad value: {exc}") from exc
 
@@ -773,22 +777,40 @@ def spec_hash(spec: ProblemSpec) -> str:
 
 @dataclass(frozen=True)
 class Psi0Profile:
-    """Sampled psi0 with the features that control regularity.
+    """Sampled psi0 = int_0^alpha integrand, and the features that control
+    regularity, derived once, here, from the samples, the integrand and f.
 
-    M0 is the greatest value attained (>= 0 because psi0(0) = 0), argmax_set
-    holds the locations where it is attained, omega the zero set of psi0, and
-    alpha0 the first zero of f in (0, 1).  integrand is psi0' = f u0 (f F(u0)
-    for the integrator's H0); when it is one descriptor, `analytic` holds it,
-    as the integrand too.  value is the one reader between the nodes.
+    integrand is psi0' = f u0 (f F(u0) for the integrator's H0), a callable,
+    or one descriptor when it is one, which `analytic` then holds (else None).
+    As psi0' = f u0 with u0 > 0, psi0 is greatest at alpha = 0, at alpha = 1
+    or where f crosses from + to -.  M0 is the largest psi0 over these
+    candidates, each read by value, the one reader between the nodes; it
+    counts as 0 at or below ZERO_SET_RTOL max|psi0|, the zero-set tolerance.
+    argmax_set holds the candidates within FEATURE_ATOL of the largest, omega
+    the zero set of psi0, and alpha0 the first zero of f in (0, 1) (None if
+    f has none).
     """
 
     psi0: GridFunction
     integrand: Callable
-    M0: float = 0.0
-    argmax_set: np.ndarray = field(default_factory=lambda: np.array([]))
-    omega: np.ndarray = field(default_factory=lambda: np.array([]))
-    alpha0: float | None = None
-    analytic: FunctionDescriptor | None = None
+    f: FunctionDescriptor
+
+    def __post_init__(self):
+        w = self.integrand
+        self.__dict__["analytic"] = w if isinstance(w, FunctionDescriptor) else None
+        grid, vals = self.psi0.nodes, self.psi0.values
+        zeros, down = interior_zeros(self.f, grid)
+        crests = zeros[down]
+        where = np.concatenate(([0.0], crests, [1.0]))
+        psi = np.concatenate(([vals[0]], self.value(crests), [vals[-1]]))
+        M0 = float(np.max(psi))
+        argmax_set = where[psi >= M0 - FEATURE_ATOL]
+        scale = float(np.max(np.abs(vals)))
+        if M0 <= ZERO_SET_RTOL * scale:   # also clamps a negative maximum to 0
+            M0 = 0.0
+        omega = grid[np.abs(vals) <= ZERO_SET_RTOL * scale]   # every node when psi0 = 0
+        alpha0 = float(zeros[0]) if zeros.size else None
+        self.__dict__.update(M0=M0, argmax_set=argmax_set, omega=omega, alpha0=alpha0)
 
     def value(self, alpha):
         """psi0 (or H0) at alpha: the closed form of `analytic` if any, else the
@@ -856,33 +878,6 @@ def interior_zeros(desc, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return where[order], np.concatenate((run_down, sign[cells] > 0))[order]
 
 
-def extract_features(profile: Psi0Profile, spec: ProblemSpec) -> dict:
-    """Features of psi0: M0, argmax set, zero set, first zero of f.
-
-    psi0' = f u0 with u0 > 0, so psi0 is greatest at alpha = 0, at alpha = 1
-    or where f crosses from + to -.  M0 is the largest psi0 over these
-    candidates, each read by profile.value; it counts as 0 at or below
-    ZERO_SET_RTOL max|psi0|, the zero-set tolerance.  The argmax set holds the
-    candidates within FEATURE_ATOL of the largest, and alpha0 is the first
-    zero of f in (0, 1).
-    """
-    grid, vals = profile.psi0.nodes, profile.psi0.values
-    zeros, down = interior_zeros(spec.f, grid)
-    crests = zeros[down]
-    where = np.concatenate(([0.0], crests, [1.0]))
-    psi = np.concatenate(([vals[0]], profile.value(crests), [vals[-1]]))
-    M0 = float(np.max(psi))
-    argmax_set = where[psi >= M0 - FEATURE_ATOL]
-
-    scale = float(np.max(np.abs(vals)))
-    if M0 <= ZERO_SET_RTOL * scale:   # also clamps a negative maximum to 0
-        M0 = 0.0
-    omega = grid[np.abs(vals) <= ZERO_SET_RTOL * scale]   # every node when psi0 = 0
-
-    alpha0 = float(zeros[0]) if zeros.size else None
-    return {"M0": M0, "argmax_set": argmax_set, "omega": omega, "alpha0": alpha0}
-
-
 def build_psi0(spec: ProblemSpec, method: str = "auto") -> Psi0Profile:
     """Cumulative integral psi0(alpha) = int_0^alpha f u0 dz with features.
 
@@ -897,15 +892,13 @@ def build_psi0(spec: ProblemSpec, method: str = "auto") -> Psi0Profile:
 
 
 def _profile(spec: ProblemSpec, w, analytic=None) -> Psi0Profile:
-    """int_0^alpha w, and its features: the closed form of analytic (w as one
+    """int_0^alpha w, with its features: the closed form of analytic (w as one
     descriptor) when given, else cell_simpson.  w = f u0 gives psi0."""
     grid = spec.alpha_grid()
     vals = cell_simpson(w, grid) if analytic is None else power_integral(analytic, 1.0, grid)
     if not np.all(np.isfinite(vals)):
         raise ValueError("psi0 = int f*u0 (or H0 = int f F(u0)) is not finite on [0, 1]")
-    bare = Psi0Profile(GridFunction(grid, vals), w if analytic is None else analytic,
-                       analytic=analytic)
-    return dataclasses.replace(bare, **extract_features(bare, spec))
+    return Psi0Profile(GridFunction(grid, vals), w if analytic is None else analytic, spec.f)
 
 
 # ---------------------------------------------------------------------------
@@ -919,14 +912,18 @@ class BoundaryIntegral:
     G holds samples on [0, t_max].  Between them and past them G is the
     kind's closed-form integral I plus the linear interpolant of the samples'
     offset G - I, held at its last value past t_max: 0 for a closed-form G,
-    Simpson's error for a quadrature G.  `estimated` flags a G_infinity
-    obtained by tail extrapolation (tables only) rather than a closed form.
+    Simpson's error for a quadrature G.  G_infinity is the limit of G at the
+    end of g's life, power_integral_limit(g_desc, 1), derived here; `estimated`
+    flags one obtained by tail extrapolation (tables only) rather than a
+    closed form.
     """
 
     G: GridFunction
-    G_infinity: float
     g_desc: FunctionDescriptor
-    estimated: bool = False
+
+    def __post_init__(self):
+        G_inf, estimated = power_integral_limit(self.g_desc, 1.0)
+        self.__dict__.update(G_infinity=G_inf, estimated=estimated)
 
     @functools.cached_property
     def offset(self) -> np.ndarray:
@@ -996,8 +993,7 @@ def build_G(spec, t_max: float, n_t: int = 1025, method: str = "auto") -> Bounda
         vals = cell_simpson(positive_g, t_grid)
     if not np.all(np.diff(vals) > 0):
         raise ValueError("G is not strictly increasing; g must be positive")
-    G_inf, estimated = power_integral_limit(desc, 1.0)
-    return BoundaryIntegral(GridFunction(t_grid, vals), G_inf, desc, estimated)
+    return BoundaryIntegral(GridFunction(t_grid, vals), desc)
 
 
 def invert_G(B: BoundaryIntegral, target: float) -> float:

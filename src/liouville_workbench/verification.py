@@ -109,10 +109,7 @@ def r_invariance(fld: SolutionField, spec: ProblemSpec) -> float:
     L = np.log(fld.values)
     ref = _R_of_log_derivative(np.log(np.asarray(spec.g(fld.t_nodes), dtype=float)), ht)
     idx = np.unique(np.linspace(0, len(fld.alpha_nodes) - 1, 9).astype(int))
-    worst = 0.0
-    for j in idx:
-        worst = max(worst, float(np.max(np.abs(_R_of_log_derivative(L[:, j], ht) - ref))))
-    return worst
+    return float(np.max(np.abs(_R_of_log_derivative(L[:, idx], ht) - ref[:, None])))
 
 
 # ---------------------------------------------------------------------------
@@ -128,27 +125,22 @@ def schwarzian(G_samples: GridFunction) -> GridFunction:
     Moebius maps up to rounding) and one-sided windows at the edges.
     """
     nodes = G_samples.nodes
-    vals = G_samples.values
+    v = G_samples.values
     if len(nodes) < 6:
         raise ValueError("the Schwarzian needs at least 6 samples")
-    if not np.all(np.diff(vals) > 0):
+    if not np.all(np.diff(v) > 0):
         raise ValueError("G must be strictly increasing on the sample window")
     h = uniform_spacing(nodes, "t")
-    n = len(nodes)
-    S = np.empty(n)
 
-    def estimate(i1, i2, i3, i4, step):
-        p1, p2, p3, p4 = vals[i1], vals[i2], vals[i3], vals[i4]
+    def estimate(p1, p2, p3, p4, step):
         cr = ((p1 - p3) * (p2 - p4)) / ((p1 - p4) * (p2 - p3))
         return 6.0 / step**2 * (cr * _CR0_INV - 1.0)
 
-    for i in range(n):
-        if 3 <= i <= n - 4:
-            S[i] = estimate(i - 3, i - 1, i + 1, i + 3, 2.0 * h)
-        elif i < 3:
-            S[i] = estimate(i, i + 1, i + 2, i + 3, h)
-        else:
-            S[i] = estimate(i - 3, i - 2, i - 1, i, h)
+    # nodes 0-2 take (i, i+1, i+2, i+3), 3 to n-4 (i-3, i-1, i+1, i+3), the last
+    # three (i-3, i-2, i-1, i)
+    S = np.concatenate((estimate(v[0:3], v[1:4], v[2:5], v[3:6], h),
+                        estimate(v[:-6], v[2:-4], v[4:-2], v[6:], 2.0 * h),
+                        estimate(v[-6:-3], v[-5:-2], v[-4:-1], v[-3:], h)))
     return GridFunction(nodes, S)
 
 

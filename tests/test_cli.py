@@ -315,25 +315,42 @@ class TestErrors:
         assert "beta must be positive and finite, got nan" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, message", [
-        ({"g": {"kind": "table", "params": {"nodes": [0.0, 2.0, 1.0], "values": [1.0, 2.0, 3.0]}}}, "table"),
-        ({"g": {"kind": "table", "params": {"nodes": [0.0, 1.0], "values": [1.0, 2.0, 3.0]}}}, "table"),
+        ({"g": {"kind": "table", "params": {"nodes": [0.0, 2.0, 1.0], "values": [1.0, 2.0, 3.0]}}},
+         "g: table nodes must be strictly increasing"),
+        ({"g": {"kind": "table", "params": {"nodes": [0.0, 1.0], "values": [1.0, 2.0, 3.0]}}},
+         "g: table nodes and values must be 1-d arrays of equal length"),
         ({"general": {"F": {"kind": "table", "nodes": [0.5, 2.0, 1.0], "values": [0.5, 1.0, 2.0],
-                            "c": 1.0, "d": 1.0}}}, "table"),
-        ({"general": {"F": {"kind": "table", "nodes": [0.5], "values": [0.5], "c": 1.0, "d": 1.0}}}, "table"),
+                            "c": 1.0, "d": 1.0}}}, "F: table nodes must be strictly increasing"),
+        ({"general": {"F": {"kind": "table", "nodes": [0.5], "values": [0.5], "c": 1.0, "d": 1.0}}},
+         "F: a table needs at least two nodes"),
         ({"general": {"F": {"kind": "table", "nodes": [0.5, 1.0], "values": [0.5, 1.0, 2.0],
-                            "c": 1.0, "d": 1.0}}}, "table"),
+                            "c": 1.0, "d": 1.0}}}, "F: table nodes and values must be 1-d arrays"),
         ({"g": {"kind": "table", "params": {"nodes": [0.0, 1.0, 2.0], "values": [1.0, math.nan, 3.0]}}},
-         "table nodes and values must be finite"),
+         "g: table nodes and values must be finite"),
         # the NaN sits at u = 1e4, outside the [1e-3, 1e3] window the envelope check reads
         ({"general": {"F": {"kind": "table", "nodes": [1e-3, 1.0, 1e4], "values": [1e-3, 1.0, math.nan],
-                            "c": 1.0, "d": 1.0}}}, "table nodes and values must be finite"),
-    ], ids=["unsorted-g", "ragged-g", "unsorted-F", "one-node-F", "ragged-F", "nan-g", "nan-F"])
+                            "c": 1.0, "d": 1.0}}}, "F: table nodes and values must be finite"),
+        ({"f": {"kind": "table", "params": {"nodes": [0.0, 0.5, 1.0], "values": [1.0, math.nan, -1.0]}}},
+         "f: table nodes and values must be finite"),
+        ({"u0": {"kind": "table", "params": {"nodes": [0.0, 0.5, 1.0], "values": [1.0, math.inf, 1.0]}}},
+         "u0: table nodes and values must be finite"),
+    ], ids=["unsorted-g", "ragged-g", "unsorted-F", "one-node-F", "ragged-F", "nan-g", "nan-F",
+            "nan-f", "inf-u0"])
     def test_malformed_table_names_the_table(self, edit, message, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**catalog.example_spec(2, n_alpha=65).to_dict(), **edit}))
         assert main(["simulate", "--spec", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("p", [0, -1, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
+    def test_power_F_outside_zero_to_inf_is_an_error_at_load(self, p, tmp_path, capsys):
+        general = {"F": {"kind": "power", "p": p}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**catalog.example_spec(2, n_alpha=65).to_dict(), "general": general}))
+        assert main(["simulate", "--spec", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "error: F: power p must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("general", [
         {"F": {"kind": "power"}},

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,6 +7,7 @@ import pytest
 
 from liouville_workbench import (
     FunctionDescriptor,
+    Nonlinearity,
     ProblemSpec,
     blowup_bounds,
     build_psi0,
@@ -72,8 +74,36 @@ class TestNonlinearity:
             table_F(nodes, nodes**2, c=1.0, d=1.0)  # uF'/F = 2 outside [1,1]
 
     def test_rejects_nonpositive_c(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^F: power p must be positive and finite, got 0.0"):
             power_F(0.0)
+
+    def test_constants_come_from_the_kind(self):
+        # c and d are no arguments: identity reads 1, power reads p
+        F = identity_F()
+        assert (F.c, F.d) == (1.0, 1.0)
+        F = Nonlinearity("power", {"p": 3})
+        assert F.c == F.d == 3.0 and F.params == {"p": 3.0}
+        with pytest.raises(TypeError):
+            Nonlinearity("identity", 2.0, 2.0, {})
+        # so on example 2 the bound 2/(c H0(alpha0)) reads c = 1: 2/(1/4) = 8
+        spec = catalog.example_spec(2, n_alpha=129)
+        traj = integrate_general(spec, identity_F(), t_end=0.5, dt=0.05)
+        assert blowup_bounds(spec, identity_F(), traj).t_star_bound == 8.0
+
+    @pytest.mark.parametrize("p", [-1.0, math.nan, math.inf])
+    def test_rejects_power_outside_zero_to_inf(self, p):
+        with pytest.raises(ValueError, match="^F: power p must be positive and finite"):
+            power_F(p)
+
+    def test_from_dict_reads_a_general_F_block(self):
+        assert Nonlinearity.from_dict({}) == identity_F()
+        assert Nonlinearity.from_dict({"kind": "power", "p": 2}) == power_F(2.0)
+        F = Nonlinearity.from_dict({"kind": "table", "nodes": [0.5, 1.0, 2.0],
+                                    "values": [0.5, 1.0, 2.0], "c": 1, "d": 1})
+        assert (F.c, F.d) == (1.0, 1.0) and F(1.5) == 1.5
+        for bad in ("x", None, {"kind": "cubic"}, {"kind": "table", "nodes": [1.0, 2.0]}):
+            with pytest.raises(ValueError, match="^F: "):
+                Nonlinearity.from_dict(bad)
 
 
 class TestIntegrateGeneral:
@@ -431,6 +461,38 @@ class TestBounds:
         assert report.predicted == "FiniteBlowup"
         assert report.limits_estimated
         assert report.crossing_time is None
+
+    def test_hypotheses_fail_not_applicable(self):
+        # example 1: H0 = int (2a - 1) < 0 on (0, alpha0]
+        spec = catalog.example_spec(1, n_alpha=129)
+        traj = integrate_general(spec, identity_F(), t_end=0.5, dt=0.05)
+        report = blowup_bounds(spec, identity_F(), traj)
+        assert report.predicted == "NotApplicable"
+        assert not report.hypotheses_ok and report.t_star_bound is None
+
+    def test_mixed_monotonicity_not_applicable(self):
+        # g = 1 + 2t - t^2 rises until t = 1, then falls; the bound is still reported
+        spec = dataclasses.replace(catalog.example_spec(2, n_alpha=129), g=polynomial(1.0, 2.0, -1.0))
+        traj = integrate_general(spec, identity_F(), t_end=1.5, dt=0.05)
+        report = blowup_bounds(spec, identity_F(), traj)
+        assert report.predicted == "NotApplicable" and report.monotonicity == "mixed"
+        assert report.hypotheses_ok and report.t_star_bound == 8.0
+        assert report.lower_envelope is None and report.violations == ()
+
+    def test_between_thresholds_indeterminate(self):
+        # F = u^1.5 tabulated (c = 1, d = 2), g = e^(-t/8): int g^d = 4 is below
+        # the blow-up threshold 2/(c H0(alpha0)) ~ 8, int g^c = 8 above the
+        # global one 2/(d H0(alpha0)) ~ 4
+        spec = quadratic_F_spec(g=exponential(1.0, -1.0 / 8.0))
+        F = table_F(_F_NODES, _F_NODES ** 1.5, c=1.0, d=2.0)
+        traj = integrate_general(spec, F, t_end=1.0, dt=0.05)
+        report = blowup_bounds(spec, F, traj)
+        assert report.monotonicity == "nonincreasing"
+        assert report.predicted == "Indeterminate" and report.crossing_time is None
+        assert report.int_gd_limit == pytest.approx(4.0, rel=1e-12)
+        assert report.int_gc_limit == pytest.approx(8.0, rel=1e-12)
+        assert report.int_gd_limit <= report.t_star_bound == pytest.approx(8.0, rel=1e-3)
+        assert report.int_gc_limit > 2.0 / (F.d * report.H0_alpha0)
 
     @staticmethod
     def margin_reference(traj, domain, lower, upper):

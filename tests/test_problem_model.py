@@ -624,8 +624,7 @@ class TestInverter:
         for nudge in (None, math.inf, -math.inf):
             vals = B.G.values.copy() if nudge is None else np.nextafter(B.G.values, nudge)
             vals[0] = 0.0   # G(0) = 0 stays exact
-            C = BoundaryIntegral(G=GridFunction(B.G.nodes, vals), G_infinity=B.G_infinity,
-                                 g_desc=g)
+            C = BoundaryIntegral(G=GridFunction(B.G.nodes, vals), g_desc=g)
             ts = C.invert(vals)
             assert np.all(np.abs(C.value(ts) - vals) <= pm.INVERT_RTOL * (1.0 + vals))
             np.testing.assert_array_equal(ts, [invert_G(C, y) for y in vals])
@@ -745,7 +744,7 @@ def _writers():
     e12 = lambda xs: [f"{x:.12e}" for x in xs]
     grid_t, grid_a = np.repeat(t, na), np.tile(alpha, nt)
     traj = Trajectory(alpha, tuple(GeneralizedState(float(ti), ui) for ti, ui in zip(t, u)),
-                      t, t, t, t, "t_end", 1e8, 1.0, 1.0)
+                      t, t, t, t, "t_end", 1e8, 1.0)
     return {
         "field": (SolutionField(alpha, t, u, mask, 0.0), "alpha,t,u,masked",
                   rows(e12(grid_a), e12(grid_t), e12(u.ravel()), [str(int(m)) for m in mask.ravel()])),

@@ -63,6 +63,9 @@ _F_NODES = [10.0 ** (k / 2) for k in range(-6, 7)]
 NONLINEARITIES = {
     "F=u": None,
     "F=u^2": {"F": {"kind": "power", "p": 2.0}},
+    # the same two F in other spellings a spec may use: no kind, and an integer p
+    "F=u-no-kind": {"F": {}},
+    "F=u^2-integer-p": {"F": {"kind": "power", "p": 2}},
     "F=table": {"F": {"kind": "table", "nodes": _F_NODES, "values": [x ** 1.5 for x in _F_NODES],
                       "c": 1.0, "d": 2.0}},
 }
