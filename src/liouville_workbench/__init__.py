@@ -9,6 +9,7 @@ from .problem_model import (
     CompatibilityReport,
     FunctionDescriptor,
     GridFunction,
+    Nonlinearity,
     ProblemSpec,
     Psi0Profile,
     build_G,
@@ -46,7 +47,6 @@ from .regularity_analyzer import (
 from .generalized_integrator import (
     BoundsReport,
     GeneralizedState,
-    Nonlinearity,
     Trajectory,
     blowup_bounds,
     compute_H0_alpha0,

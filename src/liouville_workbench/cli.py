@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto the library layers: classify, solve,
-singular-curve, lp-scan (representation formula); simulate (generalized
-integrator); verify (identity checks); reproduce-examples (the four catalog
-data sets and their figure surfaces).
+singular-curve, lp-scan (representation formula, F(u) = u); simulate
+(generalized integrator, any F); verify (identity checks); reproduce-examples
+(the four catalog data sets and their figure surfaces).
 
 All CSV artifacts start with a comment line recording the spec hash, grid
 sizes, and the numerical tolerances in force, followed by a header row.
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -29,7 +28,6 @@ from .closed_form_solver import SINGULAR_ATOL, evaluate_field, singular_curve
 from .errors import EmptyCurve, NearSingular, NoFiniteTime
 from .generalized_integrator import (
     DRIFT_RTOL,
-    Nonlinearity,
     blowup_bounds,
     detect_blowup,
     integrate_general,
@@ -88,8 +86,10 @@ def _load_spec(args):
 
 
 def _pipeline(args):
-    """spec, psi0, the horizon and G, by --method where the subcommand has one."""
+    """spec, psi0, the horizon and G, by --method where the subcommand has one; F(u) = u only."""
     spec = _load_spec(args)
+    if spec.F.kind != "identity":
+        raise ValueError(f"{args.command} is for F(u) = u only; the spec's F is {spec.F.kind}")
     method = getattr(args, "method", "auto")
     profile = build_psi0(spec, method=method)
     t_max = data_horizon(spec.g, args.t_max)
@@ -189,16 +189,13 @@ def _cmd_lp_scan(args) -> int:
 
 def _cmd_simulate(args) -> int:
     spec = _load_spec(args)
-    with open(args.spec) as fh:
-        general = json.load(fh).get("general") or {}
-    F = Nonlinearity.from_dict(general.get("F", {}) if isinstance(general, dict) else None)
     t_end = data_horizon(spec.g, args.t_max)
-    traj = integrate_general(spec, F, t_end=t_end, dt=args.dt, blowup_cap=args.cap)
-    bounds = blowup_bounds(spec, F, traj)
+    traj = integrate_general(spec, spec.F, t_end=t_end, dt=args.dt, blowup_cap=args.cap)
+    bounds = blowup_bounds(spec, spec.F, traj)
     det = detect_blowup(traj)
     traj.to_csv(_path(args, "trajectory.csv"),
                 comment=_comment(spec, dt=args.dt, t_end=t_end, cap=args.cap,
-                                 F=F.kind, c=F.c, d=F.d))
+                                 F=spec.F.kind, c=spec.F.c, d=spec.F.d))
     summary = bounds.to_text() + "".join([
         f"stop_reason: {traj.stop_reason}\n",
         f"blew_up: {det['blew_up']}\n",

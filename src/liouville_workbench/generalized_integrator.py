@@ -19,6 +19,10 @@ alpha0 is the first zero of f; for nonincreasing g blow-up versus global
 existence is decided by whether the improper integrals of g^d and g^c clear
 the matching thresholds, and the solution is sandwiched between explicit
 upper and lower envelopes until then.
+
+F is a spec's Nonlinearity (problem_model); identity_F, power_F and table_F
+build one.  A run whose u leaves a table F's nodes, where F holds its end
+values, says so in a warning.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .closed_form_solver import representation
 from .problem_model import (
     CumulativeSimpson,
     FunctionDescriptor,
-    GridFunction,
+    Nonlinearity,
     ProblemSpec,
     _fit_line,
     _integrand,
@@ -58,78 +62,6 @@ _STEP_RTOL = 1e-4 * DRIFT_RTOL   # local error allowed per step at alpha = 0
 # nonlinearities
 
 
-@dataclass(frozen=True)
-class Nonlinearity:
-    """F(u) with envelope constants c <= d satisfying c F <= u F' <= d F, read
-    off the kind and params once, here: c and d are not fields.
-
-    kinds: identity (F(u)=u, c=d=1, params {}), power (F(u)=u^p, c=d=p,
-    params {"p": p} with 0 < p < inf), table (piecewise-linear F read through
-    a GridFunction, params {"nodes", "values", "c", "d"} with positive nodes,
-    nonnegative values and the stated 0 < c <= d; c F <= u F' <= d F is
-    checked at each segment midpoint in [1e-3, 1e3], and unverified outside
-    it).  Every error starts with "F: ".
-    """
-
-    kind: str
-    params: dict
-
-    def __post_init__(self):
-        p = dict(self.params)
-        try:
-            if self.kind == "identity":
-                c = d = 1.0
-            elif self.kind == "power":
-                p["p"] = c = d = float(p["p"])
-                if not 0 < c < math.inf:   # nan too
-                    raise ValueError(f"power p must be positive and finite, got {c}")
-            elif self.kind == "table":
-                p["c"], p["d"] = c, d = float(p["c"]), float(p["d"])
-                if not (0 < c <= d):
-                    raise ValueError(f"need 0 < c <= d, got c={c}, d={d}")
-                self.__dict__["_table"] = table = GridFunction(p["nodes"], p["values"])
-                nodes, values = table.nodes, table.values
-                if nodes[0] <= 0:
-                    raise ValueError("table nodes must be positive")
-                if np.any(values < 0):
-                    raise ValueError("table values must be nonnegative")
-                # envelope check c F <= u F' <= d F at segment midpoints inside the
-                # verified window [1e-3, 1e3]
-                mids = 0.5 * (nodes[:-1] + nodes[1:])
-                mids = mids[(mids >= 1e-3) & (mids <= 1e3)]
-                F_mid = table(mids)
-                uFp = mids * table.slope(mids)
-                slack = 1e-9 * (1.0 + np.abs(F_mid))
-                if not (np.all(c * F_mid <= uFp + slack) and np.all(uFp <= d * F_mid + slack)):
-                    worst = float(np.min(np.minimum(uFp - c * F_mid, d * F_mid - uFp)))
-                    raise ValueError(f"table nonlinearity violates c F <= u F' <= d F on "
-                                     f"[1e-3, 1e3] (worst margin {worst:.3e})")
-            else:
-                raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
-        except (TypeError, KeyError) as exc:   # a list for a number, no key
-            raise ValueError(f"F: malformed {self.kind} params: {exc}") from exc
-        except ValueError as exc:
-            raise ValueError(f"F: {exc}") from exc
-        self.__dict__.update(params=p, c=c, d=d)
-
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        if self.kind == "identity":
-            out = u
-        elif self.kind == "power":
-            out = u ** self.params["p"]
-        else:
-            out = self._table(u)
-        return out if out.ndim else float(out)
-
-    @classmethod
-    def from_dict(cls, block: dict) -> "Nonlinearity":
-        """A spec's general.F block, {"kind": ..., **params}; kind defaults to identity."""
-        if not isinstance(block, dict):
-            raise ValueError("F: the spec's general block and its F must be objects")
-        return cls(block.get("kind", "identity"), {k: v for k, v in block.items() if k != "kind"})
-
-
 def identity_F() -> Nonlinearity:
     return Nonlinearity("identity", {})
 
@@ -139,7 +71,7 @@ def power_F(p: float) -> Nonlinearity:
 
 
 def table_F(nodes, values, c: float, d: float) -> Nonlinearity:
-    return Nonlinearity("table", {"nodes": tuple(nodes), "values": tuple(values), "c": c, "d": d})
+    return Nonlinearity("table", {"nodes": nodes, "values": values, "c": c, "d": d})
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +239,12 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
             f"(tolerance {DRIFT_RTOL:.0e})",
             stacklevel=2,
         )
+    if F.kind == "table":
+        lo, hi = F.params["nodes"][0], F.params["nodes"][-1]
+        u_lo, u_hi = min(float(s.u.min()) for s in states), max(umax_dense)
+        if u_lo < lo or u_hi > hi:
+            warnings.warn(f"table F holds its end values outside its nodes [{lo:.6g}, {hi:.6g}]; "
+                          f"u reached [{u_lo:.6g}, {u_hi:.6g}]", stacklevel=2)
     return Trajectory(
         alpha=grid,
         states=tuple(states),

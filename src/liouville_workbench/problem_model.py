@@ -5,8 +5,9 @@ The initial periodic-boundary value problem
     d^2/(dalpha dt) ln u = f(alpha) u,    alpha in (0,1), t > 0,
     u(alpha, 0) = u0(alpha),              u(0, t) = u(1, t) = g(t),
 
-is determined by the data triple (f, u0, g).  Everything downstream of this
-module is built from two primitives:
+is determined by the data triple (f, u0, g); its generalized form, f F(u) in
+place of f u, adds the nonlinearity F (Nonlinearity), which a ProblemSpec
+carries beside the data.  Everything downstream is built from two primitives:
 
     psi0(alpha) = integral_0^alpha f(z) u0(z) dz
     G(t)        = integral_0^t    g(s) ds,      G(0) = 0.
@@ -665,13 +666,91 @@ def exponential(amplitude, rate) -> FunctionDescriptor:
     return FunctionDescriptor("exponential", {"amplitude": amplitude, "rate": rate})
 
 
+@dataclass(frozen=True)
+class Nonlinearity:
+    """F(u) of the generalized equation, with envelope constants c <= d
+    satisfying c F <= u F' <= d F, read off the kind and params once, here:
+    c and d are not fields, and params hold floats (a table's tuples of them).
+
+    kinds: identity (F(u)=u, c=d=1, params {}), power (F(u)=u^p, c=d=p,
+    params {"p": p} with 0 < p < inf), table (piecewise-linear F read through
+    a GridFunction, held at its end values outside its nodes, params {"nodes",
+    "values", "c", "d"} with positive nodes, nonnegative values and the stated
+    0 < c <= d; c F <= u F' <= d F is checked at each segment midpoint in
+    [1e-3, 1e3], and unverified outside it).  Every error starts with "F: ".
+    """
+
+    kind: str
+    params: dict
+
+    def __post_init__(self):
+        p = dict(self.params)
+        try:
+            if self.kind == "identity":
+                c = d = 1.0
+            elif self.kind == "power":
+                p["p"] = c = d = float(p["p"])
+                if not 0 < c < math.inf:   # nan too
+                    raise ValueError(f"power p must be positive and finite, got {c}")
+            elif self.kind == "table":
+                p["c"], p["d"] = c, d = float(p["c"]), float(p["d"])
+                if not (0 < c <= d):
+                    raise ValueError(f"need 0 < c <= d, got c={c}, d={d}")
+                self.__dict__["_table"] = table = GridFunction(p["nodes"], p["values"])
+                nodes, values = table.nodes, table.values
+                p["nodes"], p["values"] = tuple(nodes.tolist()), tuple(values.tolist())
+                if nodes[0] <= 0:
+                    raise ValueError("table nodes must be positive")
+                if np.any(values < 0):
+                    raise ValueError("table values must be nonnegative")
+                # envelope check c F <= u F' <= d F at segment midpoints inside the
+                # verified window [1e-3, 1e3]
+                mids = 0.5 * (nodes[:-1] + nodes[1:])
+                mids = mids[(mids >= 1e-3) & (mids <= 1e3)]
+                F_mid = table(mids)
+                uFp = mids * table.slope(mids)
+                slack = 1e-9 * (1.0 + np.abs(F_mid))
+                if not (np.all(c * F_mid <= uFp + slack) and np.all(uFp <= d * F_mid + slack)):
+                    worst = float(np.min(np.minimum(uFp - c * F_mid, d * F_mid - uFp)))
+                    raise ValueError(f"table nonlinearity violates c F <= u F' <= d F on "
+                                     f"[1e-3, 1e3] (worst margin {worst:.3e})")
+            else:
+                raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
+        except (TypeError, KeyError) as exc:   # a list for a number, no key
+            raise ValueError(f"F: malformed {self.kind} params: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"F: {exc}") from exc
+        self.__dict__.update(params=p, c=c, d=d)
+
+    def __call__(self, u):
+        u = np.asarray(u, dtype=float)
+        if self.kind == "identity":
+            out = u
+        elif self.kind == "power":
+            out = u ** self.params["p"]
+        else:
+            out = self._table(u)
+        return out if out.ndim else float(out)
+
+    @classmethod
+    def from_dict(cls, block: dict) -> "Nonlinearity":
+        """A spec's general.F block, {"kind": ..., **params}; kind defaults to identity."""
+        if not isinstance(block, dict):
+            raise ValueError("F: the spec's general block and its F must be objects")
+        return cls(block.get("kind", "identity"), {k: v for k, v in block.items() if k != "kind"})
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, **self.params}
+
+
 # ---------------------------------------------------------------------------
 # problem specification
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """The data triple (f, u0, g) plus the alpha-grid resolution.
+    """The data triple (f, u0, g), the alpha-grid resolution and the
+    nonlinearity F of the generalized equation (F(u) = u by default).
 
     The representation formula assumes the normalization u0(0) = 1 and
     g(0) = 1.  Inputs violating it are rescaled on construction with a
@@ -682,6 +761,7 @@ class ProblemSpec:
     u0: FunctionDescriptor
     g: FunctionDescriptor
     n_alpha: int = 513
+    F: Nonlinearity = Nonlinearity("identity", {})
 
     def __post_init__(self):
         if self.n_alpha < 32:
@@ -730,17 +810,18 @@ class ProblemSpec:
         return np.linspace(0.0, 1.0, self.n_alpha)
 
     def to_dict(self) -> dict:
-        return {"f": self.f.to_dict(), "u0": self.u0.to_dict(),
-                "g": self.g.to_dict(), "n_alpha": self.n_alpha}
+        """The spec's JSON document; a "general" block only for F other than u."""
+        d = {"f": self.f.to_dict(), "u0": self.u0.to_dict(), "g": self.g.to_dict(), "n_alpha": self.n_alpha}
+        return d if self.F.kind == "identity" else {**d, "general": {"F": self.F.to_dict()}}
 
 
 def load_problem_spec(path) -> ProblemSpec:
     """Read a problem spec from a JSON file.
 
     Expected layout: top-level keys "f", "u0", "g" (each {"kind":..., "params":...})
-    plus "n_alpha".  An error in a datum's descriptor starts with its key
-    ("g: ...").  An optional "general" block configures the generalized
-    integrator; it is not read here (Nonlinearity.from_dict reads its F).
+    plus "n_alpha" and, optionally, "general", an object whose "F" (F(u) = u
+    when absent) Nonlinearity.from_dict reads.  An error in a datum starts
+    with its key ("g: ...", "F: ...").
     """
     try:
         with open(path) as fh:
@@ -760,13 +841,15 @@ def load_problem_spec(path) -> ProblemSpec:
                 data[key] = FunctionDescriptor.from_dict(raw[key])
             except ValueError as exc:
                 raise ValueError(f"{key}: {exc}") from exc
-        return ProblemSpec(**data, n_alpha=int(n_alpha))
+        general = raw.get("general", {})
+        F = Nonlinearity.from_dict(general.get("F", {}) if isinstance(general, dict) else None)
+        return ProblemSpec(**data, n_alpha=int(n_alpha), F=F)
     except (KeyError, TypeError) as exc:   # a missing key, or "n_alpha": null
         raise ValueError(f"spec file {path} lacks a key or has a bad value: {exc}") from exc
 
 
 def spec_hash(spec: ProblemSpec) -> str:
-    """Stable content hash of a spec, recorded in every CSV header."""
+    """Stable content hash of a spec (f, u0, g, n_alpha and F), recorded in every CSV header."""
     canon = json.dumps(spec.to_dict(), sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
@@ -830,23 +913,23 @@ class Psi0Profile:
         return out
 
 
-def _integrand(spec: ProblemSpec, F=None):
-    """(w, closed), with F = None for F(u) = u: w is x -> f(x) F(u0(x)), the
-    integrand of psi0, of H0 and of the compatibility defect, and closed is w
-    as one descriptor when it is one, else None.  For any F a constant u0
-    makes it f scaled by the constant F(u0), or f itself when that is 1; for
-    F = u it is also the product of polynomial f and u0."""
+def _integrand(spec: ProblemSpec, F: Nonlinearity):
+    """(w, closed): w is x -> f(x) F(u0(x)), the integrand of psi0 (F = u),
+    of H0 and of the compatibility defect, and closed is w as one descriptor
+    when it is one, else None.  For any F a constant u0 makes it f scaled by
+    the constant F(u0), or f itself when that is 1; for F = u it is also the
+    product of polynomial f and u0."""
     f, u0 = spec.f, spec.u0
-    w = lambda x: np.asarray(f(x)) * (u0(x) if F is None else np.asarray(F(u0(x))))
+    w = lambda x: np.asarray(f(x)) * np.asarray(F(u0(x)))
     if u0.is_polynomial() and len(c := u0.poly_coeffs()) == 1:
         # 1/u0(0) can leave a constant u0 one rounding away from 1, and the
         # singular family cannot be rescaled
-        k = c[0] if F is None else float(F(c[0]))
+        k = float(F(c[0]))
         if k == 1.0:
             return w, f
         if f.kind != "singular_boundary":
             return w, f.scaled(k)
-    if (F is None or F.kind == "identity") and f.is_polynomial() and u0.is_polynomial():
+    if F.kind == "identity" and f.is_polynomial() and u0.is_polynomial():
         return w, polynomial(*npoly.polymul(f.poly_coeffs(), u0.poly_coeffs()))
     return w, None
 
@@ -887,7 +970,7 @@ def build_psi0(spec: ProblemSpec, method: str = "auto") -> Psi0Profile:
     """
     if method not in ("auto", "quadrature"):
         raise ValueError("method must be 'auto' or 'quadrature'")
-    w, closed = _integrand(spec)
+    w, closed = _integrand(spec, Nonlinearity("identity", {}))   # psi0: F = u whatever spec.F is
     return _profile(spec, w, closed if method == "auto" else None)
 
 
@@ -1027,13 +1110,13 @@ class CompatibilityReport:
 def check_compatibility(spec: ProblemSpec, F=None) -> CompatibilityReport:
     """Defect |int_0^1 f F(u0)| and whether it vanishes.
 
-    F is the nonlinearity of the generalized equation, identity by default.
+    F is the nonlinearity of the generalized equation, spec.F by default.
     Periodic boundary values are consistent only when the defect vanishes;
     failure is reported, not raised.  The defect is exact when f F(u0) is one
     descriptor (_integrand), else cell_simpson on the cells of a fixed odd
     grid of at least 513 nodes, so it does not depend on n_alpha's parity.
     """
-    w, closed = _integrand(spec, F)
+    w, closed = _integrand(spec, spec.F if F is None else F)
     grid = np.linspace(0.0, 1.0, max(spec.n_alpha | 1, 513))
     defect = abs(float(cell_simpson(w, grid)[-1] if closed is None
                        else power_integral(closed, 1.0, 1.0)))

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import liouville_workbench
-from liouville_workbench import catalog
+from liouville_workbench import catalog, load_problem_spec, spec_hash
 from liouville_workbench.cli import main
 
 
@@ -216,6 +216,42 @@ class TestSimulate:
         assert rc == 0
         assert "stop_reason: t_end" in capsys.readouterr().out
 
+    def test_reads_the_spec_once(self, spec_general_path, tmp_path, monkeypatch):
+        opened, real_open = [], open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+        monkeypatch.setattr("builtins.open", counting_open)
+        assert main(["simulate", "--spec", spec_general_path, "--t-max", "0.1",
+                     "--dt", "0.01", "--out", str(tmp_path)]) == 0
+        assert opened.count(spec_general_path) == 1
+
+    def test_headers_hash_F(self, spec_general_path, tmp_path):
+        # bounds.txt and trajectory.csv carry the hash of the spec with its F = u^2
+        assert main(["simulate", "--spec", spec_general_path, "--t-max", "0.1",
+                     "--dt", "0.01", "--out", str(tmp_path)]) == 0
+        spec = load_problem_spec(spec_general_path)
+        want = f"# spec_hash={spec_hash(spec)} "
+        assert spec.F.kind == "power" and spec_hash(spec) != spec_hash(catalog.example_spec(2, n_alpha=65))
+        for name in ("bounds.txt", "trajectory.csv"):
+            assert (tmp_path / name).read_text().startswith(want)
+
+
+class TestLinearSubcommandsRefuseOtherF:
+    @pytest.mark.parametrize("F", [{"kind": "power", "p": 2.0},
+                                   {"kind": "table", "nodes": [0.5, 1.0, 2.0], "values": [0.5, 1.0, 2.0],
+                                    "c": 1.0, "d": 1.0}], ids=["power", "table"])
+    @pytest.mark.parametrize("command", ["classify", "solve", "singular-curve", "lp-scan"])
+    def test_exit_2_before_writing(self, command, F, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**catalog.example_spec(2, n_alpha=65).to_dict(), "general": {"F": F}}))
+        assert main([command, "--spec", str(path), "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {command} is for F(u) = u only; the spec's F is {F['kind']}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestVerify:
     def test_battery_all_pass(self, capsys):
@@ -357,14 +393,22 @@ class TestErrors:
         "x",
         {"F": {"kind": "table", "nodes": [0.5, 1.0, 2.0], "values": [0.5, 1.0, 2.0]}},
         {"F": {"kind": "table", "nodes": 5, "values": 5, "c": 1.0, "d": 1.0}},
-    ], ids=["power-without-p", "string-block", "table-without-c-d", "int-table"])
+        # falsy values that are not objects: only a missing "general" is F = u
+        [], 0, False, "", None,
+    ], ids=["power-without-p", "string-block", "table-without-c-d", "int-table",
+            "empty-list", "zero", "false", "empty-string", "null"])
     def test_malformed_general_block_is_an_error(self, general, tmp_path, capsys):
         d = {**catalog.example_spec(2, n_alpha=65).to_dict(), "general": general}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(d))
-        rc = main(["simulate", "--spec", str(path), "--out", str(tmp_path)])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error:")
+        for command in ("simulate", "classify"):
+            rc = main([command, "--spec", str(path), "--out", str(tmp_path / "out")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: F: ")
+            if not isinstance(general, dict):
+                assert err == "error: F: the spec's general block and its F must be objects\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["lp-scan", "--p", "1,nan"], "p must be in [1, inf], got nan"),

@@ -101,6 +101,9 @@ class TestNonlinearity:
         F = Nonlinearity.from_dict({"kind": "table", "nodes": [0.5, 1.0, 2.0],
                                     "values": [0.5, 1.0, 2.0], "c": 1, "d": 1})
         assert (F.c, F.d) == (1.0, 1.0) and F(1.5) == 1.5
+        # JSON lists and table_F's arrays are both read as tuples of floats
+        assert F == table_F(np.array([0.5, 1.0, 2.0]), [0.5, 1, 2], 1, 1)
+        assert F.params["values"] == (0.5, 1.0, 2.0) and Nonlinearity.from_dict(F.to_dict()) == F
         for bad in ("x", None, {"kind": "cubic"}, {"kind": "table", "nodes": [1.0, 2.0]}):
             with pytest.raises(ValueError, match="^F: "):
                 Nonlinearity.from_dict(bad)
@@ -163,6 +166,29 @@ class TestIntegrateGeneral:
         # compares false against 0 and the growth and step-error tests alike
         with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="u became NaN at"):
             integrate_general(catalog.example_spec(2, n_alpha=129), power_F(80), t_end=0.05, dt=1e-3)
+
+    def test_table_F_read_past_its_nodes_warns(self):
+        # the README's table, F = u on [0.5, 2]: on example 2 u passes 2, where F
+        # holds F(2) = 2, so the run reaches t = 2.5 with no blow-up (F = u blows up at 2.372)
+        F = table_F([0.5, 1.0, 2.0], [0.5, 1.0, 2.0], 1.0, 1.0)
+        with pytest.warns(UserWarning, match=r"^table F holds its end values outside its nodes "
+                                             r"\[0\.5, 2\]; u reached \[1, 19\.8"):
+            traj = integrate_general(catalog.example_spec(2, n_alpha=129), F, t_end=2.5, dt=1e-3)
+        assert traj.stop_reason == "t_end"
+
+    def test_table_F_inside_its_nodes_is_silent(self):
+        # the tables on [1e-3, 1e3] the other tests integrate, with their data and times
+        F = table_F(_F_NODES, _F_NODES ** 1.5, c=1.0, d=2.0)
+        runs = [(ProblemSpec(f=polynomial(1.0, -2.0), u0=constant(1.0), g=exponential(1.0, 0.3),
+                             n_alpha=n), 2.0, 0.5, 1e8) for n in (64, 65)]
+        runs += [(quadratic_F_spec(g=exponential(1.0, -1.0 / 8.0)), 1.0, 0.05, 1e8),
+                 (ProblemSpec(f=polynomial(1.0, -2.0), u0=constant(1.0), g=exponential(1.0, -1.0),
+                              n_alpha=129), 5.0, 0.05, 1e8)]
+        for spec, t_end, dt, cap in runs:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                integrate_general(spec, F, t_end=t_end, dt=dt, blowup_cap=cap)
+            assert not [w for w in caught if "table F" in str(w.message)]
 
     @pytest.mark.parametrize("n_alpha", [64, 65])
     @pytest.mark.parametrize("F", [identity_F(), power_F(2.0),

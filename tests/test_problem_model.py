@@ -18,6 +18,7 @@ from liouville_workbench import (
     FunctionDescriptor,
     GridFunction,
     NoFiniteTime,
+    Nonlinearity,
     ProblemSpec,
     build_G,
     build_psi0,
@@ -25,11 +26,14 @@ from liouville_workbench import (
     check_compatibility,
     constant,
     exponential,
+    identity_F,
     invert_G,
     load_problem_spec,
     polynomial,
+    power_F,
     singular_boundary,
     spec_hash,
+    table_F,
 )
 from liouville_workbench import problem_model as pm
 from liouville_workbench.closed_form_solver import singular_curve
@@ -209,6 +213,29 @@ class TestProblemSpec:
         assert spec_hash(s1) == spec_hash(s1)
         assert spec_hash(s1) != spec_hash(s2)
         assert len(spec_hash(s1)) == 16
+
+    def test_hash_covers_F_and_keeps_the_F_u_hash(self):
+        # F = u writes no "general" block: its hash covers f, u0, g and n_alpha alone
+        spec = catalog.example_spec(2, n_alpha=129)
+        assert spec.F == identity_F() and "general" not in spec.to_dict()
+        assert spec_hash(spec) == "9ccba7a331656475"
+        table = table_F([0.5, 1.0, 2.0], [0.5, 1.0, 2.0], 1.0, 1.0)
+        hashes = [spec_hash(dataclasses.replace(spec, F=F)) for F in (identity_F(), power_F(2.0), table)]
+        assert hashes[0] == spec_hash(spec) and len(set(hashes)) == 3
+
+    def test_json_loader_reads_F(self, tmp_path):
+        # the general block's F, a table read from JSON lists equal to the one table_F builds
+        block = {"kind": "table", "nodes": [0.5, 1, 2], "values": [0.5, 1, 2], "c": 1, "d": 1}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**catalog.example_spec(2).to_dict(), "general": {"F": block}}))
+        spec = load_problem_spec(path)
+        assert spec.F == table_F([0.5, 1.0, 2.0], [0.5, 1.0, 2.0], 1.0, 1.0) == Nonlinearity.from_dict(block)
+        assert spec.F.params["nodes"] == (0.5, 1.0, 2.0)
+        assert spec.to_dict()["general"] == {"F": {**block, "nodes": (0.5, 1.0, 2.0),
+                                                   "values": (0.5, 1.0, 2.0), "c": 1.0, "d": 1.0}}
+        for general in ({}, {"F": {}}):   # an object without F, or an F without kind, is F = u
+            path.write_text(json.dumps({**catalog.example_spec(2).to_dict(), "general": general}))
+            assert load_problem_spec(path) == catalog.example_spec(2)
 
     def test_json_loader(self, tmp_path):
         path = tmp_path / "spec.json"

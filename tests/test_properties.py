@@ -1,6 +1,10 @@
 """Property tests for the structural invariants the analysis rests on."""
 
+import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +23,15 @@ from liouville_workbench import (
     integrate_general,
     invert_G,
     jump_transport,
+    load_problem_spec,
     lp_norm,
     polynomial,
     power_F,
     power_integral,
     schwarzian,
     singular_boundary,
+    spec_hash,
+    table_F,
 )
 from liouville_workbench.problem_model import INVERT_RTOL
 
@@ -77,6 +84,19 @@ def positive_g(draw):
         nodes = np.concatenate(([0.0], np.cumsum(steps)))
         return FunctionDescriptor("table", {"nodes": nodes.tolist(), "values": values})
     return exponential(draw(st.floats(0.5, 2.0)), draw(st.floats(-1.0, 1.0)))
+
+
+@st.composite
+def nonlinearity(draw):
+    """F of each kind: u, u^p, and k u^1.5 tabulated on geometric nodes (c = 1, d = 2)."""
+    kind = draw(st.sampled_from(["identity", "power", "table"]))
+    if kind == "identity":
+        return identity_F()
+    if kind == "power":
+        return power_F(draw(st.floats(0.1, 5.0)))
+    nodes = draw(st.floats(1e-3, 1.0)) * draw(st.floats(1.5, 4.0)) ** np.arange(draw(st.integers(2, 12)))
+    return table_F(nodes, draw(st.floats(0.1, 10.0)) * nodes ** 1.5, 1.0, 2.0)
+
 
 class TestAccumulators:
     @given(g=positive_linear_g(), frac=st.floats(0.01, 0.99))
@@ -131,6 +151,21 @@ class TestAccumulators:
         profile = build_psi0(spec)
         assert profile.value(0.0) == 0.0
         assert abs(profile.value(1.0)) <= 1e-12
+
+
+class TestSpecDocument:
+    @given(g=positive_g(), F=nonlinearity())
+    @settings(**COMMON)
+    def test_json_round_trip_keeps_spec_and_hash(self, g, F):
+        with warnings.catch_warnings():   # g(0) or t_b other than 1 is rescaled, with a warning
+            warnings.simplefilter("ignore")
+            spec = ProblemSpec(f=polynomial(1.0, -2.0), u0=constant(1.0), g=g, n_alpha=65, F=F)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spec.json"
+            path.write_text(json.dumps(spec.to_dict()))
+            again = load_problem_spec(path)
+        assert again == spec and again.F == F
+        assert spec_hash(again) == spec_hash(spec)
 
 
 class TestFieldMask:

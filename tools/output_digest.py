@@ -68,6 +68,8 @@ NONLINEARITIES = {
     "F=u^2-integer-p": {"F": {"kind": "power", "p": 2}},
     "F=table": {"F": {"kind": "table", "nodes": _F_NODES, "values": [x ** 1.5 for x in _F_NODES],
                       "c": 1.0, "d": 2.0}},
+    # a general block that is no object is an error: only a missing block means F = u
+    "general-list": [],
 }
 RUNS = {
     "classify": ["classify"],
@@ -116,6 +118,9 @@ def listing(src, specs):
             for run_name, argv in RUNS.items():
                 yield run(src, f"{name} {run_name}",
                           [*argv, "--spec", str(Path(tmp) / f"{name}-F=u.json")], tmp)
+            # classify solves F = u only, and refuses another F
+            yield run(src, f"{name} classify F=u^2",
+                      ["classify", "--spec", str(Path(tmp) / f"{name}-F=u^2.json")], tmp)
         yield run(src, "verify", ["verify"], tmp)
         yield run(src, "reproduce-examples", ["reproduce-examples", "--plot"], tmp)
 
