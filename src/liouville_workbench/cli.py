@@ -179,10 +179,11 @@ def _cmd_lp_scan(args) -> int:
         t_hi = t_max
     t_grid = np.linspace(0.0, t_hi, 101)
     fld = evaluate_field(profile, B, spec, spec.alpha_grid(), t_grid)
+    norms = [[lp_norm(fld, p, float(t)) for p in ps] for t in t_grid]   # a bad p raises before --out is made
     path = _path(args, "lp_scan.csv")
     p_txt = ["inf" if p == math.inf else f"{p:.12e}" for p in ps]
     write_csv(path, _comment(spec, t_max=t_max, p=args.p), "t,p,norm", "%.12e,%s,%.12e",
-              (t_grid[:, None], p_txt, [[lp_norm(fld, p, float(t)) for p in ps] for t in t_grid]))
+              (t_grid[:, None], p_txt, norms))
     print(f"lp scan: {len(t_grid)} times x {len(ps)} exponents -> {path}")
     return 0
 

@@ -22,7 +22,7 @@ upper and lower envelopes until then.
 
 F is a spec's Nonlinearity (problem_model); identity_F, power_F and table_F
 build one.  A run whose u leaves a table F's nodes, where F holds its end
-values, says so in a warning.
+values, says so in a warning, and its envelope report makes no prediction.
 """
 
 from __future__ import annotations
@@ -239,12 +239,8 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
             f"(tolerance {DRIFT_RTOL:.0e})",
             stacklevel=2,
         )
-    if F.kind == "table":
-        lo, hi = F.params["nodes"][0], F.params["nodes"][-1]
-        u_lo, u_hi = min(float(s.u.min()) for s in states), max(umax_dense)
-        if u_lo < lo or u_hi > hi:
-            warnings.warn(f"table F holds its end values outside its nodes [{lo:.6g}, {hi:.6g}]; "
-                          f"u reached [{u_lo:.6g}, {u_hi:.6g}]", stacklevel=2)
+    if message := _left_table(F, states, umax_dense):
+        warnings.warn(message, stacklevel=2)
     return Trajectory(
         alpha=grid,
         states=tuple(states),
@@ -256,6 +252,18 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
         cap=blowup_cap,
         c=F.c,
     )
+
+
+def _left_table(F: Nonlinearity, states, umax):
+    """What to say when u, in the stored states or at any step's max, left a
+    table F's nodes, past which F holds its end values (u F' = 0 < c F)."""
+    if F.kind == "table":
+        lo, hi = F.params["nodes"][0], F.params["nodes"][-1]
+        u_lo, u_hi = min(float(s.u.min()) for s in states), np.max(umax)
+        if u_lo < lo or u_hi > hi:
+            return (f"table F holds its end values outside its nodes [{lo:.6g}, {hi:.6g}]; "
+                    f"u reached [{u_lo:.6g}, {u_hi:.6g}]")
+    return None
 
 
 def _g_and_ratio(g: FunctionDescriptor):
@@ -374,6 +382,7 @@ def blowup_bounds(spec: ProblemSpec, F: Nonlinearity, trajectory: Trajectory) ->
     later than 2/(c H0(alpha0)).  Nonincreasing g: upper envelope from the
     running integral of g^c, lower from g^d, with the global/blow-up verdict
     read off their limits.  Mixed monotonicity yields a not-applicable report.
+    So does a u that left a table F's nodes (_left_table), with no bound, as H0 <= 0 does.
     When c == d (identity and power F) the two envelopes are one array,
     computed once, and so are the margins: (u - env)/env, negated for the
     upper side.  Envelopes are sampled on compute_H0_alpha0's window, and the
@@ -396,7 +405,7 @@ def blowup_bounds(spec: ProblemSpec, F: Nonlinearity, trajectory: Trajectory) ->
                           lower_envelope=None, upper_envelope=None,
                           min_lower_margin=None, min_upper_margin=None, violations=())
 
-    if not ok or alpha0 is None:
+    if not ok or alpha0 is None or _left_table(F, trajectory.states, trajectory.umax_dense):
         return BoundsReport(**report, **not_applicable, hypotheses_ok=False,
                             t_star_bound=None, domain_nodes=np.array([]))
 

@@ -24,23 +24,23 @@ sampled psi0 or G) is checked by GridFunction.
 
 psi0 and G are the kind's closed-form integral (psi0, and the generalized
 equation's H0 = int f F(u0), whenever the integrand is one descriptor, see
-_integrand; G unless quadrature is requested), or else Simpson's rule on
-each grid cell with a midpoint sample (cell_simpson), which does not depend
-on the node parity.  Both keep psi0(0) = 0 and G(0) = 0 exact.  Like a
+_integrand; G unless quadrature is requested), or else 5-point Gauss-Lobatto
+on each grid cell (lobatto_to_nodes), whose error on smooth data is rounding
+at any node count.  Both keep psi0(0) = 0 and G(0) = 0 exact.  Like a
 descriptor, Psi0Profile and BoundaryIntegral take only what defines them and
 derive the rest once, on construction.  Psi0Profile(psi0, integrand, f) reads
 psi0 (or H0) off its nodes by its value alone and, as psi0' = f u0 with
 u0 > 0, reads M0 and its argmax set off alpha = 0, alpha = 1 and the zeros
 where f crosses from + to - (interior_zeros).  BoundaryIntegral(G, g_desc)
 reads G as the closed form plus the interpolated offset of its samples (its
-value), and takes G_infinity from g's power_integral_limit.
+value), with slope g, and takes G_infinity from g's power_integral_limit.
 data_horizon says how long g has data.  Every inverse (G^-1, the inverse of
 a power integral, the zeros of f) goes through one array inverter,
 _solve_increasing, which starts from a bracket per target taken from samples
 the caller already holds: the sampled G for G^-1, the grid cells where f
-changes sign for its zeros.  Integrals off the closed forms sum
-simpson_cells, or cumulative_simpson on samples (simpson_weights when only
-the whole integral is wanted).
+changes sign for its zeros.  Integrals of functions off the closed forms
+sum lobatto_cells; a table's powers sum exact segments.  Integrals of
+samples take cumulative_simpson (simpson_weights for the whole integral).
 """
 
 from __future__ import annotations
@@ -141,23 +141,27 @@ def simpson_weights(n):
     return w
 
 
-def simpson_cells(w, x):
-    """int_{x[i]}^{x[i+1]} w for every cell i by Simpson's rule with a midpoint
-    sample, h/6 (w_i + 4 w_(i+1/2) + w_(i+1)), h = x[1] - x[0].
+def lobatto_cells(w, x):
+    """int_{x[i]}^{x[i+1]} w for every cell i by 5-point Gauss-Lobatto, exact
+    for polynomials of degree 7: the ends weighted 1/20, the points 1/2 -+
+    sqrt(21)/14 of the cell 49/180 and its centre 16/45.
 
-    w is called on arrays.  The nodes run along axis 0 and are uniform along
-    it, so a (2, k) x integrates k separate cells [x[0, j], x[1, j]] at once.
+    w is called on arrays.  The nodes run along axis 0, so a (2, k) x
+    integrates k separate cells [x[0, j], x[1, j]] at once.  The samples are
+    summed elementwise in one fixed order, so no cell depends on the others.
     """
     x = np.asarray(x, dtype=float)
+    h = np.diff(x, axis=0)
     w_x = np.asarray(w(x))
-    return (x[1] - x[0]) / 6.0 * (w_x[:-1] + 4.0 * np.asarray(w(0.5 * (x[:-1] + x[1:])))
-                                  + w_x[1:])
+    w_in = np.asarray(w(x[:-1] + np.multiply.outer((0.17267316464601143, 0.5, 0.8273268353539885), h)))
+    return h * (0.05 * (w_x[:-1] + w_x[1:]) + 0.2722222222222222 * (w_in[0] + w_in[2])
+                + 0.35555555555555557 * w_in[1])
 
 
-def cell_simpson(w, x):
+def lobatto_to_nodes(w, x):
     """int_{x[0]}^{x[k]} w at every k (0 at k = 0): the running sum of
-    simpson_cells along axis 0."""
-    steps = simpson_cells(w, x)
+    lobatto_cells along axis 0."""
+    steps = lobatto_cells(w, x)
     return np.concatenate((np.zeros((1,) + steps.shape[1:]), np.cumsum(steps, axis=0)))
 
 
@@ -276,8 +280,8 @@ class _Kind:
     """One descriptor kind bound to its params, built once per FunctionDescriptor.
 
     The constructor checks the params dict p, normalizes it in place and keeps
-    what the methods read.  integral(power, t) is int_0^t value^power, 2048
-    simpson_cells summed unless the kind has a closed form; limit(power) is
+    what the methods read.  integral(power, t) is int_0^t value^power, 256
+    lobatto_cells summed unless the kind has a closed form; limit(power) is
     its limit at end, the end of the data's life, as (value, estimated), and
     last the last time with data.  scale(p, factor) rescales a params dict in
     place, without a kind object.
@@ -286,8 +290,8 @@ class _Kind:
     end = last = math.inf
 
     def integral(self, power, t):
-        s = np.multiply.outer(np.linspace(0.0, 1.0, 2049), t)
-        steps = simpson_cells(lambda x: np.asarray(self.value(x)) ** power, s)
+        s = np.multiply.outer(np.linspace(0.0, 1.0, 257), t)
+        steps = lobatto_cells(lambda x: np.asarray(self.value(x)) ** power, s)
         # cells last and contiguous, so every t is summed pairwise, as a scalar t is
         return np.ascontiguousarray(np.moveaxis(steps, 0, -1)).sum(axis=-1)
 
@@ -433,6 +437,7 @@ class _Table(_Kind):
         p["nodes"], p["values"] = tuple(table.nodes.tolist()), tuple(table.values.tolist())
         self.end = self.last = p["nodes"][-1]
         self.lo, self.hi = table.nodes[0] - 1e-12, table.nodes[-1] + 1e-12   # the domain, with slack
+        self.node_integrals = {}   # int_{nodes[0]}^{nodes[i]} value^power at every node i, by power
 
     def value(self, x):
         # a float x (the integrator's g(t) per stage) takes float compares, not np.any
@@ -444,21 +449,15 @@ class _Table(_Kind):
     def derivative(self, x):
         return self.table.slope(x)
 
-    @functools.cached_property
-    def area_to_nodes(self):
-        """int_{nodes[0]}^{nodes[i]} at every node i: trapezoids are exact for
-        the linear interpolant."""
-        nodes, values = self.table.nodes, self.table.values
-        return np.concatenate(([0.0], np.cumsum(np.diff(nodes) * (values[:-1] + values[1:]) / 2.0)))
-
     def integral(self, power, t):
-        if power != 1.0:
-            return super().integral(power, t)
-        nodes, values, cum = self.table.nodes, self.table.values, self.area_to_nodes
+        nodes, values = self.table.nodes, self.table.values
+        if (cum := self.node_integrals.get(power)) is None:
+            steps = _line_power(np.diff(nodes), values[:-1], values[1:], power)
+            cum = self.node_integrals[power] = np.concatenate(([0.0], np.cumsum(steps)))
 
         def area(x):  # int_{nodes[0]}^x
             i = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(nodes) - 2)
-            return cum[i] + (x - nodes[i]) * (values[i] + self.value(x)) / 2.0
+            return cum[i] + _line_power(x - nodes[i], values[i], self.value(x), power)
 
         return area(t) - area(0.0)
 
@@ -475,6 +474,24 @@ class _Table(_Kind):
     @staticmethod
     def scale(p, factor):
         p["values"] = tuple(v * factor for v in p["values"])
+
+
+def _line_power(h, v0, v1, power):
+    """int_0^h (the line from v0 to v1)^power: the trapezoid at power 1, else
+    h a^power (1 - r^k) / (k (1 - r)), k = power + 1, for the end a larger in
+    size and r = b / a in [-1, 1] for the other end b.  For r > 0 that is
+    expm1(k L) / (k expm1(L)) with L = ln r, and 1 at L = 0, so equal ends
+    cancel nothing; a zero end (r = 0) and two (a = 0) divide by nothing."""
+    if power == 1.0:
+        return h * (v0 + v1) / 2.0
+    first, k = np.abs(v0) >= np.abs(v1), power + 1.0
+    a = np.where(first, v0, v1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(first, v1, v0) / a
+        L = np.log(r)   # NaN for r < 0, where the ends differ in sign and nothing cancels
+        ratio = np.where(r <= 0.0, (1.0 - r ** k) / (k * (1.0 - r)),
+                         np.where(L == 0.0, 1.0, np.expm1(k * L) / (k * np.expm1(L))))
+    return np.where(a != 0.0, h * a ** power * ratio, 0.0)
 
 
 class _Exponential(_Kind):
@@ -898,19 +915,16 @@ class Psi0Profile:
     def value(self, alpha):
         """psi0 (or H0) at alpha: the closed form of `analytic` if any, else the
         sample at the node at or below alpha (the first node for alpha < 0)
-        plus cell_simpson's rule on the partial cell from there to alpha.  On
-        a node that cell has zero width, and the sample is returned as is."""
+        plus lobatto_cells on the partial cell from there to alpha, which is 0
+        on a node; when every alpha is on one, the samples are returned as is."""
         if self.analytic is not None:
             return power_integral(self.analytic, 1.0, alpha)
         grid, vals = self.psi0.nodes, self.psi0.values
         i = np.maximum(np.searchsorted(grid, alpha, side="right") - 1, 0)
         x0, out = grid[i], vals[i]
-        if not np.any(off := x0 != alpha):
+        if not np.any(x0 != alpha):
             return out
-        if np.ndim(off) == 0:
-            return out + simpson_cells(self.integrand, np.array([x0, alpha]))[0]
-        out[off] += simpson_cells(self.integrand, np.array([x0[off], np.asarray(alpha)[off]]))[0]
-        return out
+        return out + lobatto_cells(self.integrand, np.array([x0, alpha]))[0]
 
 
 def _integrand(spec: ProblemSpec, F: Nonlinearity):
@@ -965,8 +979,8 @@ def build_psi0(spec: ProblemSpec, method: str = "auto") -> Psi0Profile:
     """Cumulative integral psi0(alpha) = int_0^alpha f u0 dz with features.
 
     method "auto" takes the closed-form integral of f*u0 when it is one
-    descriptor (see _integrand) and cell_simpson otherwise; "quadrature"
-    forces cell_simpson (useful for convergence studies).
+    descriptor (see _integrand) and lobatto_to_nodes otherwise; "quadrature"
+    forces lobatto_to_nodes (useful for convergence studies).
     """
     if method not in ("auto", "quadrature"):
         raise ValueError("method must be 'auto' or 'quadrature'")
@@ -976,9 +990,9 @@ def build_psi0(spec: ProblemSpec, method: str = "auto") -> Psi0Profile:
 
 def _profile(spec: ProblemSpec, w, analytic=None) -> Psi0Profile:
     """int_0^alpha w, with its features: the closed form of analytic (w as one
-    descriptor) when given, else cell_simpson.  w = f u0 gives psi0."""
+    descriptor) when given, else lobatto_to_nodes.  w = f u0 gives psi0."""
     grid = spec.alpha_grid()
-    vals = cell_simpson(w, grid) if analytic is None else power_integral(analytic, 1.0, grid)
+    vals = lobatto_to_nodes(w, grid) if analytic is None else power_integral(analytic, 1.0, grid)
     if not np.all(np.isfinite(vals)):
         raise ValueError("psi0 = int f*u0 (or H0 = int f F(u0)) is not finite on [0, 1]")
     return Psi0Profile(GridFunction(grid, vals), w if analytic is None else analytic, spec.f)
@@ -995,10 +1009,10 @@ class BoundaryIntegral:
     G holds samples on [0, t_max].  Between them and past them G is the
     kind's closed-form integral I plus the linear interpolant of the samples'
     offset G - I, held at its last value past t_max: 0 for a closed-form G,
-    Simpson's error for a quadrature G.  G_infinity is the limit of G at the
-    end of g's life, power_integral_limit(g_desc, 1), derived here; `estimated`
-    flags one obtained by tail extrapolation (tables only) rather than a
-    closed form.
+    rounding for a quadrature G but before a singular end, so invert's Newton
+    steps on G' = g.  G_infinity is the limit of G at the end of g's life,
+    power_integral_limit(g_desc, 1), derived here; `estimated` flags one
+    obtained by tail extrapolation (tables only) rather than a closed form.
     """
 
     G: GridFunction
@@ -1017,16 +1031,6 @@ class BoundaryIntegral:
         out = power_integral(self.g_desc, 1.0, t) + np.interp(t, self.G.nodes, self.offset)
         return out if np.ndim(out) else float(out)
 
-    @functools.cached_property
-    def derivative(self):
-        """t -> G'(t): g plus the slope of the offset's cell on [0, t_max), 0
-        past t_max; g alone when the offset is 0, as for every closed-form G."""
-        g, nodes = self.g_desc, self.G.nodes
-        if not self.offset.any():
-            return g
-        slopes = np.append(np.diff(self.offset) / np.diff(nodes), 0.0)   # [-1] serves t >= t_max
-        return lambda t: np.asarray(g(t)) + slopes[np.searchsorted(nodes, t, side="right") - 1]
-
     def invert(self, y):
         """Elementwise t with G(t) = y; NaN where G never gets there (at or
         past G_infinity, or past the last node of tabulated g)."""
@@ -1036,7 +1040,7 @@ class BoundaryIntegral:
         # the node cell of each target; targets past the last node double from it
         nodes, vals = self.G.nodes, self.G.values
         i = np.clip(np.searchsorted(vals, y[reach]), 1, len(vals) - 1)
-        t[reach] = _solve_increasing(self.value, self.derivative, y[reach], nodes[i - 1], nodes[i],
+        t[reach] = _solve_increasing(self.value, self.g_desc, y[reach], nodes[i - 1], nodes[i],
                                      vals[i - 1], vals[i],
                                      self.g_desc.bound.end)
         return t
@@ -1052,9 +1056,9 @@ def build_G(spec, t_max: float, n_t: int = 1025, method: str = "auto") -> Bounda
     """Strictly increasing sampled G on [0, t_max] with G(0) = 0 exact.
 
     Accepts a ProblemSpec or a bare FunctionDescriptor for g.  method "auto"
-    samples the kind's closed form; "quadrature" integrates g by Simpson's
-    rule on each grid cell (cell_simpson), so every increment of a positive
-    g is positive.  t_max must not pass data_horizon, the last time g has data.
+    samples the kind's closed form; "quadrature" integrates g by 5-point
+    Gauss-Lobatto on each grid cell (lobatto_to_nodes), so every increment of a
+    positive g is positive.  t_max must not pass data_horizon, the last time g has data.
     """
     desc = spec.g if isinstance(spec, ProblemSpec) else spec
     if method not in ("auto", "quadrature"):
@@ -1073,7 +1077,7 @@ def build_G(spec, t_max: float, n_t: int = 1025, method: str = "auto") -> Bounda
             if np.min(g) <= 0:
                 raise ValueError("g must be strictly positive on [0, t_max]")
             return g
-        vals = cell_simpson(positive_g, t_grid)
+        vals = lobatto_to_nodes(positive_g, t_grid)
     if not np.all(np.diff(vals) > 0):
         raise ValueError("G is not strictly increasing; g must be positive")
     return BoundaryIntegral(GridFunction(t_grid, vals), desc)
@@ -1113,12 +1117,15 @@ def check_compatibility(spec: ProblemSpec, F=None) -> CompatibilityReport:
     F is the nonlinearity of the generalized equation, spec.F by default.
     Periodic boundary values are consistent only when the defect vanishes;
     failure is reported, not raised.  The defect is exact when f F(u0) is one
-    descriptor (_integrand), else cell_simpson on the cells of a fixed odd
-    grid of at least 513 nodes, so it does not depend on n_alpha's parity.
+    descriptor (_integrand), else lobatto_to_nodes on a fixed odd grid of at
+    least 513 nodes, so it does not depend on n_alpha's parity.  The spec's
+    own nodes are too few: a table F puts kinks in f F(u0), and on 128 nodes
+    f = cos 2 pi alpha, u0 = 1 + 0.3 sin 2 pi alpha and the digest's table F
+    read a defect of 1.2e-6, so simulate refused compatible data.
     """
     w, closed = _integrand(spec, spec.F if F is None else F)
     grid = np.linspace(0.0, 1.0, max(spec.n_alpha | 1, 513))
-    defect = abs(float(cell_simpson(w, grid)[-1] if closed is None
+    defect = abs(float(lobatto_to_nodes(w, grid)[-1] if closed is None
                        else power_integral(closed, 1.0, 1.0)))
     scale = float(np.max(np.abs(w(grid))))
     ok = defect <= COMPAT_RTOL * scale if scale > 0 else True

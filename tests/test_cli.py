@@ -412,6 +412,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("argv, message", [
         (["lp-scan", "--p", "1,nan"], "p must be in [1, inf], got nan"),
+        (["lp-scan", "--p", "nan"], "p must be in [1, inf], got nan"),
+        (["lp-scan", "--p", "0.5"], "p must be in [1, inf], got 0.5"),
         (["solve", "--dt", "0"], "--dt must be positive"),
         (["solve", "--dt", "-0.1"], "--dt must be positive"),
         (["solve", "--dt", "nan"], "--dt must be positive"),
@@ -421,15 +423,16 @@ class TestErrors:
         (["simulate", "--dt", "nan"], "must be positive, got nan"),
         (["simulate", "--t-max", "nan"], "must be positive, got 0.001, nan"),
         (["simulate", "--cap", "nan"], "must be positive, got 0.001, 1.0, nan"),
-    ], ids=["lp-nan", "solve-dt-0", "solve-dt-negative", "solve-dt-nan", "solve-dt-inf",
+    ], ids=["lp-nan", "lp-only-nan", "lp-half", "solve-dt-0", "solve-dt-negative", "solve-dt-nan", "solve-dt-inf",
             "classify-t-max-nan", "classify-t-max-inf", "simulate-dt-nan", "simulate-t-max-nan",
             "simulate-cap-nan"])
     def test_nan_and_nonpositive_numbers_are_errors(self, argv, message, spec2_path,
                                                     tmp_path, capsys):
-        rc = main(argv + ["--spec", spec2_path, "--n-alpha", "65", "--out", str(tmp_path)])
+        # the numbers are checked before --out is made: an error leaves no directory
+        rc = main(argv + ["--spec", spec2_path, "--n-alpha", "65", "--out", str(tmp_path / "out")])
         assert rc == 2
         assert message in capsys.readouterr().err
-        assert not list(tmp_path.glob("*.csv"))
+        assert not (tmp_path / "out").exists()
 
 
 class TestImports:

@@ -177,18 +177,23 @@ class TestIntegrateGeneral:
         assert traj.stop_reason == "t_end"
 
     def test_table_F_inside_its_nodes_is_silent(self):
-        # the tables on [1e-3, 1e3] the other tests integrate, with their data and times
+        # the tables on [1e-3, 1e3] the other tests integrate, with their data and
+        # times: no warning, and envelope reports that keep their hypotheses and verdicts
         F = table_F(_F_NODES, _F_NODES ** 1.5, c=1.0, d=2.0)
         runs = [(ProblemSpec(f=polynomial(1.0, -2.0), u0=constant(1.0), g=exponential(1.0, 0.3),
                              n_alpha=n), 2.0, 0.5, 1e8) for n in (64, 65)]
         runs += [(quadratic_F_spec(g=exponential(1.0, -1.0 / 8.0)), 1.0, 0.05, 1e8),
                  (ProblemSpec(f=polynomial(1.0, -2.0), u0=constant(1.0), g=exponential(1.0, -1.0),
                               n_alpha=129), 5.0, 0.05, 1e8)]
-        for spec, t_end, dt, cap in runs:
+        predicted = ["FiniteBlowup", "FiniteBlowup", "Indeterminate", "Global"]
+        for (spec, t_end, dt, cap), want in zip(runs, predicted):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                integrate_general(spec, F, t_end=t_end, dt=dt, blowup_cap=cap)
+                traj = integrate_general(spec, F, t_end=t_end, dt=dt, blowup_cap=cap)
             assert not [w for w in caught if "table F" in str(w.message)]
+            report = blowup_bounds(spec, F, traj)
+            assert report.hypotheses_ok and report.t_star_bound is not None
+            assert report.predicted == want
 
     @pytest.mark.parametrize("n_alpha", [64, 65])
     @pytest.mark.parametrize("F", [identity_F(), power_F(2.0),
@@ -303,8 +308,8 @@ def test_polynomial_g_and_ratio_is_npoly_bit_for_bit():
 
 
 def test_g_and_ratio_binds_a_table_once(monkeypatch):
-    # the table's GridFunction and cumulative trapezoid are built once per
-    # descriptor, not per read, and the domain check stays
+    # the table's GridFunction and its power-1 node integrals are built once
+    # per descriptor, not per read, and the domain check stays
     built = []
     grid_function = pm.GridFunction
     monkeypatch.setattr(pm, "GridFunction", lambda *args: built.append(args) or grid_function(*args))
@@ -315,8 +320,8 @@ def test_g_and_ratio_binds_a_table_once(monkeypatch):
     g_and_ratio = _g_and_ratio(table)
     assert [g_and_ratio(t) for t in ts] == want
     area = power_integral(table, 1.0, 2.0)
-    cum = table.bound.area_to_nodes
-    assert power_integral(table, 1.0, 2.0) == area and table.bound.area_to_nodes is cum
+    cum = table.bound.node_integrals[1.0]
+    assert power_integral(table, 1.0, 2.0) == area and table.bound.node_integrals[1.0] is cum
     assert len(built) == 1
     with pytest.raises(ValueError, match="outside the table's declared domain"):
         g_and_ratio(4.0 + 1e-9)
@@ -352,7 +357,7 @@ class TestH0:
 
     @pytest.mark.parametrize("n_alpha", [64, 65])
     def test_H0_at_alpha0_from_the_partial_cell(self, n_alpha):
-        # alpha0 = (pi/2 - 0.3)/(2 pi) is mid-cell; H0(alpha0) takes Simpson's
+        # alpha0 = (pi/2 - 0.3)/(2 pi) is mid-cell; H0(alpha0) takes the cell
         # rule on the partial cell, not a chord between nodes
         import mpmath
 
@@ -495,6 +500,19 @@ class TestBounds:
         report = blowup_bounds(spec, identity_F(), traj)
         assert report.predicted == "NotApplicable"
         assert not report.hypotheses_ok and report.t_star_bound is None
+
+    def test_u_past_a_table_F_is_not_applicable(self):
+        # the README's table, F = u on [0.5, 2], held at F(2) = 2 past u = 2, where
+        # u F' = 0 < c F: the run passes t_star_bound = 8 with no blow-up (max u
+        # 1618), so the report, like one with H0 <= 0, makes no prediction
+        spec, F = catalog.example_spec(2, n_alpha=129), table_F([0.5, 1.0, 2.0], [0.5, 1.0, 2.0], 1.0, 1.0)
+        with pytest.warns(UserWarning, match=r"u reached \[1, 1618\.\d+\]"):
+            traj = integrate_general(spec, F, t_end=9.0, dt=1e-3)
+        assert traj.stop_reason == "t_end" and not detect_blowup(traj)["blew_up"]
+        report = blowup_bounds(spec, F, traj)
+        assert report.predicted == "NotApplicable"
+        assert not report.hypotheses_ok and report.t_star_bound is None
+        assert report.crossing_time is None and report.violations == ()
 
     def test_mixed_monotonicity_not_applicable(self):
         # g = 1 + 2t - t^2 rises until t = 1, then falls; the bound is still reported

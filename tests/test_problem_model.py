@@ -269,7 +269,7 @@ class TestPsi0:
         spec, exact, _ = problem(2)
         quad = build_psi0(spec, method="quadrature")
         diff = np.max(np.abs(quad.psi0.values - exact.psi0.values))
-        assert diff <= 1e-12  # Simpson is exact on linear f*u0
+        assert diff <= 1e-12  # the cell rule is exact on linear f*u0
 
     def test_offgrid_vertex_is_refined(self):
         # psi0 = 0.7a - a^2 peaks at 0.35, strictly between grid nodes
@@ -346,7 +346,7 @@ class TestPsi0:
 
     def test_value_between_nodes_without_a_closed_form(self):
         # f u0 = cos(2 pi a) (1 + 0.3 sin 2 pi a) is not one descriptor: value
-        # is the node sample plus Simpson's rule on the partial cell, not a
+        # is the node sample plus the cell rule on the partial cell, not a
         # chord (5.8e-5 off mid-cell), and below 0 it integrates back from
         # the first node instead of wrapping to the last cell
         import mpmath
@@ -472,9 +472,10 @@ class TestBoundaryIntegral:
 
     @pytest.mark.parametrize("t_max", [0.999, 1.0 - 1e-9])
     def test_quadrature_newton_steps_on_the_offset_slope(self, t_max, monkeypatch):
-        # example 4's curve: G' = g plus the offset's cell slope takes the
-        # quadrature Newton in as few evaluations of G as the closed form
-        # (g alone took 8 against 5 at t_max = 0.999, and 7 against 4 at 1 - 1e-9)
+        # example 4's curve: Newton on the slope g takes the quadrature G in as
+        # few evaluations of G as the closed form (under Simpson's rule, whose
+        # offset has a slope, g alone took 8 against 5 at t_max = 0.999, and 7
+        # against 4 at 1 - 1e-9)
         spec = catalog.example_spec(4)
         profile = build_psi0(spec)
         value, counts = BoundaryIntegral.value, []
@@ -482,24 +483,32 @@ class TestBoundaryIntegral:
                             lambda self, t: counts.append(1) or value(self, t))
         for method in ("auto", "quadrature"):
             B = build_G(spec, t_max=t_max, method=method)
-            assert (B.derivative is spec.g) == (method == "auto")   # a zero offset adds nothing
             counts.clear()
             singular_curve(profile, B)
             if method == "auto":
                 auto = len(counts)
         assert len(counts) <= auto
 
-    def test_quadrature_derivative_is_the_offset_cell_slope(self):
-        # G' matches G's centred difference inside a cell, and is g past t_max,
-        # where the offset is held at its last value
+    def test_quadrature_G_increases_in_every_cell(self):
+        # example 4 up to 1 - 1e-9: the last cell's rule errs upward, so the offset
+        # G - I rises across it and G increases everywhere (4-point Gauss-Legendre,
+        # which never samples the end, made the offset fall by 1e9 in that cell)
+        spec = catalog.example_spec(4)
+        B = build_G(spec, t_max=1.0 - 1e-9, method="quadrature")
+        nodes = B.G.nodes
+        s = np.linspace(0.0, 1.0, 33)
+        for lo, hi in zip(nodes[:-1], nodes[1:]):
+            assert np.all(np.diff(B.value(lo + s * (hi - lo))) > 0), (lo, hi)
+
+    def test_quadrature_G_has_slope_g(self):
+        # g matches the quadrature G's centred difference inside a cell, and
+        # at and past t_max, where the offset is held at its last value
         g = exponential(1.0, 0.5)
         B = build_G(g, t_max=4.0, n_t=9, method="quadrature")
-        for t in (0.3, 1.7, 3.9):
+        for t in (0.3, 1.7, 3.9, 4.0, 5.0):
             d = 1e-6
-            assert float(B.derivative(np.array(t))) == pytest.approx(
+            assert float(g(np.array(t))) == pytest.approx(
                 (B.value(t + d) - B.value(t - d)) / (2.0 * d), rel=1e-8)
-        t = np.array([4.0, 5.0])
-        np.testing.assert_array_equal(B.derivative(t), g(t))
 
     def test_rejects_t_max_past_boundary(self):
         with pytest.raises(ValueError):
@@ -561,14 +570,15 @@ class TestDenseFallback:
     30-digit quadrature split at the table nodes."""
 
     @pytest.mark.parametrize("g, power, g_mp, ts, rtol", [
-        (FunctionDescriptor("trigonometric", _TRIG_G), 2.0, _trig_mp, (0.3, 2.5, 7.0), 3.7e-11),
+        (FunctionDescriptor("trigonometric", _TRIG_G), 2.0, _trig_mp, (0.3, 2.5, 7.0), 1.7e-15),
         (polynomial(1.0, 2.0), 1.5, lambda s: 1 + 2 * s, (0.5, 1.0, 2.0), 1.6e-15),
-        (FunctionDescriptor("table", _TABLE_G), 2.0, _table_mp, (0.3, 1.0, 2.9, 5.0), 4.0e-6),
+        (FunctionDescriptor("table", _TABLE_G), 2.0, _table_mp, (0.3, 1.0, 2.9, 5.0), 2.1e-15),
     ], ids=["trigonometric", "polynomial", "table"])
     def test_matches_mpmath(self, g, power, g_mp, ts, rtol):
-        # rtol is ten times the error of composite Simpson on the same 4097
-        # samples (3.7e-12, 1.6e-16 and 4.0e-7); the table's kinks inside
-        # Simpson cells set its error
+        # rtol is ten times the error measured with 256 Gauss-Lobatto cells for
+        # the trigonometric and polynomial g (1.7e-16 and 1.5e-16) and with the
+        # table's exact segment integrals (2.1e-16); Simpson's 2048 cells were
+        # off by 3.7e-12, 1.6e-16 and 4.0e-7, the table's kinks inside its cells
         with mpmath.workdps(30):
             want = np.array([
                 float(mpmath.quad(lambda s: g_mp(s) ** power,
@@ -578,13 +588,37 @@ class TestDenseFallback:
         assert np.max(np.abs(got - want) / want) <= rtol
         assert [float(pm.power_integral(g, power, t)) for t in ts] == got.tolist()
 
+    @pytest.mark.parametrize("power", [0.5, 2.0])
+    def test_table_with_zero_values(self, power):
+        # one segment ends at 0 and the next is 0 at both ends: exact and finite
+        nodes, values = [0.0, 1.0, 2.0, 3.0, 4.5], [1.0, 0.0, 0.0, 2.5, 1.5]
+        g = FunctionDescriptor("table", {"nodes": nodes, "values": values})
+        ts = (0.5, 1.0, 1.5, 2.7, 4.5)
+        with mpmath.workdps(30):
+            def line(s):   # the segment is chosen in 30 digits, so no end reads below 0
+                i = max(k for k in range(len(nodes) - 1) if nodes[k] <= s)
+                return values[i] + (values[i + 1] - values[i]) * (s - nodes[i]) / (nodes[i + 1] - nodes[i])
+            want = np.array([float(mpmath.quad(lambda s: line(s) ** power,
+                                               [0.0, *(x for x in nodes if 0.0 < x < t), t]))
+                             for t in ts])
+        got = pm.power_integral(g, power, np.array(ts))
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want) / want) <= 1e-14
+
+    def test_table_changing_sign_at_integer_powers(self):
+        # 1, -1, 2 at unit steps: int (1 - 2s)^2 + (3s - 1)^2 = 1/3 + 1 and the
+        # cubes 0 + 5/4; the ends of each segment differ in sign
+        g = FunctionDescriptor("table", {"nodes": [0.0, 1.0, 2.0], "values": [1.0, -1.0, 2.0]})
+        assert pm.power_integral(g, 2.0, 2.0) == pytest.approx(4.0 / 3.0, rel=1e-15)
+        assert pm.power_integral(g, 3.0, 2.0) == pytest.approx(1.25, rel=1e-15)
+
     def test_sum_of_cells_matches_the_cumulative_table(self):
         # the fallback sums the cells pairwise where the cumulative table's last
-        # row adds them in order; both are the same 2048-cell Simpson rule
+        # row adds them in order; both are the same 256-cell Gauss-Lobatto rule
         g = FunctionDescriptor("trigonometric", _TRIG_G)
         ts = np.linspace(0.1, 5.0, 257)
-        table = pm.cell_simpson(lambda x: np.asarray(g(x)) ** 2.0,
-                                np.multiply.outer(np.linspace(0.0, 1.0, 2049), ts))
+        table = pm.lobatto_to_nodes(lambda x: np.asarray(g(x)) ** 2.0,
+                                    np.multiply.outer(np.linspace(0.0, 1.0, 257), ts))
         got = pm.power_integral(g, 2.0, ts)
         assert np.max(np.abs(got - table[-1]) / table[-1]) <= 1e-14
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -130,6 +131,26 @@ class TestClassify:
         profile = build_psi0(spec)
         assert profile.M0 == 0.0
         assert classify(profile, build_G(spec, t_max=10.0), spec).verdict == "Global"
+
+    @pytest.mark.parametrize("method", ["auto", "quadrature"])
+    def test_t_star_without_a_closed_psi0_does_not_move_with_n_alpha(self, method):
+        # f = cos 2 pi a, u0 = 1 + 0.3 sin 2 pi a (psi0 has no closed form), g = 1 + 2t:
+        # M0 = 1/(2 pi) + 0.3/(4 pi) and G = t + t^2 reach 2/M0 at
+        # t* = (sqrt(1 + 8/M0) - 1)/2; Simpson's cells put t* 8.8e-7 (33 nodes)
+        # and 3.4e-9 (129) below it
+        f = FunctionDescriptor("trigonometric", {"terms": [[1.0, 1.0, math.pi / 2]]})
+        u0 = FunctionDescriptor("trigonometric", {"offset": 1.0, "terms": [[0.3, 1.0, 0.0]]})
+        with mpmath.workdps(30):
+            M0 = 1 / (2 * mpmath.pi) + mpmath.mpf("0.3") / (4 * mpmath.pi)
+            t_star = (mpmath.sqrt(1 + 8 / M0) - 1) / 2
+        for n_alpha in (33, 64, 65, 129, 513, 2049):
+            spec = ProblemSpec(f=f, u0=u0, g=polynomial(1.0, 2.0), n_alpha=n_alpha)
+            report = classify(build_psi0(spec, method=method),
+                              build_G(spec, t_max=10.0, method=method), spec)
+            assert report.verdict == "FiniteBlowup"
+            tol = 1e-13 * float(t_star) if n_alpha == 33 else 2.0 * math.ulp(float(t_star))
+            with mpmath.workdps(30):
+                assert abs(report.t_star - t_star) <= tol, n_alpha
 
     def test_verdict_independent_of_n_alpha_parity(self):
         # f = -sin 2 pi a, u0 = 1 + cos(2 pi a)/2: psi0 <= 0 exactly, so Global
