@@ -88,10 +88,12 @@ class GeneralizedState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots plus dense per-step scalars for blow-up detection."""
+    """The stored states as two arrays, times (1-D) and u (one row on alpha per
+    stored time), plus dense per-step scalars for blow-up detection."""
 
     alpha: np.ndarray
-    states: tuple
+    times: np.ndarray
+    u: np.ndarray
     t_dense: np.ndarray
     umax_dense: np.ndarray
     argmax_dense: np.ndarray
@@ -101,12 +103,13 @@ class Trajectory:
     c: float
 
     @property
-    def state_times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
+    def states(self) -> tuple:
+        # kept only for the benchmark's integrate check (perfbench/workloads.py), which reads states[-1]
+        return tuple(map(GeneralizedState, self.times.tolist(), self.u))
 
     def to_csv(self, path, comment: str | None = None):
         write_csv(path, comment, "t,alpha,u", "%.12e,%.12e,%.12e",
-                  (self.state_times[:, None], self.alpha, [s.u for s in self.states]))
+                  (self.times[:, None], self.alpha, self.u))
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +133,13 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
     step with err > tol, or with more than 10% sup-norm growth, is retried
     shorter; dt itself never changes, so a run in which neither bound binds
     takes the fixed steps min(dt, t_end - t).  The run stops at t_end or as
-    soon as max u reaches blowup_cap.  Raises on nonpositive or NaN u
-    (numerical failure) and on incompatible data (check_compatibility with F
-    reports a nonzero integral of f F(u0)).  The stages k1-k4, the stage
-    input, their sum, f F(u) and psi live in buffers allocated once per run;
-    each accepted state is a new array, stored as is, so no stored state
-    aliases another.
+    soon as max u reaches blowup_cap.  Raises on nonpositive or NaN u and on
+    a step that fails its tests at dt 1e-12 (numerical failures), and on
+    incompatible data (check_compatibility with F reports a nonzero integral
+    of f F(u0)).  The stages k1-k4, the stage input, their sum, f F(u) and psi
+    live in buffers allocated once per run.  The state at t = 0, every
+    store_every-th step and the last are kept as the accepted arrays, and
+    copied once, at the end, into the rows of the trajectory's u.
     """
     if not (dt > 0 and t_end > 0 and blowup_cap > 0):   # nan too
         raise ValueError(f"dt, t_end and blowup_cap must be positive, got {dt}, {t_end}, {blowup_cap}")
@@ -170,7 +174,7 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
     u = np.array(spec.u0(grid), dtype=float)
     u[0] = g_t
 
-    states = []
+    times, rows = [0.0], [u]
     t_dense, umax_dense, argmax_dense, drift_dense = [], [], [], []
 
     def record_dense(t, u, g_t):
@@ -181,7 +185,6 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
         drift_dense.append(abs(float(u[-1]) - g_t) / g_t)
 
     store_every = max(1, int(round(t_end / dt / 256)))
-    states.append(GeneralizedState(0.0, u.copy()))
     record_dense(0.0, u, g_t)
 
     stop_reason = "t_end"
@@ -215,8 +218,11 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
             u_new[0] = g_next
             check_positive(t + step, u_new)
             grew = float(np.maximum.reduce(u_new)) > _GROWTH_TRIGGER * umax_dense[-1]
-            if step <= dt_min or not (grew or err > _STEP_RTOL):
+            if not (grew or err > _STEP_RTOL):
                 break
+            if step <= dt_min:   # no step passes: accepting one anyway stalls t
+                raise RuntimeError(f"a step of {step:.3e} at t={t:.6g}, g(t)={g_t:.3e}, fails: error {err:.3e}, "
+                                   f"tolerance {_STEP_RTOL:.0e}{', max u grew over 10%' if grew else ''}")
             step = min(h_err, step / 10.0) if grew else h_err
         t += step
         u, g_t, r_t = u_new, g_next, r_next
@@ -225,7 +231,8 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
 
         hit_cap = umax_dense[-1] >= blowup_cap
         if step_index % store_every == 0 or hit_cap or t >= t_end - 1e-12 * (1.0 + t_end):
-            states.append(GeneralizedState(t, u))
+            times.append(t)
+            rows.append(u)
         if hit_cap:
             stop_reason = "blowup_cap"
             break
@@ -239,11 +246,13 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
             f"(tolerance {DRIFT_RTOL:.0e})",
             stacklevel=2,
         )
-    if message := _left_table(F, states, umax_dense):
+    rows = np.array(rows)   # the one copy of the stored states; the list goes with the name
+    if message := _left_table(F, rows, umax_dense):
         warnings.warn(message, stacklevel=2)
     return Trajectory(
         alpha=grid,
-        states=tuple(states),
+        times=np.array(times),
+        u=rows,
         t_dense=np.array(t_dense),
         umax_dense=np.array(umax_dense),
         argmax_dense=np.array(argmax_dense, dtype=int),
@@ -254,12 +263,12 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
     )
 
 
-def _left_table(F: Nonlinearity, states, umax):
-    """What to say when u, in the stored states or at any step's max, left a
-    table F's nodes, past which F holds its end values (u F' = 0 < c F)."""
+def _left_table(F: Nonlinearity, u, umax):
+    """What to say when u, in the stored states (its rows) or at any step's max,
+    left a table F's nodes, past which F holds its end values (u F' = 0 < c F)."""
     if F.kind == "table":
         lo, hi = F.params["nodes"][0], F.params["nodes"][-1]
-        u_lo, u_hi = min(float(s.u.min()) for s in states), np.max(umax)
+        u_lo, u_hi = float(u.min()), np.max(umax)
         if u_lo < lo or u_hi > hi:
             return (f"table F holds its end values outside its nodes [{lo:.6g}, {hi:.6g}]; "
                     f"u reached [{u_lo:.6g}, {u_hi:.6g}]")
@@ -335,7 +344,6 @@ class BoundsReport:
     int_gd_limit: float
     limits_estimated: bool
     crossing_time: float | None
-    state_times: np.ndarray
     domain_nodes: np.ndarray
     lower_envelope: np.ndarray | None
     upper_envelope: np.ndarray | None
@@ -386,26 +394,25 @@ def blowup_bounds(spec: ProblemSpec, F: Nonlinearity, trajectory: Trajectory) ->
     When c == d (identity and power F) the two envelopes are one array,
     computed once, and so are the margins: (u - env)/env, negated for the
     upper side.  Envelopes are sampled on compute_H0_alpha0's window, and the
-    states are read on it alone; a report shares no array with the states.
+    states are read on it alone, a view of u; a report shares no array with u.
     """
     info = compute_H0_alpha0(spec, F)
     H0, alpha0 = info["H0"], info["alpha0"]
     H0_a0, ok = info["H0_alpha0"], info["hypotheses_ok"]
     c, d = F.c, F.d
-    times = trajectory.state_times
-    t_hi = float(times[-1]) if times.size else 1.0
-    mono = _monotonicity(spec.g, t_hi)
+    times = trajectory.times
+    mono = _monotonicity(spec.g, float(times[-1]))
 
     gc_lim, est_c = power_integral_limit(spec.g, c)
     gd_lim, est_d = power_integral_limit(spec.g, d)
     report = dict(alpha0=alpha0, H0_alpha0=H0_a0, c=c, d=d, monotonicity=mono,
                   int_gc_limit=gc_lim, int_gd_limit=gd_lim,
-                  limits_estimated=est_c or est_d, state_times=times)
+                  limits_estimated=est_c or est_d)
     not_applicable = dict(predicted="NotApplicable", crossing_time=None,
                           lower_envelope=None, upper_envelope=None,
                           min_lower_margin=None, min_upper_margin=None, violations=())
 
-    if not ok or alpha0 is None or _left_table(F, trajectory.states, trajectory.umax_dense):
+    if not ok or alpha0 is None or _left_table(F, trajectory.u, trajectory.umax_dense):
         return BoundsReport(**report, **not_applicable, hypotheses_ok=False,
                             t_star_bound=None, domain_nodes=np.array([]))
 
@@ -444,8 +451,7 @@ def blowup_bounds(spec: ProblemSpec, F: Nonlinearity, trajectory: Trajectory) ->
         lower = envelope(np.asarray(power_integral(spec.g, d, times)), c)
         upper = lower if c == d else envelope(np.asarray(power_integral(spec.g, c, times)), d)
 
-    # the window is nodes 1 .. k, so each state is read on one slice
-    u_states = np.array([s.u[1:1 + dom_nodes.size] for s in trajectory.states])
+    u_states = trajectory.u[:, 1:1 + dom_nodes.size]   # the window is nodes 1 .. k
     with np.errstate(invalid="ignore"):   # NaN where the envelope is inf
         rel = (u_states - lower) / lower   # lower: u above env; upper: u below
         margins = (rel, None if upper is None else

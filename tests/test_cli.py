@@ -438,16 +438,17 @@ class TestErrors:
 class TestImports:
     def test_no_scipy_or_mpmath(self, spec2_path, tmp_path):
         # a bare import loads neither scipy nor mpmath, and the CLI runs with
-        # scipy blocked
+        # both blocked
         script = textwrap.dedent(f"""
             import sys
             import liouville_workbench
             loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath"))
             assert not loaded, loaded
-            sys.modules["scipy"] = None
+            sys.modules["scipy"] = sys.modules["mpmath"] = None
             from liouville_workbench.cli import main
             assert main(["classify", "--spec", {spec2_path!r}]) == 0
             assert main(["simulate", "--spec", {spec2_path!r}, "--out", {str(tmp_path)!r}]) == 0
+            assert main(["verify"]) == 0
         """)
         src = str(Path(liouville_workbench.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -2,10 +2,14 @@
 
 Every module but __init__ (whose imports are the public names) uses each name
 it imports, and every private module-level name (a leading underscore) is
-referenced somewhere in the package other than where it is defined.
+referenced somewhere in the package other than where it is defined.  The
+runtime dependencies pyproject.toml declares are the modules the package
+imports from outside the standard library.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,6 +43,17 @@ def private_definitions(tree):
     return {k: v for k, v in out.items() if k.startswith("_") and not k.startswith("__")}
 
 
+def imported_modules(tree):
+    """Top-level modules a module's absolute imports name, those inside functions too."""
+    names = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            names.update(a.name.split(".")[0] for a in n.names)
+        elif isinstance(n, ast.ImportFrom) and n.level == 0:
+            names.add(n.module.split(".")[0])
+    return names
+
+
 def references(tree):
     """Every name a module loads, reads as an attribute, or imports from a sibling."""
     refs = set()
@@ -65,8 +80,20 @@ def test_every_private_name_is_referenced():
     assert unreferenced == []
 
 
+def test_runtime_dependencies_are_what_the_package_imports():
+    tomllib = pytest.importorskip("tomllib")   # standard library from Python 3.11
+    project = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", d).group().lower().replace("-", "_")
+                for d in project["dependencies"]}
+    imported = set().union(*map(imported_modules, TREES.values()))
+    assert imported - set(sys.stdlib_module_names) - {"liouville_workbench"} == declared
+
+
 def test_the_checks_catch_what_they_look_for():
     tree = ast.parse("import os\nimport numpy as np\nfrom math import pi, tau\n"
                      "_LIMIT = 3\n_used = 1\n\ndef _helper():\n    return np.pi + tau + _used\n")
     assert unused_imports(tree) == [(1, "os"), (3, "pi")]
     assert sorted(set(private_definitions(tree)) - references(tree)) == ["_LIMIT", "_helper"]
+    tree = ast.parse("import os.path\nfrom numpy import pi\nfrom . import x\n"
+                     "def f():\n    import mpmath\n")
+    assert imported_modules(tree) == {"os", "numpy", "mpmath"}

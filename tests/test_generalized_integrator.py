@@ -113,17 +113,15 @@ class TestIntegrateGeneral:
     def test_identity_matches_representation(self, problem):
         spec, profile, B = problem(2)
         traj = integrate_general(spec, identity_F(), t_end=1.0, dt=1e-3)
-        final = traj.states[-1]
-        want = evaluate_u(profile, B, spec, traj.alpha, final.t)
-        rel = np.max(np.abs(final.u - want) / want)
+        want = evaluate_u(profile, B, spec, traj.alpha, traj.times[-1])
+        rel = np.max(np.abs(traj.u[-1] - want) / want)
         assert rel <= 1e-8
 
     def test_power_two_matches_exact_solution(self):
         spec = quadratic_F_spec()
         traj = integrate_general(spec, power_F(2.0), t_end=0.5, dt=1e-3)
-        final = traj.states[-1]
-        want = u_power2_exact(traj.alpha, final.t)
-        rel = np.max(np.abs(final.u - want) / want)
+        want = u_power2_exact(traj.alpha, traj.times[-1])
+        rel = np.max(np.abs(traj.u[-1] - want) / want)
         assert rel <= 1e-6
 
     def test_boundary_drift_stays_tiny(self, problem):
@@ -137,7 +135,36 @@ class TestIntegrateGeneral:
                                  blowup_cap=1e6)
         assert traj.stop_reason == "blowup_cap"
         assert traj.umax_dense[-1] >= 1e6
-        assert traj.states[-1].t < 5.0
+        assert traj.times[-1] < 5.0
+        # the last row is the cap state
+        assert traj.times[-1] == traj.t_dense[-1] and traj.u[-1].max() == traj.umax_dense[-1]
+
+    def test_states_are_stored_every_store_every_th_step_and_at_the_end(self):
+        # g = 1 and a slow u: no bound binds, so every step is dt, and u is
+        # stored at t = 0, every store_every-th step and the end, each at its step's time
+        spec = ProblemSpec(f=polynomial(1.0, -2.0), u0=constant(1.0), g=constant(1.0), n_alpha=65)
+        t_end, dt = 1.003, 1e-3
+        traj = integrate_general(spec, identity_F(), t_end=t_end, dt=dt)
+        steps, every = traj.t_dense.size - 1, max(1, round(t_end / dt / 256))
+        assert traj.stop_reason == "t_end" and np.allclose(np.diff(traj.t_dense), dt, rtol=1e-9)
+        assert (steps, every) == (1003, 4)
+        assert len(traj.times) == 1 + steps // every + (1 if steps % every else 0)
+        stored = list(range(0, steps + 1, every)) + ([steps] if steps % every else [])
+        assert traj.times.tolist() == traj.t_dense[stored].tolist()
+        assert traj.u.shape == (len(traj.times), 65)
+        assert traj.u.max(axis=1).tolist() == traj.umax_dense[stored].tolist()
+
+    def test_a_step_that_cannot_pass_its_error_test_raises(self, monkeypatch):
+        # g = 1 + 1.5 sin(2 pi 51.2 t) nears zero at t = 0.012034, where the
+        # rounding of g alone is about the step tolerance: no step passes, and
+        # accepting steps of dt 1e-12 anyway once stalled t there for the
+        # whole step limit, storing states all the while
+        monkeypatch.setattr(gi, "_MAX_STEPS", 1000)
+        g = FunctionDescriptor("trigonometric", {"offset": 1.0, "terms": [[1.5, 51.2, 0.0]]})
+        spec = ProblemSpec(f=polynomial(1.0, -2.0), u0=constant(1.0), g=g, n_alpha=33)
+        with pytest.raises(RuntimeError, match=r"^a step of .* at t=0\.01203\d*, g\(t\)=.*, fails: "
+                                               r"error .*, tolerance 1e-10"):
+            integrate_general(spec, identity_F(), t_end=1.0, dt=1e-3)
 
     def test_compatible_data_accepted_at_any_n_alpha(self):
         # int_0^1 f u0 = -1/4 + 1/2 int sin^2 = 0; Simpson on an even grid
@@ -201,8 +228,8 @@ class TestIntegrateGeneral:
                              ids=["u", "u^2", "table"])
     def test_reused_buffers_keep_runs_equal_and_states_apart(self, F, n_alpha, monkeypatch):
         # every stage runs on buffers allocated once per run: a second run on
-        # the same spec is the first bit for bit, and no stored u shares memory
-        # with another, in its own run or the next
+        # the same spec is the first bit for bit, times and u included, and the
+        # two runs' u share no memory
         spec = ProblemSpec(f=polynomial(1.0, -2.0), u0=constant(1.0), g=exponential(1.0, 0.3),
                            n_alpha=n_alpha)
         calls = []
@@ -216,10 +243,10 @@ class TestIntegrateGeneral:
         for name in ("t_dense", "umax_dense", "argmax_dense", "drift_rel_dense", "alpha"):
             assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
         assert first.stop_reason == second.stop_reason
-        assert [s.t for s in first.states] == [s.t for s in second.states]
-        assert all(a.u.tobytes() == b.u.tobytes() for a, b in zip(first.states, second.states))
-        us = [s.u for s in first.states + second.states]
-        assert not any(np.shares_memory(a, b) for k, a in enumerate(us) for b in us[k + 1:])
+        assert first.times.tobytes() == second.times.tobytes()
+        assert first.u.tobytes() == second.u.tobytes()
+        assert first.u.shape == (first.times.size, n_alpha)
+        assert not np.shares_memory(first.u, second.u)
 
     def test_csv(self, tmp_path):
         spec = quadratic_F_spec()
@@ -543,8 +570,8 @@ class TestBounds:
         # margins with the finite-envelope masks, violations in 2-D np.nonzero
         # order cut to 1000 per side, as blowup_bounds once did; also the
         # uncut count of each side
-        times, dom_nodes = traj.state_times, traj.alpha[domain]
-        u_states = np.array([s.u[domain] for s in traj.states])
+        times, dom_nodes = traj.times, traj.alpha[domain]
+        u_states = traj.u[:, domain]
         violations, min_margins, counts = [], [], []
         for side, env in (("lower", lower), ("upper", upper)):
             if env is None:
@@ -567,7 +594,7 @@ class TestBounds:
         # the envelopes built row by row, as blowup_bounds once did
         info = compute_H0_alpha0(spec, F)
         domain = info["window"]
-        times, dom_nodes = traj.state_times, traj.alpha[domain]
+        times, dom_nodes = traj.times, traj.alpha[domain]
         g_t = np.asarray(spec.g(times))
         u0_dom = np.asarray(spec.u0(dom_nodes))
         H0_dom = info["H0"].values[domain]

@@ -788,7 +788,7 @@ def test_write_csv_matches_per_row_formatting(tmp_path):
 
 def _writers():
     from liouville_workbench.closed_form_solver import SingularCurve, SolutionField
-    from liouville_workbench.generalized_integrator import GeneralizedState, Trajectory
+    from liouville_workbench.generalized_integrator import Trajectory
 
     rng = np.random.default_rng(17)
     nt, na = 61, 97                 # 5917 rows: more than one block, a partial last block
@@ -804,8 +804,7 @@ def _writers():
     rows = lambda *cols: "".join(",".join(cols_i) + "\n" for cols_i in zip(*cols))
     e12 = lambda xs: [f"{x:.12e}" for x in xs]
     grid_t, grid_a = np.repeat(t, na), np.tile(alpha, nt)
-    traj = Trajectory(alpha, tuple(GeneralizedState(float(ti), ui) for ti, ui in zip(t, u)),
-                      t, t, t, t, "t_end", 1e8, 1.0)
+    traj = Trajectory(alpha, t, u, t, t, t, t, "t_end", 1e8, 1.0)
     return {
         "field": (SolutionField(alpha, t, u, mask, 0.0), "alpha,t,u,masked",
                   rows(e12(grid_a), e12(grid_t), e12(u.ravel()), [str(int(m)) for m in mask.ravel()])),

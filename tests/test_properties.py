@@ -230,11 +230,11 @@ class TestGeneralizedOracle:
         spec = ProblemSpec(f=polynomial(1.0, -2.0), u0=constant(1.0),
                            g=polynomial(1.0, 2.0), n_alpha=65)
         traj = integrate_general(spec, power_F(p), t_end=0.3, dt=2e-3)
-        final = traj.states[-1]
+        t = traj.times[-1]
         H0 = traj.alpha - traj.alpha**2
-        gp = ((2.0 * final.t + 1.0) ** (p + 1.0) - 1.0) / (2.0 * (p + 1.0))
-        want = (2.0 * final.t + 1.0) * (1.0 - 0.5 * p * H0 * gp) ** (-2.0 / p)
-        rel = np.max(np.abs(final.u - want) / want)
+        gp = ((2.0 * t + 1.0) ** (p + 1.0) - 1.0) / (2.0 * (p + 1.0))
+        want = (2.0 * t + 1.0) * (1.0 - 0.5 * p * H0 * gp) ** (-2.0 / p)
+        rel = np.max(np.abs(traj.u[-1] - want) / want)
         assert rel <= 1e-5
 
     @given(dt=st.floats(5e-4, 5e-3))

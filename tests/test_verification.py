@@ -103,6 +103,11 @@ class TestGammaIdentity:
         out = gamma_identity(q)
         assert out["diff"] <= 1e-8
 
+    def test_battery_is_float_accurate(self):
+        # the verify battery's q; the tanh-sinh sum is within a few ulp of the gamma side
+        worst = max(gamma_identity(q)["diff"] for q in (0.6, 0.75, 1.0, 1.5, 2.0, 5.0))
+        assert worst <= 1e-14
+
     def test_q_two_is_half_pi(self):
         out = gamma_identity(2.0)
         assert out["lhs"] == pytest.approx(math.pi / 2.0, rel=1e-10)
