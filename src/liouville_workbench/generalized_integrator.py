@@ -35,7 +35,6 @@ import numpy as np
 
 from .closed_form_solver import representation
 from .problem_model import (
-    CumulativeSimpson,
     FunctionDescriptor,
     Nonlinearity,
     ProblemSpec,
@@ -47,6 +46,7 @@ from .problem_model import (
     invert_power_integral,
     power_integral,
     power_integral_limit,
+    running_simpson,
     write_csv,
 )
 
@@ -120,8 +120,8 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
                       blowup_cap: float = BLOWUP_CAP_DEFAULT) -> Trajectory:
     """RK4 time integration of the method-of-lines system.
 
-    psi is recomputed by cumulative Simpson at every Runge-Kutta stage; g and
-    g'/g are evaluated once per stage time and shared by the stages.  Each
+    Each stage takes g'/g + psi as one running sum (running_simpson: one
+    matmul, one accumulate), g and g'/g evaluated once per stage time.  Each
     step is the least of dt (a ceiling), the time left to t_end, a blow-up
     bound and an error bound.  The blow-up bound keeps the predicted growth of
     max u, u'/u = k1/u at its argmax, under 0.8 ln(1.1) per step, so on the
@@ -133,13 +133,14 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
     step with err > tol, or with more than 10% sup-norm growth, is retried
     shorter; dt itself never changes, so a run in which neither bound binds
     takes the fixed steps min(dt, t_end - t).  The run stops at t_end or as
-    soon as max u reaches blowup_cap.  Raises on nonpositive or NaN u and on
-    a step that fails its tests at dt 1e-12 (numerical failures), and on
+    soon as max u reaches blowup_cap.  Raises on nonpositive or NaN u (the
+    initial u, a stage input before F reads it, a new state) and on a step
+    that fails its tests at dt 1e-12 (numerical failures), and on
     incompatible data (check_compatibility with F reports a nonzero integral
-    of f F(u0)).  The stages k1-k4, the stage input, their sum, f F(u) and psi
-    live in buffers allocated once per run.  The state at t = 0, every
-    store_every-th step and the last are kept as the accepted arrays, and
-    copied once, at the end, into the rows of the trajectory's u.
+    of f F(u0)).  The stages, the stage input, their sum, f F(u) and the
+    running sum live in buffers allocated once per run.  The state at t = 0,
+    every store_every-th step and the last are kept as the accepted arrays,
+    and copied once, at the end, into the rows of the trajectory's u.
     """
     if not (dt > 0 and t_end > 0 and blowup_cap > 0):   # nan too
         raise ValueError(f"dt, t_end and blowup_cap must be positive, got {dt}, {t_end}, {blowup_cap}")
@@ -150,7 +151,7 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
     grid = spec.alpha_grid()
     f_grid = np.asarray(spec.f(grid))
     k1, k2, k3, k4, stage, acc, w = (np.empty_like(grid) for _ in range(7))
-    simpson = CumulativeSimpson(grid.size, grid[1] - grid[0])
+    ratio_plus_psi = running_simpson(w, grid[1] - grid[0])
     g_and_ratio = _g_and_ratio(spec.g)
 
     def check_positive(t, u):
@@ -160,32 +161,30 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
             raise RuntimeError(f"u became {what} at t={t:.6g}, alpha={grid[j]:.6g} "
                                f"(u={u[j]:.3e}); reduce dt or the blow-up cap")
 
-    def rhs(t, u, g_ratio, k):
-        # k = u (g'(t)/g(t) + psi), psi the cumulative Simpson integral of f F(u)
-        check_positive(t, u)
-        psi = simpson(np.multiply(f_grid, F(u), out=w))
-        return np.multiply(u, np.add(psi, g_ratio, out=k), out=k)
+    def rhs(u, g_ratio, k):
+        # k = u (g'(t)/g(t) + psi), psi the running Simpson integral of f F(u)
+        np.multiply(f_grid, F(u), out=w)
+        return np.multiply(u, ratio_plus_psi(g_ratio), out=k)
 
-    def stage_input(u, c, k):
-        return np.add(u, np.multiply(k, c, out=stage), out=stage)   # u + c k
+    def stage_rhs(t, u, c, k_in, g_ratio, k):
+        # the RHS at the stage input u + c k_in, checked before F reads it
+        v = np.add(u, np.multiply(k_in, c, out=stage), out=stage)
+        check_positive(t, v)
+        return rhs(v, g_ratio, k)
 
     t = 0.0
     g_t, r_t = g_and_ratio(t)
     u = np.array(spec.u0(grid), dtype=float)
     u[0] = g_t
+    check_positive(t, u)   # every later u is checked when it is accepted
 
-    times, rows = [0.0], [u]
-    t_dense, umax_dense, argmax_dense, drift_dense = [], [], [], []
+    times, rows, dense = [0.0], [u], []
 
-    def record_dense(t, u, g_t):
-        j = int(u.argmax())
-        t_dense.append(t)
-        umax_dense.append(float(u[j]))
-        argmax_dense.append(j)
-        drift_dense.append(abs(float(u[-1]) - g_t) / g_t)
+    def record_dense(t, u, g_t, j):   # t, max u, its argmax and the drift
+        dense.append((t, float(u[j]), j, abs(float(u[-1]) - g_t) / g_t))
 
     store_every = max(1, int(round(t_end / dt / 256)))
-    record_dense(0.0, u, g_t)
+    record_dense(0.0, u, g_t, int(u.argmax()))
 
     stop_reason = "t_end"
     dt_min = dt * 1e-12
@@ -193,9 +192,9 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
     step_index = 0
     while t < t_end - 1e-12 * (1.0 + t_end):
         # stage 1 does not depend on the step, so it prices the step
-        rhs(t, u, r_t, k1)
-        j = argmax_dense[-1]
-        rate = float(k1[j]) / umax_dense[-1]
+        rhs(u, r_t, k1)
+        _, umax, j, _ = dense[-1]
+        rate = float(k1[j]) / umax
         step = min(dt, t_end - t, h_err, _GROWTH_LOG / rate if rate > 0 else math.inf)
         while True:
             _, r_half = g_and_ratio(t + 0.5 * step)
@@ -205,9 +204,9 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
             # overwriting Runge-Kutta intermediates with boundary values
             # would cost two orders of accuracy; only the accepted state is
             # projected back onto the boundary condition
-            rhs(t + 0.5 * step, stage_input(u, 0.5 * step, k1), r_half, k2)
-            rhs(t + 0.5 * step, stage_input(u, 0.5 * step, k2), r_half, k3)
-            rhs(t + step, stage_input(u, step, k3), r_next, k4)
+            stage_rhs(t + 0.5 * step, u, 0.5 * step, k1, r_half, k2)
+            stage_rhs(t + 0.5 * step, u, 0.5 * step, k2, r_half, k3)
+            stage_rhs(t + step, u, step, k3, r_next, k4)
             # u + step/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
             np.add(k1, np.multiply(k2, 2.0, out=acc), out=acc)
             np.add(acc, np.multiply(k3, 2.0, out=stage), out=acc)
@@ -217,7 +216,8 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
             h_err = step * min(5.0, 0.9 * (_STEP_RTOL / max(err, 1e-300)) ** 0.2)
             u_new[0] = g_next
             check_positive(t + step, u_new)
-            grew = float(np.maximum.reduce(u_new)) > _GROWTH_TRIGGER * umax_dense[-1]
+            j_new = int(u_new.argmax())   # the growth test's and the dense record's
+            grew = float(u_new[j_new]) > _GROWTH_TRIGGER * umax
             if not (grew or err > _STEP_RTOL):
                 break
             if step <= dt_min:   # no step passes: accepting one anyway stalls t
@@ -227,9 +227,9 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
         t += step
         u, g_t, r_t = u_new, g_next, r_next
         step_index += 1
-        record_dense(t, u, g_t)
+        record_dense(t, u, g_t, j_new)
 
-        hit_cap = umax_dense[-1] >= blowup_cap
+        hit_cap = dense[-1][1] >= blowup_cap
         if step_index % store_every == 0 or hit_cap or t >= t_end - 1e-12 * (1.0 + t_end):
             times.append(t)
             rows.append(u)
@@ -240,7 +240,8 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
             stop_reason = "max_steps"
             break
 
-    if (worst_drift := max(drift_dense)) > DRIFT_RTOL:
+    t_dense, umax_dense, argmax_dense, drift_dense = map(np.array, zip(*dense))
+    if (worst_drift := drift_dense.max()) > DRIFT_RTOL:
         warnings.warn(
             f"periodicity drift |u(1,t)-g(t)|/g(t) reached {worst_drift:.3e} "
             f"(tolerance {DRIFT_RTOL:.0e})",
@@ -249,18 +250,9 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
     rows = np.array(rows)   # the one copy of the stored states; the list goes with the name
     if message := _left_table(F, rows, umax_dense):
         warnings.warn(message, stacklevel=2)
-    return Trajectory(
-        alpha=grid,
-        times=np.array(times),
-        u=rows,
-        t_dense=np.array(t_dense),
-        umax_dense=np.array(umax_dense),
-        argmax_dense=np.array(argmax_dense, dtype=int),
-        drift_rel_dense=np.array(drift_dense),
-        stop_reason=stop_reason,
-        cap=blowup_cap,
-        c=F.c,
-    )
+    return Trajectory(alpha=grid, times=np.array(times), u=rows, t_dense=t_dense, umax_dense=umax_dense,
+                      argmax_dense=argmax_dense, drift_rel_dense=drift_dense, stop_reason=stop_reason,
+                      cap=blowup_cap, c=F.c)
 
 
 def _left_table(F: Nonlinearity, u, umax):

@@ -40,7 +40,9 @@ _solve_increasing, which starts from a bracket per target taken from samples
 the caller already holds: the sampled G for G^-1, the grid cells where f
 changes sign for its zeros.  Integrals of functions off the closed forms
 sum lobatto_cells; a table's powers sum exact segments.  Integrals of
-samples take cumulative_simpson (simpson_weights for the whole integral).
+samples take simpson_weights (the whole integral) and running_simpson (the
+integrator's running sum, one matmul a stage), whose reference is
+cumulative_simpson, scipy's arithmetic bit for bit.
 """
 
 from __future__ import annotations
@@ -85,44 +87,43 @@ _QUAD = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing=
 
 
 def cumulative_simpson(y, h, out=None):
-    """int_0^{x_k} y at every node k of a uniform grid of step h (0 at k = 0).
+    """int_0^{x_k} y at every node k of a uniform grid of step h (0 at k = 0),
+    into out if given.  Even intervals take the parabola through the next
+    node, odd intervals and the last one the parabola through the previous
+    node.  The reference for running_simpson and simpson_weights."""
+    n = len(y)
+    out = np.empty(n) if out is None else out
+    end = n - 1 + n % 2   # past the paired intervals; an even n has one left over
+    y0, y1, y2 = y[0:end - 2:2], y[1:end - 1:2], y[2:end:2]
+    out[0] = 0.0
+    out[1:end - 1:2] = 1.25 * y0 + 2.0 * y1 - 0.25 * y2
+    out[2:end:2] = 1.25 * y2 + 2.0 * y1 - 0.25 * y0
+    if n % 2 == 0:
+        out[-1] = 1.25 * y[-1] + 2.0 * y[-2] - 0.25 * y[-3]
+    np.add.accumulate(out[1:] * (h / 3.0), out=out[1:])
+    return out
 
-    Even intervals take the parabola through the next node, odd intervals and
-    the last one the parabola through the previous node.  out, if given, is a
-    buffer of y's length that receives the result.  One call of the reusable
-    form CumulativeSimpson, which the integrator keeps for a whole run.
-    """
-    return CumulativeSimpson(len(y), h, out)(y)
 
+def running_simpson(w, h):
+    """r -> r + cumulative_simpson(w, h) up to rounding, read off the buffer w
+    at the call by one matmul and one accumulate: the overlapping rows w[2i],
+    w[2i+1], w[2i+2] times the stencil (h/3) [[5/4, -1/4], [2, 2], [-1/4, 5/4]]
+    are each pair's two increments, and an even n's last interval is the
+    second column on w[-3:].  The view, the stencil and the returned buffer
+    are made once.  Not bit for bit scipy, which sums a pair's second
+    increment from the far end."""
+    pairs = np.lib.stride_tricks.sliding_window_view(w, 3)[::2]   # no copy
+    stencil = (h / 3.0) * np.array([[1.25, -0.25], [2.0, 2.0], [-0.25, 1.25]])
+    run = np.empty(w.size)
+    increments = run[1:2 * len(pairs) + 1].reshape(-1, 2)
 
-class CumulativeSimpson:
-    """cumulative_simpson(., h, out) on n >= 3 nodes, with the views of out and
-    the scratch arrays built once: form(y) refills out and returns it.  Only
-    the nodes that end a pair are scaled by 5/4 and 1/4, out[0] = 0 is written
-    here once, and a new y leaves no trace of the last one."""
-
-    def __init__(self, n, h, out=None):
-        self.out = out = np.empty(n) if out is None else out
-        out[0] = 0.0
-        m = (n - 1) // 2   # paired intervals; an even n has one interval left over
-        self.even, self.step, self.end = n % 2 == 0, h / 3.0, 2 * m + 1
-        self.s, self.lo, self.hi = out[1:], out[1:2 * m:2], out[2:2 * m + 1:2]
-        self.a, self.q, self.mid = np.empty(m + 1), np.empty(m + 1), np.empty(m)
-
-    def __call__(self, y):
-        a, q, mid, lo, hi, s = self.a, self.q, self.mid, self.lo, self.hi, self.s
-        pair_ends = y[0:self.end:2]
-        np.multiply(pair_ends, 1.25, out=a)
-        np.multiply(pair_ends, 0.25, out=q)
-        np.multiply(y[1:self.end:2], 2.0, out=mid)
-        np.subtract(np.add(a[:-1], mid, out=lo), q[1:], out=lo)
-        np.subtract(np.add(a[1:], mid, out=hi), q[:-1], out=hi)
-        if self.even:
-            y3, y2, y1 = y[-3:].tolist()
-            s[-1] = 1.25 * y1 + 2.0 * y2 - 0.25 * y3
-        np.multiply(s, self.step, out=s)
-        np.add.accumulate(s, out=s)
-        return self.out
+    def running(r):
+        np.matmul(pairs, stencil, out=increments)
+        if w.size % 2 == 0:
+            run[-1] = w[-3:] @ stencil[:, 1]
+        run[0] = r
+        return np.add.accumulate(run, out=run)
+    return running
 
 
 @functools.lru_cache(maxsize=16)
@@ -1058,7 +1059,9 @@ def build_G(spec, t_max: float, n_t: int = 1025, method: str = "auto") -> Bounda
     Accepts a ProblemSpec or a bare FunctionDescriptor for g.  method "auto"
     samples the kind's closed form; "quadrature" integrates g by 5-point
     Gauss-Lobatto on each grid cell (lobatto_to_nodes), so every increment of a
-    positive g is positive.  t_max must not pass data_horizon, the last time g has data.
+    positive g is positive.  Both check g > 0 at the quadrature's samples, the
+    nodes and each cell's inner points, so both refuse a g negative only
+    between the nodes.  t_max must not pass data_horizon, the last time g has data.
     """
     desc = spec.g if isinstance(spec, ProblemSpec) else spec
     if method not in ("auto", "quadrature"):
@@ -1069,15 +1072,15 @@ def build_G(spec, t_max: float, n_t: int = 1025, method: str = "auto") -> Bounda
         raise ValueError(f"t_max={t_max} is past t={last:.12g}, the last time "
                          f"{desc.kind} g has data")
     t_grid = np.linspace(0.0, t_max, n_t)
+
+    def positive_g(t):
+        g = np.asarray(desc(t))
+        if np.min(g) <= 0:
+            raise ValueError("g must be strictly positive on [0, t_max]")
+        return g
+    vals = lobatto_to_nodes(positive_g, t_grid)   # the check, for either method
     if method == "auto":
         vals = np.asarray(power_integral(desc, 1.0, t_grid))
-    else:
-        def positive_g(t):
-            g = np.asarray(desc(t))
-            if np.min(g) <= 0:
-                raise ValueError("g must be strictly positive on [0, t_max]")
-            return g
-        vals = lobatto_to_nodes(positive_g, t_grid)
     if not np.all(np.diff(vals) > 0):
         raise ValueError("G is not strictly increasing; g must be positive")
     return BoundaryIntegral(GridFunction(t_grid, vals), desc)

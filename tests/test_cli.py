@@ -72,6 +72,20 @@ class TestClassify:
         assert rc == 0
         assert "FiniteBlowup" in capsys.readouterr().out
 
+    def test_g_negative_between_nodes_is_refused_by_both_methods(self, tmp_path, capsys):
+        # g = 1 + 1.5 sin(2 pi 51.2 t) is 1 at every node of build_G's grid at the
+        # default t_max, and down to -0.5 between them; auto read FiniteBlowup
+        d = {"f": {"kind": "polynomial", "params": {"coeffs": [1.0, -2.0]}},
+             "u0": {"kind": "polynomial", "params": {"coeffs": [1.0]}},
+             "g": {"kind": "trigonometric", "params": {"offset": 1.0, "terms": [[1.5, 51.2]]}},
+             "n_alpha": 129}
+        path = tmp_path / "g_dips.json"
+        path.write_text(json.dumps(d))
+        for method in ("auto", "quadrature"):
+            rc = main(["classify", "--spec", str(path), "--method", method])
+            captured = capsys.readouterr()
+            assert (rc, captured.out) == (2, "")
+            assert captured.err == "error: g must be strictly positive on [0, t_max]\n"
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_quadrature_singular_examples(self, k, tmp_path, capsys):

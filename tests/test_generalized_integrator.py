@@ -194,6 +194,16 @@ class TestIntegrateGeneral:
         with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="u became NaN at"):
             integrate_general(catalog.example_spec(2, n_alpha=129), power_F(80), t_end=0.05, dt=1e-3)
 
+    def test_a_nonpositive_stage_input_raises_before_F_reads_it(self):
+        # k1 = u psi = -50 a (1 - a) prices no step limit (max u at a = 0 has rate 0),
+        # so stage 2 of the first step is u + 0.25 k1, -2.125 at a = 1/2; u^0.5
+        # would raise FloatingPointError on it under errstate(all="raise")
+        spec = ProblemSpec(f=polynomial(-50.0, 100.0), u0=constant(1.0), g=constant(1.0), n_alpha=129)
+        with np.errstate(all="raise"), pytest.raises(RuntimeError) as info:
+            integrate_general(spec, power_F(0.5), t_end=1.0, dt=0.5)
+        assert str(info.value) == ("u became nonpositive at t=0.25, alpha=0.5 (u=-2.125e+00); "
+                                   "reduce dt or the blow-up cap")
+
     def test_table_F_read_past_its_nodes_warns(self):
         # the README's table, F = u on [0.5, 2]: on example 2 u passes 2, where F
         # holds F(2) = 2, so the run reaches t = 2.5 with no blow-up (F = u blows up at 2.372)

@@ -749,15 +749,32 @@ class TestScipyParity:
 
     @pytest.mark.parametrize("n", [3, 4, 128, 129, 2048, 2049])
     def test_reusable_form_is_bitwise_scipy_on_every_call(self, n):
-        # one form, its views and scratch built once, refilled by a new y
+        # one out, refilled by a new y, keeps no trace of the last one
         rng = np.random.default_rng(n)
         h = 1.0 / (n - 1)
-        form = pm.CumulativeSimpson(n, h)
+        out = np.empty(n)
         for _ in range(2):
             y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
-            assert form(y) is form.out
+            assert pm.cumulative_simpson(y, h, out=out) is out
             want = sp_integrate.cumulative_simpson(y, dx=h, initial=0.0)
-            assert form.out.tobytes() == want.tobytes()
+            assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 4, 64, 65, 128, 129, 2048, 2049])
+    def test_running_simpson_is_r_plus_cumulative_simpson(self, n):
+        # one product cannot sum a pair's second increment from the far end as
+        # scipy does, so equal up to rounding: the worst of 1000 draws a size
+        # read 38.3 eps (|r| + int |w|) at n = 2048; the bound is ten times that
+        rng = np.random.default_rng(n)
+        h = 1.0 / (n - 1)
+        w = np.empty(n)
+        running = pm.running_simpson(w, h)
+        for _ in range(100):
+            w[:] = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            r = rng.standard_normal() * 10.0 ** rng.uniform(-3.0, 3.0)
+            got = running(r)
+            assert got[0] == r
+            scale = abs(r) + h * np.sum(np.abs(w))
+            assert np.max(np.abs(got - (r + pm.cumulative_simpson(w, h)))) <= 383 * np.finfo(float).eps * scale
 
     def test_exprel_matches_scipy(self):
         x = np.array([0.0, 1e-310, -1e-310, 1e-300, -1e-300, 1e-8, -1e-8, 1.0, -1.0,

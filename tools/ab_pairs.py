@@ -42,8 +42,13 @@ def run_side(checkout, workload, seed, seconds, trace):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def quartiles(xs):
+    """Inclusive q1, median and q3 of the runs xs; one run is all three."""
+    return xs * 3 if len(xs) == 1 else statistics.quantiles(xs, n=4, method="inclusive")
+
+
 def median_q1_q3(xs):
-    q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    q1, _, q3 = quartiles(xs)
     return [round(statistics.median(xs), 4), round(q1, 4), round(q3, 4)]
 
 
@@ -51,7 +56,7 @@ def verdict(p, c, better, bound):
     """The end-to-end fields of one metric from its parent runs p and change
     runs c: median change and parent IQR as shares of the parent median, the
     bound and the verdict."""
-    (q1, pm, q3), cm = statistics.quantiles(p, n=4, method="inclusive"), statistics.median(c)
+    (q1, pm, q3), cm = quartiles(p), statistics.median(c)
     change, iqr = (cm - pm) / pm, (q3 - q1) / pm
     worse = change if better == "lower" else -change
     beats_all = max(c) < min(p) if better == "lower" else min(c) > max(p)
