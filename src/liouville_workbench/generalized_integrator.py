@@ -21,8 +21,10 @@ the matching thresholds, and the solution is sandwiched between explicit
 upper and lower envelopes until then.
 
 F is a spec's Nonlinearity (problem_model); identity_F, power_F and table_F
-build one.  A run whose u leaves a table F's nodes, where F holds its end
-values, says so in a warning, and its envelope report makes no prediction.
+build one.  F is one power u^e on each segment (a table is read linearly in
+ln u and ln F), and c and d enclose every e.  A run whose u leaves a table
+F's nodes, where F holds its end values (u F' = 0), says so in a warning,
+and its envelope report makes no prediction.
 """
 
 from __future__ import annotations
@@ -273,7 +275,8 @@ def _g_and_ratio(g: FunctionDescriptor):
     The pair is g(t), g.derivative(t) / g(t) bit for bit, read straight off
     g's bound kind, which keeps each kind's own checks (singular g's t < t_b,
     a table's domain); a polynomial g runs the one Horner loop in plain
-    Python.  A non-finite g(t) raises.
+    Python.  A non-finite g(t) raises, and so does g(t) = 0, where g'/g has no
+    value; a negative g is left to the positivity check of u.
     """
     value, derivative = g.bound.value, g.bound.derivative
 
@@ -281,6 +284,8 @@ def _g_and_ratio(g: FunctionDescriptor):
         g_t = float(value(t))
         if not math.isfinite(g_t):
             raise ValueError(f"{g.kind} descriptor produced non-finite samples")
+        if g_t == 0.0:
+            raise ValueError("g must be strictly positive on [0, t_max]")
         return g_t, float(derivative(t)) / g_t
     return g_and_ratio
 

@@ -248,8 +248,8 @@ def lp_norm(fld: SolutionField, p, t: float) -> float:
 
     Needs a uniform alpha grid of [0, 1] with at least 3 nodes, and raises
     ValueError on a non-uniform one.  Finite p integrates u^p as one dot
-    product with simpson_weights, which is cumulative_simpson's rule (its
-    last value, to rounding) on either parity; p = inf takes the grid max
+    product with simpson_weights, which is scipy.integrate.cumulative_simpson's
+    rule (its last value, to rounding) on either parity; p = inf takes the grid max
     sharpened by one parabolic-fit step.  A masked row cannot be normed.
     """
     h = fld.alpha_step

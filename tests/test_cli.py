@@ -241,6 +241,20 @@ class TestSimulate:
                      "--dt", "0.01", "--out", str(tmp_path)]) == 0
         assert opened.count(spec_general_path) == 1
 
+    def test_g_zero_at_a_stage_time_is_an_error(self, tmp_path, capsys):
+        # a table g that falls to 0 at its last node, the run's horizon, where g'/g
+        # has no value: an error with classify's words, not a ZeroDivisionError
+        d = {"f": {"kind": "polynomial", "params": {"coeffs": [1.0, -2.0]}},
+             "u0": {"kind": "constant", "params": {"value": 1.0}},
+             "g": {"kind": "table", "params": {"nodes": [0.0, 0.5, 1.0], "values": [1.0, 0.5, 0.0]}},
+             "n_alpha": 129}
+        path = tmp_path / "g_zero.json"
+        path.write_text(json.dumps(d))
+        assert main(["simulate", "--spec", str(path), "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: g must be strictly positive on [0, t_max]\n")
+        assert not (tmp_path / "out").exists()
+
     def test_headers_hash_F(self, spec_general_path, tmp_path):
         # bounds.txt and trajectory.csv carry the hash of the spec with its F = u^2
         assert main(["simulate", "--spec", spec_general_path, "--t-max", "0.1",
@@ -377,15 +391,18 @@ class TestErrors:
                             "c": 1.0, "d": 1.0}}}, "F: table nodes and values must be 1-d arrays"),
         ({"g": {"kind": "table", "params": {"nodes": [0.0, 1.0, 2.0], "values": [1.0, math.nan, 3.0]}}},
          "g: table nodes and values must be finite"),
-        # the NaN sits at u = 1e4, outside the [1e-3, 1e3] window the envelope check reads
+        # a NaN at the last node is a table error, not a segment's exponent
         ({"general": {"F": {"kind": "table", "nodes": [1e-3, 1.0, 1e4], "values": [1e-3, 1.0, math.nan],
                             "c": 1.0, "d": 1.0}}}, "F: table nodes and values must be finite"),
         ({"f": {"kind": "table", "params": {"nodes": [0.0, 0.5, 1.0], "values": [1.0, math.nan, -1.0]}}},
          "f: table nodes and values must be finite"),
         ({"u0": {"kind": "table", "params": {"nodes": [0.0, 0.5, 1.0], "values": [1.0, math.inf, 1.0]}}},
          "u0: table nodes and values must be finite"),
+        # F is read through the logs of its values, so a zero value has no reading
+        ({"general": {"F": {"kind": "table", "nodes": [0.5, 1.0, 2.0], "values": [0.0, 1.0, 2.0],
+                            "c": 1.0, "d": 1.0}}}, "F: table values must be positive"),
     ], ids=["unsorted-g", "ragged-g", "unsorted-F", "one-node-F", "ragged-F", "nan-g", "nan-F",
-            "nan-f", "inf-u0"])
+            "nan-f", "inf-u0", "zero-F"])
     def test_malformed_table_names_the_table(self, edit, message, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**catalog.example_spec(2, n_alpha=65).to_dict(), **edit}))

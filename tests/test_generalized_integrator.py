@@ -73,6 +73,15 @@ class TestNonlinearity:
         with pytest.raises(ValueError):
             table_F(nodes, nodes**2, c=1.0, d=1.0)  # uF'/F = 2 outside [1,1]
 
+    def test_a_segment_outside_c_d_is_refused_by_name(self):
+        # F = u up to 2000, then u^3 / 4e6 on [2000, 4000], wherever that lies;
+        # stated with the segments' own exponents it is accepted
+        nodes, values = [0.5, 1.0, 2000.0, 4000.0], [0.5, 1.0, 2000.0, 16000.0]
+        with pytest.raises(ValueError, match=r"^F: table segment \[2000, 4000\] has u F'/F = 3, "
+                                             r"outside \[c, d\] = \[1, 1\]$"):
+            table_F(nodes, values, c=1.0, d=1.0)
+        assert table_F(nodes, values, c=1.0, d=3.0).d == 3.0
+
     def test_rejects_nonpositive_c(self):
         with pytest.raises(ValueError, match="^F: power p must be positive and finite, got 0.0"):
             power_F(0.0)
@@ -231,6 +240,20 @@ class TestIntegrateGeneral:
             report = blowup_bounds(spec, F, traj)
             assert report.hypotheses_ok and report.t_star_bound is not None
             assert report.predicted == want
+
+    def test_a_tabulated_power_runs_as_the_power(self):
+        # u^1.5 at the half-decade nodes 10^(k/2) (the output digest's table) is
+        # u^1.5 to rounding, so while u stays inside its nodes every stored state
+        # of example 2 is the F = u^1.5 run's
+        nodes = 10.0 ** (np.arange(-6, 7) / 2.0)
+        F, spec = table_F(nodes, nodes ** 1.5, c=1.0, d=2.0), catalog.example_spec(2, n_alpha=129)
+        with pytest.warns(UserWarning, match=r"^table F holds its end values outside its nodes"):
+            got = integrate_general(spec, F, t_end=5.0, dt=1e-3)
+        want = integrate_general(spec, power_F(1.5), t_end=5.0, dt=1e-3)
+        inside = got.u.max(axis=1) <= nodes[-1]
+        assert inside.sum() > 60
+        np.testing.assert_allclose(got.times[inside], want.times[inside], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got.u[inside], want.u[inside], rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("n_alpha", [64, 65])
     @pytest.mark.parametrize("F", [identity_F(), power_F(2.0),

@@ -738,27 +738,6 @@ class TestNumpyParity:
 class TestScipyParity:
     """The numpy kernels against scipy, which the test extra keeps as the reference."""
 
-    @pytest.mark.parametrize("n", [3, 4, 257, 258, 513, 2049])
-    def test_cumulative_simpson_is_bitwise_scipy(self, n):
-        rng = np.random.default_rng(n)
-        y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
-        h = 1.0 / (n - 1)
-        out = np.empty(n)
-        assert pm.cumulative_simpson(y, h, out=out) is out
-        np.testing.assert_array_equal(out, sp_integrate.cumulative_simpson(y, dx=h, initial=0.0))
-
-    @pytest.mark.parametrize("n", [3, 4, 128, 129, 2048, 2049])
-    def test_reusable_form_is_bitwise_scipy_on_every_call(self, n):
-        # one out, refilled by a new y, keeps no trace of the last one
-        rng = np.random.default_rng(n)
-        h = 1.0 / (n - 1)
-        out = np.empty(n)
-        for _ in range(2):
-            y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
-            assert pm.cumulative_simpson(y, h, out=out) is out
-            want = sp_integrate.cumulative_simpson(y, dx=h, initial=0.0)
-            assert out.tobytes() == want.tobytes()
-
     @pytest.mark.parametrize("n", [3, 4, 64, 65, 128, 129, 2048, 2049])
     def test_running_simpson_is_r_plus_cumulative_simpson(self, n):
         # one product cannot sum a pair's second increment from the far end as
@@ -774,7 +753,8 @@ class TestScipyParity:
             got = running(r)
             assert got[0] == r
             scale = abs(r) + h * np.sum(np.abs(w))
-            assert np.max(np.abs(got - (r + pm.cumulative_simpson(w, h)))) <= 383 * np.finfo(float).eps * scale
+            want = r + sp_integrate.cumulative_simpson(w, dx=h, initial=0.0)
+            assert np.max(np.abs(got - want)) <= 383 * np.finfo(float).eps * scale
 
     def test_exprel_matches_scipy(self):
         x = np.array([0.0, 1e-310, -1e-310, 1e-300, -1e-300, 1e-8, -1e-8, 1.0, -1.0,

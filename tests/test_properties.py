@@ -237,6 +237,20 @@ class TestGeneralizedOracle:
         rel = np.max(np.abs(traj.u[-1] - want) / want)
         assert rel <= 1e-5
 
+    @given(k=st.floats(0.1, 10.0), p=st.floats(0.1, 3.0), start=st.floats(1e-3, 100.0),
+           ratio=st.floats(1.0001, 4.0), n=st.integers(2, 64))
+    @settings(**COMMON)
+    def test_tabulated_power_is_the_power(self, k, p, start, ratio, n):
+        # k u^p on geometric nodes in [1e-3, 1e3], read linearly in ln u and ln F,
+        # is u^p on every segment: accepted with c = d = p, and k u^p between its
+        # nodes up to exp's rounding of ln F (eps |ln F|, |ln F| <= 23 here)
+        nodes = start * ratio ** np.arange(n)
+        nodes = nodes[:max(2, np.count_nonzero(nodes <= 1e3))]
+        F = table_F(nodes, k * nodes ** p, p, p)
+        assert F.c == F.d == p
+        u = np.geomspace(nodes[0], nodes[-1], 257)
+        np.testing.assert_allclose(F(u), k * u ** p, rtol=1e-14, atol=0.0)
+
     @given(dt=st.floats(5e-4, 5e-3))
     @settings(max_examples=8, derandomize=True, deadline=None)
     def test_identity_drift_independent_of_dt(self, dt, problem):

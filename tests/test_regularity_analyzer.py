@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 
 from liouville_workbench import (
     BoundaryIntegral,
@@ -26,7 +27,7 @@ from liouville_workbench import (
 )
 from liouville_workbench import regularity_analyzer as ra
 from liouville_workbench.closed_form_solver import SolutionField
-from liouville_workbench.problem_model import cumulative_simpson, simpson_weights
+from liouville_workbench.problem_model import simpson_weights
 
 T_STAR_2 = 0.5 * (math.sqrt(33.0) - 1.0)
 
@@ -252,8 +253,8 @@ class TestSingularBoundaryReport:
 @pytest.fixture(scope="module")
 def field2(problem):
     """Example 2's field on 4097 and on 4096 alpha nodes; the even count takes
-    cumulative_simpson's last-interval rule.  Every TestLpNorm case checks
-    both, so each keeps one test id."""
+    scipy.integrate.cumulative_simpson's last-interval rule.  Every TestLpNorm
+    case checks both, so each keeps one test id."""
     spec, profile, B = problem(2)
     return [evaluate_field(profile, B, spec, np.linspace(0.0, 1.0, n),
                            np.array([0.0, 1.0, 3.0])) for n in (4097, 4096)]
@@ -324,7 +325,7 @@ class TestLpNorm:
                             np.vstack([row, row]), np.zeros((2, n), dtype=bool), 1.0)
         h = fld.alpha_step
         for p in (1.0, 2.0, 3.5):
-            want = cumulative_simpson(row ** p, h)[-1] ** (1.0 / p)
+            want = cumulative_simpson(row ** p, dx=h)[-1] ** (1.0 / p)
             assert lp_norm(fld, p, 1.0) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_weights_are_read_only(self):

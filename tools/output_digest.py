@@ -68,6 +68,10 @@ NONLINEARITIES = {
     "F=u^2-integer-p": {"F": {"kind": "power", "p": 2}},
     "F=table": {"F": {"kind": "table", "nodes": _F_NODES, "values": [x ** 1.5 for x in _F_NODES],
                       "c": 1.0, "d": 2.0}},
+    # two exponents: u up to 1, u^2 above, whose segments meet the stated pair at both ends
+    "F=table-u-then-u2": {"F": {"kind": "table", "nodes": _F_NODES,
+                                "values": [x if x <= 1.0 else x ** 2 for x in _F_NODES],
+                                "c": 1.0, "d": 2.0}},
     # a general block that is no object is an error: only a missing block means F = u
     "general-list": [],
 }
