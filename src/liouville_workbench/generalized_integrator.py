@@ -137,12 +137,13 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
     takes the fixed steps min(dt, t_end - t).  The run stops at t_end or as
     soon as max u reaches blowup_cap.  Raises on nonpositive or NaN u (the
     initial u, a stage input before F reads it, a new state) and on a step
-    that fails its tests at dt 1e-12 (numerical failures), and on
-    incompatible data (check_compatibility with F reports a nonzero integral
-    of f F(u0)).  The stages, the stage input, their sum, f F(u) and the
-    running sum live in buffers allocated once per run.  The state at t = 0,
-    every store_every-th step and the last are kept as the accepted arrays,
-    and copied once, at the end, into the rows of the trajectory's u.
+    that fails its tests at dt 1e-12 (numerical failures), on incompatible
+    data (check_compatibility with F reports a nonzero integral of f F(u0)),
+    and, before the run, on g its extremes do not bound above 0 on [0, t_end].
+    The stages, the stage input, their sum, f F(u) and the running sum live in
+    buffers allocated once per run.  The state at t = 0, every store_every-th
+    step and the last are kept as the accepted arrays, and copied once, at
+    the end, into the rows of the trajectory's u.
     """
     if not (dt > 0 and t_end > 0 and blowup_cap > 0):   # nan too
         raise ValueError(f"dt, t_end and blowup_cap must be positive, got {dt}, {t_end}, {blowup_cap}")
@@ -150,6 +151,8 @@ def integrate_general(spec: ProblemSpec, F: Nonlinearity, t_end: float, dt: floa
     if not compat.ok:
         raise ValueError(f"data incompatible with periodic boundary values: "
                          f"|integral f F(u0)| is {compat.defect:.3e}")
+    if not spec.g.extremes(0.0, data_horizon(spec.g, t_end))[0] > 0:   # nan too
+        raise ValueError("g must be strictly positive on [0, t_max]")
     grid = spec.alpha_grid()
     f_grid = np.asarray(spec.f(grid))
     k1, k2, k3, k4, stage, acc, w = (np.empty_like(grid) for _ in range(7))
@@ -275,8 +278,8 @@ def _g_and_ratio(g: FunctionDescriptor):
     The pair is g(t), g.derivative(t) / g(t) bit for bit, read straight off
     g's bound kind, which keeps each kind's own checks (singular g's t < t_b,
     a table's domain); a polynomial g runs the one Horner loop in plain
-    Python.  A non-finite g(t) raises, and so does g(t) = 0, where g'/g has no
-    value; a negative g is left to the positivity check of u.
+    Python.  A non-finite g(t) raises.  The sign of g is not read here:
+    integrate_general refuses, before the run, a g it cannot show positive.
     """
     value, derivative = g.bound.value, g.bound.derivative
 
@@ -284,8 +287,6 @@ def _g_and_ratio(g: FunctionDescriptor):
         g_t = float(value(t))
         if not math.isfinite(g_t):
             raise ValueError(f"{g.kind} descriptor produced non-finite samples")
-        if g_t == 0.0:
-            raise ValueError("g must be strictly positive on [0, t_max]")
         return g_t, float(derivative(t)) / g_t
     return g_and_ratio
 
@@ -370,12 +371,11 @@ class BoundsReport:
 
 
 def _monotonicity(desc: FunctionDescriptor, t_hi: float) -> str:
-    ts = np.linspace(0.0, data_horizon(desc, t_hi), 513)
-    dv = np.asarray(desc.derivative(ts))
-    scale = max(float(np.max(np.abs(dv))), 1e-300)
-    if np.all(dv >= -1e-12 * scale):
+    # g's direction on [0, t_hi], from the bounds on its slope; a slope of 0 is nondecreasing
+    lo, hi = desc.extremes(0.0, data_horizon(desc, t_hi), slope=True)
+    if lo >= 0:
         return "nondecreasing"
-    if np.all(dv <= 1e-12 * scale):
+    if hi <= 0:
         return "nonincreasing"
     return "mixed"
 

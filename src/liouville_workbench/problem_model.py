@@ -14,13 +14,14 @@ carries beside the data.  Everything downstream is built from two primitives:
 
 Data functions are represented by a small closed-form catalog plus linearly
 interpolated tables.  Each kind is one class (_KINDS) with its own value,
-derivative, integral of any power and limit of that integral, bound once by
-each FunctionDescriptor to its checked params, so the worked examples
-(polynomial data, the singular boundary family (1-t)^-(1+beta), exponential
-decay, trigonometric data) are integrated exactly while tables admit
-arbitrary sampled data.  Every polynomial (value, derivative, integral) goes
-through one Horner loop, _horner, and every table (a table g, a table F, a
-sampled psi0 or G) is checked by GridFunction.
+derivative, bounds on both (extremes, which every decision about the sign of
+u0 or g and the direction of g reads), integral of any power and limit of
+that integral, bound once by each FunctionDescriptor to its checked params,
+so the worked examples (polynomial data, the singular boundary family
+(1-t)^-(1+beta), exponential decay, trigonometric data) are integrated
+exactly while tables admit arbitrary sampled data.  Every polynomial (value,
+derivative, integral) goes through one Horner loop, _horner, and every table
+(a table g, a table F, a sampled psi0 or G) is checked by GridFunction.
 
 psi0 and G are the kind's closed-form integral (psi0, and the generalized
 equation's H0 = int f F(u0), whenever the integrand is one descriptor, see
@@ -71,6 +72,9 @@ INVERT_RTOL = 1e-12       # |G(t) - target| <= INVERT_RTOL * (1 + target)
 _NEWTON_STEPS = 60
 _T_REACH = 1e15
 _EPS = np.finfo(float).eps
+# the cells of a trigonometric sign (_wave_floor): bisections, and cells open at once
+_CELL_DEPTH = 48
+_CELL_CAP = 1 << 14
 
 _CSV_BLOCK = 4096   # rows formatted and written at once by write_csv
 # '%.12e' tables, indexed by j = 34 - (decimal exponent): |x| scales by
@@ -267,11 +271,20 @@ class _Kind:
     what the methods read.  integral(power, t) is int_0^t value^power, 256
     lobatto_cells summed unless the kind has a closed form; limit(power) is
     its limit at end, the end of the data's life, as (value, estimated), and
-    last the last time with data.  scale(p, factor) rescales a params dict in
-    place, without a kind object.
+    last the last time with data.  extremes(a, b, slope) bounds value (slope:
+    derivative) on [a, b].  scale(p, factor) rescales a params dict in place.
     """
 
     end = last = math.inf
+
+    def extremes(self, a, b, slope=False):
+        # the least and the greatest at the points where they can be, turns(a, b, slope)
+        v = (self.derivative if slope else self.value)(self.turns(a, b, slope))
+        return float(v.min()), float(v.max())
+
+    def turns(self, a, b, slope):
+        # exponential and singular data are monotone, and so are their slopes
+        return np.array([a, b])
 
     def integral(self, power, t):
         s = np.multiply.outer(np.linspace(0.0, 1.0, 257), t)
@@ -301,6 +314,16 @@ class _Polynomial(_Kind):
 
     def derivative(self, x):
         return _horner(self.derivative_coeffs, x)
+
+    @functools.cached_property
+    def roots(self):
+        # real parts of the roots of value' and value'' (a complex one's adds a point); a line has none
+        return tuple(npoly.polyroots(npoly.polytrim(npoly.polyder(self.coeffs, m))).real
+                     if len(self.coeffs) > m + 1 else np.empty(0) for m in (1, 2))
+
+    def turns(self, a, b, slope):
+        r = self.roots[slope]
+        return np.concatenate(([a, b], r[(r > a) & (r < b)]))
 
     def integral(self, power, t):
         if not (float(power).is_integer() and power > 0):
@@ -357,6 +380,13 @@ class _Trigonometric(_Kind):
             out = out + amp * w * np.cos(w * x + phase)
         return out
 
+    def extremes(self, a, b, slope=False):
+        # the sum, or its slope, as c + sum amp sin(w x + phase); hi is minus the negated sum's lo
+        amp, freq, phase = np.array(self.terms).T
+        w = 2.0 * np.pi * freq
+        c, amp, phase = (0.0, amp * w, phase + np.pi / 2) if slope else (self.offset, amp, phase)
+        return _wave_floor(c, amp, w, phase, a, b), -_wave_floor(-c, -amp, w, phase, a, b)
+
     def integral(self, power, t):
         if power != 1.0:
             return super().integral(power, t)
@@ -371,6 +401,28 @@ class _Trigonometric(_Kind):
     def scale(p, factor):
         p["offset"] *= factor
         p["terms"] = tuple((a * factor, f, ph) for a, f, ph in p["terms"])
+
+
+def _wave_floor(c, amp, w, phase, a, b):
+    """A lower bound on h = c + sum amp sin(w x + phase) on [a, b]: c - sum |amp| if
+    positive, else the least of h(m) - |h'(m)| r - (sum |amp| w^2) r^2 / 2 over cells
+    [m - r, m + r], bisecting each with h(m) > 0 >= its bound until none is, some
+    h(m) <= 0, or _CELL_DEPTH or _CELL_CAP is reached: undecided is not positive.
+    Second order, as a trough near 0 then takes a few cells a depth, not 1/sqrt(r)."""
+    if (low := float(c - np.abs(amp).sum())) > 0:
+        return low
+    half_curve = 0.5 * (np.abs(amp) @ (w * w))
+    mid, r, done = np.array([0.5 * (a + b)]), 0.5 * (b - a), math.inf
+    for _ in range(_CELL_DEPTH):
+        arg = np.multiply.outer(mid, w) + phase
+        h = c + np.sin(arg) @ amp
+        cell = h - np.abs(np.cos(arg) @ (amp * w)) * r - half_curve * r * r
+        still = cell <= 0
+        done = min(done, cell[~still].min(initial=math.inf))
+        if not still.any() or (h <= 0).any() or np.count_nonzero(still) > _CELL_CAP:
+            break
+        mid, r = np.concatenate((mid[still] - 0.5 * r, mid[still] + 0.5 * r)), 0.5 * r
+    return max(low, float(min(done, cell.min())))
 
 
 class _SingularBoundary(_Kind):
@@ -432,6 +484,11 @@ class _Table(_Kind):
 
     def derivative(self, x):
         return self.table.slope(x)
+
+    def turns(self, a, b, slope):
+        # the nodes between a and b, and b; a slope read at a node is its segment's
+        nodes = self.table.nodes
+        return np.concatenate(([a] if slope else [a, b], nodes[(nodes > a) & (nodes < b)]))
 
     def integral(self, power, t):
         nodes, values = self.table.nodes, self.table.values
@@ -553,6 +610,14 @@ class FunctionDescriptor:
         """Pointwise derivative (piecewise slope for tables)."""
         out = self.bound.derivative(np.asarray(x, dtype=float))
         return out if np.ndim(out) else float(out)
+
+    def extremes(self, a, b, slope=False) -> tuple[float, float]:
+        """Bounds (lo, hi) on the value, or with slope on the derivative, on [a, b]
+        from the kind's form; non-finite value bounds raise, as samples do."""
+        lo, hi = self.bound.extremes(float(a), float(b), slope)
+        if not (slope or math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"{self.kind} descriptor produced non-finite samples")
+        return lo, hi
 
     def scaled(self, factor: float) -> "FunctionDescriptor":
         """Return the descriptor multiplied pointwise by a constant."""
@@ -760,7 +825,7 @@ class ProblemSpec:
 
     The representation formula assumes the normalization u0(0) = 1 and
     g(0) = 1.  Inputs violating it are rescaled on construction with a
-    warning; u0 must be positive on [0, 1], and u0(1) = u0(0).
+    warning; u0 must be positive on [0, 1] (its extremes), and u0(1) = u0(0).
     """
 
     f: FunctionDescriptor
@@ -787,10 +852,10 @@ class ProblemSpec:
             g = FunctionDescriptor("singular_boundary",
                                    {"beta": g.params["beta"], "t_b": 1.0})
 
+        if not u0.extremes(0.0, 1.0)[0] > 0:   # nan too
+            raise ValueError("u0 must be strictly positive on [0, 1]")
         u00 = float(u0(0.0))
         if abs(u00 - 1.0) > 1e-12:
-            if u00 <= 0:
-                raise ValueError("u0(0) must be positive")
             warnings.warn(f"u0 rescaled by 1/u0(0) = {1.0 / u00:.6g} to meet u0(0)=1",
                           stacklevel=2)
             u0 = u0.scaled(1.0 / u00)
@@ -802,11 +867,8 @@ class ProblemSpec:
                           stacklevel=2)
             g = g.scaled(1.0 / g0)
 
-        probe = u0(np.linspace(0.0, 1.0, 4097))
-        if np.min(probe) <= 0:
-            raise ValueError("u0 must be strictly positive on [0, 1]")
-        if abs(probe[-1] - 1.0) > 1e-12:
-            raise ValueError(f"u0(1) = {probe[-1]:.12g} must equal u0(0) = 1, as u(1, 0) = u(0, 0) = g(0)")
+        if abs((u01 := u0(1.0)) - 1.0) > 1e-12:
+            raise ValueError(f"u0(1) = {u01:.12g} must equal u0(0) = 1, as u(1, 0) = u(0, 0) = g(0)")
 
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "u0", u0)
@@ -1044,12 +1106,12 @@ def data_horizon(g: FunctionDescriptor, t_max: float) -> float:
 def build_G(spec, t_max: float, n_t: int = 1025, method: str = "auto") -> BoundaryIntegral:
     """Strictly increasing sampled G on [0, t_max] with G(0) = 0 exact.
 
-    Accepts a ProblemSpec or a bare FunctionDescriptor for g.  method "auto"
-    samples the kind's closed form; "quadrature" integrates g by 5-point
-    Gauss-Lobatto on each grid cell (lobatto_to_nodes), so every increment of a
-    positive g is positive.  Both check g > 0 at the quadrature's samples, the
-    nodes and each cell's inner points, so both refuse a g negative only
-    between the nodes.  t_max must not pass data_horizon, the last time g has data.
+    Accepts a ProblemSpec or a bare FunctionDescriptor for g.  Both methods
+    refuse g unless its extremes bound it above 0 on [0, t_max], and samples
+    that do not strictly increase: e^(-40 t) on [0, 10] ties them in rounding.
+    method "auto" samples the kind's closed form; "quadrature" integrates g by
+    5-point Gauss-Lobatto on each grid cell (lobatto_to_nodes).  t_max must
+    not pass data_horizon, the last time g has data.
     """
     desc = spec.g if isinstance(spec, ProblemSpec) else spec
     if method not in ("auto", "quadrature"):
@@ -1059,16 +1121,10 @@ def build_G(spec, t_max: float, n_t: int = 1025, method: str = "auto") -> Bounda
     if (last := data_horizon(desc, t_max)) < t_max:
         raise ValueError(f"t_max={t_max} is past t={last:.12g}, the last time "
                          f"{desc.kind} g has data")
+    if not desc.extremes(0.0, t_max)[0] > 0:   # nan too
+        raise ValueError("g must be strictly positive on [0, t_max]")
     t_grid = np.linspace(0.0, t_max, n_t)
-
-    def positive_g(t):
-        g = np.asarray(desc(t))
-        if np.min(g) <= 0:
-            raise ValueError("g must be strictly positive on [0, t_max]")
-        return g
-    vals = lobatto_to_nodes(positive_g, t_grid)   # the check, for either method
-    if method == "auto":
-        vals = np.asarray(power_integral(desc, 1.0, t_grid))
+    vals = np.asarray(power_integral(desc, 1.0, t_grid)) if method == "auto" else lobatto_to_nodes(desc, t_grid)
     if not np.all(np.diff(vals) > 0):
         raise ValueError("G is not strictly increasing; g must be positive")
     return BoundaryIntegral(GridFunction(t_grid, vals), desc)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -74,18 +75,23 @@ class TestClassify:
 
     def test_g_negative_between_nodes_is_refused_by_both_methods(self, tmp_path, capsys):
         # g = 1 + 1.5 sin(2 pi 51.2 t) is 1 at every node of build_G's grid at the
-        # default t_max, and down to -0.5 between them; auto read FiniteBlowup
-        d = {"f": {"kind": "polynomial", "params": {"coeffs": [1.0, -2.0]}},
-             "u0": {"kind": "polynomial", "params": {"coeffs": [1.0]}},
-             "g": {"kind": "trigonometric", "params": {"offset": 1.0, "terms": [[1.5, 51.2]]}},
-             "n_alpha": 129}
-        path = tmp_path / "g_dips.json"
-        path.write_text(json.dumps(d))
-        for method in ("auto", "quadrature"):
-            rc = main(["classify", "--spec", str(path), "--method", method])
-            captured = capsys.readouterr()
-            assert (rc, captured.out) == (2, "")
-            assert captured.err == "error: g must be strictly positive on [0, t_max]\n"
+        # default t_max, and down to -0.5 between them; auto read FiniteBlowup.
+        # With k = 102.4 and phase 0.5 each cell holds one period, and g < 0 on an
+        # arc between its Lobatto samples: both methods read FiniteBlowup
+        for term in ([1.5, 51.2], [1.5, 102.4, 0.5]):
+            d = {"f": {"kind": "polynomial", "params": {"coeffs": [1.0, -2.0]}},
+                 "u0": {"kind": "polynomial", "params": {"coeffs": [1.0]}},
+                 "g": {"kind": "trigonometric", "params": {"offset": 1.0, "terms": [term]}},
+                 "n_alpha": 129}
+            path = tmp_path / "g_dips.json"
+            path.write_text(json.dumps(d))
+            for method in ("auto", "quadrature"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")   # g(0) = 1 + 1.5 sin 0.5 is rescaled
+                    rc = main(["classify", "--spec", str(path), "--method", method])
+                captured = capsys.readouterr()
+                assert (rc, captured.out) == (2, "")
+                assert captured.err == "error: g must be strictly positive on [0, t_max]\n"
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_quadrature_singular_examples(self, k, tmp_path, capsys):
@@ -243,17 +249,21 @@ class TestSimulate:
 
     def test_g_zero_at_a_stage_time_is_an_error(self, tmp_path, capsys):
         # a table g that falls to 0 at its last node, the run's horizon, where g'/g
-        # has no value: an error with classify's words, not a ZeroDivisionError
-        d = {"f": {"kind": "polynomial", "params": {"coeffs": [1.0, -2.0]}},
-             "u0": {"kind": "constant", "params": {"value": 1.0}},
-             "g": {"kind": "table", "params": {"nodes": [0.0, 0.5, 1.0], "values": [1.0, 0.5, 0.0]}},
-             "n_alpha": 129}
-        path = tmp_path / "g_zero.json"
-        path.write_text(json.dumps(d))
-        assert main(["simulate", "--spec", str(path), "--out", str(tmp_path / "out")]) == 2
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", "error: g must be strictly positive on [0, t_max]\n")
-        assert not (tmp_path / "out").exists()
+        # has no value: an error with classify's words, not a ZeroDivisionError.
+        # So is g = 1 - 2t, which passes 0 between stage times at t = 0.5: u(0, t)
+        # is pinned to g, and the run once blamed u, dt and the blow-up cap
+        for g in ({"kind": "table", "params": {"nodes": [0.0, 0.5, 1.0], "values": [1.0, 0.5, 0.0]}},
+                  {"kind": "polynomial", "params": {"coeffs": [1.0, -2.0]}}):
+            d = {"f": {"kind": "polynomial", "params": {"coeffs": [1.0, -2.0]}},
+                 "u0": {"kind": "constant", "params": {"value": 1.0}},
+                 "g": g,
+                 "n_alpha": 129}
+            path = tmp_path / "g_zero.json"
+            path.write_text(json.dumps(d))
+            assert main(["simulate", "--spec", str(path), "--out", str(tmp_path / "out")]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", "error: g must be strictly positive on [0, t_max]\n")
+            assert not (tmp_path / "out").exists()
 
     def test_headers_hash_F(self, spec_general_path, tmp_path):
         # bounds.txt and trajectory.csv carry the hash of the spec with its F = u^2
@@ -322,6 +332,12 @@ class TestErrors:
         rc = main(["classify", "--spec", "/nonexistent/spec.json"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_spec_that_is_not_json_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"f": ')
+        assert main(["classify", "--spec", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: spec file {path} is not valid JSON: ")
 
     @pytest.mark.parametrize("edit", [
         {"g": {"kind": "trigonometric", "params": {"terms": [[1.0]]}}},

@@ -6,10 +6,16 @@ import pytest
 
 from liouville_workbench import (
     EmptyCurve,
+    FunctionDescriptor,
     NearSingular,
+    ProblemSpec,
+    build_G,
+    build_psi0,
+    constant,
     evaluate_field,
     evaluate_u,
     jump_transport,
+    polynomial,
     representation,
     singular_curve,
 )
@@ -200,6 +206,23 @@ class TestSingularCurve:
         with pytest.raises(EmptyCurve):
             singular_curve(profile, B)
 
+    def test_no_curve_where_psi0_is_positive_only_between_nodes(self):
+        # psi0 = sin(32 pi alpha) is 1 at its crests, but 0 to rounding at
+        # every node j/32 of 33
+        f = FunctionDescriptor("trigonometric", {"terms": [[32.0 * math.pi, 16.0, math.pi / 2]]})
+        spec = ProblemSpec(f=f, u0=constant(1.0), g=polynomial(1.0, 2.0), n_alpha=33)
+        profile = build_psi0(spec)
+        assert profile.M0 == pytest.approx(1.0)
+        with pytest.raises(EmptyCurve, match="^no grid point clears the curve threshold$"):
+            singular_curve(profile, build_G(spec, t_max=10.0))
+
+    def test_no_curve_that_G_reaches(self, problem):
+        # tabulated g = 1 + t on [0, 1]: G(1) = 1.5 never reaches 2/psi0 >= 2/M0 = 8
+        _, profile, _ = problem(2)
+        g = FunctionDescriptor("table", {"nodes": [0.0, 1.0], "values": [1.0, 2.0]})
+        with pytest.raises(EmptyCurve, match="^fewer than two curve samples reachable"):
+            singular_curve(profile, build_G(g, t_max=1.0))
+
     def test_csv(self, problem, tmp_path):
         _, profile, B = problem(2)
         path = tmp_path / "curve.csv"
@@ -244,3 +267,10 @@ class TestJumpTransport:
         spec, profile, B = problem(2)
         with pytest.raises(ValueError):
             jump_transport(profile, B, spec, 0.3, 0.1, "beta", t=1.0)
+
+    def test_each_axis_needs_its_query_coordinate(self, problem):
+        spec, profile, B = problem(2)
+        with pytest.raises(ValueError, match="^axis 'alpha' transports in time; pass t=$"):
+            jump_transport(profile, B, spec, 0.3, 0.1, "alpha", alpha=0.5)
+        with pytest.raises(ValueError, match="^axis 't' transports in space; pass alpha=$"):
+            jump_transport(profile, B, spec, 1.0, 0.1, "t", t=0.5)

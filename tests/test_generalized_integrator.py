@@ -164,16 +164,26 @@ class TestIntegrateGeneral:
         assert traj.u.max(axis=1).tolist() == traj.umax_dense[stored].tolist()
 
     def test_a_step_that_cannot_pass_its_error_test_raises(self, monkeypatch):
-        # g = 1 + 1.5 sin(2 pi 51.2 t) nears zero at t = 0.012034, where the
-        # rounding of g alone is about the step tolerance: no step passes, and
-        # accepting steps of dt 1e-12 anyway once stalled t there for the
-        # whole step limit, storing states all the while
+        # g = 1 + (1 - 1e-9) sin(2 pi 51.2 t) is positive, but nears 1e-9 at
+        # t = 0.0146, where the rounding of g alone is about the step
+        # tolerance: no step passes, and accepting steps of dt 1e-12 anyway
+        # once stalled t there for the whole step limit, storing states all
+        # the while
         monkeypatch.setattr(gi, "_MAX_STEPS", 1000)
-        g = FunctionDescriptor("trigonometric", {"offset": 1.0, "terms": [[1.5, 51.2, 0.0]]})
+        g = FunctionDescriptor("trigonometric", {"offset": 1.0, "terms": [[1.0 - 1e-9, 51.2, 0.0]]})
         spec = ProblemSpec(f=polynomial(1.0, -2.0), u0=constant(1.0), g=g, n_alpha=33)
-        with pytest.raises(RuntimeError, match=r"^a step of .* at t=0\.01203\d*, g\(t\)=.*, fails: "
+        with pytest.raises(RuntimeError, match=r"^a step of .* at t=0\.014645\d*, g\(t\)=.*, fails: "
                                                r"error .*, tolerance 1e-10"):
             integrate_general(spec, identity_F(), t_end=1.0, dt=1e-3)
+
+    def test_g_that_turns_negative_is_refused_before_the_run(self):
+        # u(0, t) is pinned to g, so no step can pass a g < 0: 1 + 1.5 sin(2 pi 51.2 t)
+        # dips to -0.5 in every period, and 1 - 2t passes 0 at t = 0.5
+        dips = FunctionDescriptor("trigonometric", {"offset": 1.0, "terms": [[1.5, 51.2, 0.0]]})
+        for g in (dips, polynomial(1.0, -2.0)):
+            spec = ProblemSpec(f=polynomial(1.0, -2.0), u0=constant(1.0), g=g, n_alpha=33)
+            with pytest.raises(ValueError, match=r"^g must be strictly positive on \[0, t_max\]$"):
+                integrate_general(spec, identity_F(), t_end=1.0, dt=1e-3)
 
     def test_compatible_data_accepted_at_any_n_alpha(self):
         # int_0^1 f u0 = -1/4 + 1/2 int sin^2 = 0; Simpson on an even grid
@@ -582,6 +592,19 @@ class TestBounds:
         assert report.predicted == "NotApplicable" and report.monotonicity == "mixed"
         assert report.hypotheses_ok and report.t_star_bound == 8.0
         assert report.lower_envelope is None and report.violations == ()
+
+    def test_monotonicity_reads_the_bounds_of_g_prime(self):
+        # g = 1 + 0.001 sin(2 pi 0.05 t) + 0.0005 sin(2 pi 512 t + pi/2): g' reaches
+        # -1.61 on [0, 1], yet is positive at t = k/512, where 513 samples once read it
+        fast = FunctionDescriptor("trigonometric", {
+            "offset": 1.0, "terms": [[0.001, 0.05, 0.0], [0.0005, 512.0, math.pi / 2]]})
+        assert gi._monotonicity(fast, 1.0) == "mixed"
+        slow = FunctionDescriptor("trigonometric", {"offset": 1.0, "terms": [[0.5, 0.05, 0.0]]})
+        assert gi._monotonicity(slow, 4.0) == "nondecreasing"   # g' > 0 up to t = 5
+        assert gi._monotonicity(slow, 6.0) == "mixed"
+        assert gi._monotonicity(constant(1.0), 1.0) == "nondecreasing"   # g' = 0
+        falls = FunctionDescriptor("table", {"nodes": [0.0, 1.0, 2.0], "values": [1.0, 0.5, 0.5]})
+        assert gi._monotonicity(falls, 10.0) == "nonincreasing"   # read up to the last node
 
     def test_between_thresholds_indeterminate(self):
         # F = u^1.5 tabulated (c = 1, d = 2), g = e^(-t/8): int g^d = 4 is below

@@ -167,9 +167,12 @@ class TestProblemSpec:
                         g=polynomial(1.0, 2.0), n_alpha=8)
 
     def test_rejects_vanishing_u0(self):
-        with pytest.raises(ValueError):
-            ProblemSpec(f=polynomial(-1.0, 2.0), u0=polynomial(1.0, -2.0),
-                        g=polynomial(1.0, 2.0))
+        # the table dips to -0.5 on a sliver 1.1e-4 wide, between samples 1/4096 apart
+        table = FunctionDescriptor("table", {"nodes": [0.0, 0.50001, 0.500061, 0.50012, 1.0],
+                                             "values": [1.0, 1.0, -0.5, 1.0, 1.0]})
+        for u0 in (polynomial(1.0, -2.0), table):
+            with pytest.raises(ValueError, match=r"^u0 must be strictly positive on \[0, 1\]$"):
+                ProblemSpec(f=polynomial(-1.0, 2.0), u0=u0, g=polynomial(1.0, 2.0))
 
     def test_normalizes_u0_at_zero(self):
         with pytest.warns(UserWarning):
@@ -644,6 +647,111 @@ class _CountingDescriptor:
     def derivative(self, x):
         self.slopes += 1
         return self.desc.derivative(x)
+
+
+class TestBuildErrors:
+    def test_unknown_method(self, problem):
+        spec, _, _ = problem(2)
+        for build in (build_psi0, lambda spec, method: build_G(spec, 10.0, method=method)):
+            with pytest.raises(ValueError, match="^method must be 'auto' or 'quadrature'$"):
+                build(spec, method="simpson")
+
+    @pytest.mark.parametrize("method", ["auto", "quadrature"])
+    def test_positive_g_whose_G_ties_in_rounding(self, method):
+        # e^(-40 t) > 0 on [0, 10], but G = (1 - e^(-40 t))/40 is 1/40 to rounding past t ~ 1
+        g = exponential(1.0, -40.0)
+        assert g.extremes(0.0, 10.0)[0] > 0
+        with pytest.raises(ValueError, match="^G is not strictly increasing; g must be positive$"):
+            build_G(g, t_max=10.0, method=method)
+
+    def test_negative_inversion_target(self, problem):
+        _, _, B = problem(2)
+        with pytest.raises(ValueError, match="^inversion target must be nonnegative$"):
+            invert_G(B, -1e-9)
+
+
+_interval = st.tuples(st.floats(-2.0, 2.0), st.floats(0.01, 3.0)).map(lambda p: (p[0], p[0] + p[1]))
+_coeff = st.floats(-3.0, 3.0, allow_subnormal=False)
+
+
+@st.composite
+def _data(draw, kind):
+    """(descriptor, a, b) of one kind, [a, b] inside its domain."""
+    if kind == "polynomial":
+        return (polynomial(*draw(st.lists(_coeff, min_size=1, max_size=7))),) + draw(_interval)
+    if kind == "exponential":
+        return (exponential(draw(_coeff), draw(_coeff)),) + draw(_interval)
+    if kind == "trigonometric":
+        terms = draw(st.lists(st.tuples(_coeff, st.floats(0.0, 20.0), st.floats(0.0, 2.0 * math.pi)),
+                              min_size=1, max_size=4))
+        desc = FunctionDescriptor("trigonometric", {"offset": draw(_coeff), "terms": terms})
+        return (desc, 0.0) + (draw(st.floats(0.01, 5.0)),)
+    steps = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8))   # nodes 0.01 or more apart
+    nodes = np.concatenate(([0.0], np.cumsum(steps)))
+    values = draw(st.lists(_coeff, min_size=nodes.size, max_size=nodes.size))
+    a, b = sorted(draw(st.lists(st.floats(0.0, float(nodes[-1])), min_size=2, max_size=2)))
+    return FunctionDescriptor("table", {"nodes": nodes.tolist(), "values": values}), a, max(b, a + 1e-3)
+
+
+class TestExtremes:
+    """Each kind's bounds on its value and slope, against a 10^6-point grid."""
+
+    @pytest.mark.parametrize("kind", ["polynomial", "exponential", "trigonometric", "table"])
+    @given(data=st.data())
+    @settings(max_examples=15, derandomize=True, deadline=None)
+    def test_bounds_hold_the_grid_extremes(self, kind, data):
+        desc, a, b = data.draw(_data(kind))
+        x = np.linspace(a, b, 10**6)
+        for slope in (False, True):
+            # a table's slope at b is the segment's past b, so the slopes stop short of b
+            v = np.asarray(desc.derivative(x[:-1]) if slope else desc(x))
+            lo, hi = desc.extremes(a, b, slope=slope)
+            rounding = 1e-12 * float(np.abs(v).max())
+            assert lo <= v.min() + rounding and hi >= v.max() - rounding
+            # the grid decides a sign where its extreme is farther from 0 than a
+            # grid step changes v; then the bound's sign must be the same
+            step = 2.0 * float(np.abs(np.diff(v)).max()) + rounding
+            if v.min() > step:
+                assert lo > 0
+            if v.max() < -step:
+                assert hi < 0
+
+    def test_monotone_kinds_read_their_ends(self):
+        for desc, a, b in [(singular_boundary(0.7, t_b=2.0), 0.5, 1.99), (exponential(1.7, -0.3), 1.0, 10.0)]:
+            assert desc.extremes(a, b) == tuple(sorted((desc(a), desc(b))))
+            assert desc.extremes(a, b, slope=True) == tuple(sorted((desc.derivative(a), desc.derivative(b))))
+
+    def test_polynomial_turns_inside_the_interval(self):
+        # 1 - 4t + 4t^2 = (1 - 2t)^2 has its minimum 0 at t = 1/2, and its slope 8t - 4 is a line
+        g = polynomial(1.0, -4.0, 4.0)
+        assert g.extremes(0.0, 1.0) == (0.0, 1.0) and g.extremes(0.0, 0.25) == (0.25, 1.0)
+        assert g.extremes(0.0, 1.0, slope=True) == (-4.0, 4.0)
+        assert constant(2.0).extremes(0.0, 1.0) == (2.0, 2.0)
+        assert constant(2.0).extremes(0.0, 1.0, slope=True) == (0.0, 0.0)
+
+    def test_table_reads_its_nodes_and_segments(self):
+        g = FunctionDescriptor("table", {"nodes": [0.0, 1.0, 2.5, 4.0], "values": [1.0, 3.0, 0.5, 2.0]})
+        assert g.extremes(0.5, 3.0) == (0.5, 3.0)
+        assert g.extremes(0.0, 1.0, slope=True) == (2.0, 2.0)   # one segment meets (0, 1)
+        assert g.extremes(0.5, 3.0, slope=True) == (-2.5 / 1.5, 2.0)
+
+    def test_trigonometric_cells_decide_a_positive_sum(self):
+        # 1 + 0.8 sin 2 pi t + 0.3 sin 4 pi t: the offset test reads 1 - 1.1 < 0,
+        # but the least value is 0.0445, near t = 0.824; 1 + sin 2 pi t touches 0
+        g = FunctionDescriptor("trigonometric", {"offset": 1.0, "terms": [[0.8, 1.0], [0.3, 2.0]]})
+        lo, hi = g.extremes(0.0, 5.0)
+        grid = g(np.linspace(0.0, 5.0, 10**5))
+        assert 0 < lo <= grid.min() and grid.max() <= hi
+        touch = FunctionDescriptor("trigonometric", {"offset": 1.0, "terms": [[1.0, 1.0]]})
+        assert touch.extremes(0.0, 5.0)[0] <= 0
+        # a positive sum whose troughs need more open cells than allowed is left undecided
+        deep = FunctionDescriptor("trigonometric", {"offset": 1.0, "terms": [[1.0 - 1e-9, 51.2], [1e-9, 0.0, 1.0]]})
+        assert deep.extremes(0.0, 10.0)[0] > 0
+        pm._CELL_CAP, cap = 100, pm._CELL_CAP
+        try:
+            assert deep.extremes(0.0, 10.0)[0] <= 0
+        finally:
+            pm._CELL_CAP = cap
 
 
 class TestInverter:

@@ -375,6 +375,11 @@ class TestLpAsymptotics:
         with pytest.raises(ValueError):
             fit_cusp(profile)
 
+    def test_blowup_fit_needs_positive_M0(self, problem):
+        spec, profile, B = problem(1)   # M0 = 0: global existence
+        with pytest.raises(ValueError, match=r"^Lp blow-up asymptotics need M0 > 0$"):
+            lp_blowup_fit(profile, B, spec)
+
     def test_blowup_fit_inverts_in_one_call(self, problem, monkeypatch):
         # one array call to B.invert gives the scalar inverter's samples, bit for bit
         spec, profile, B = problem(2)

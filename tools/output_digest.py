@@ -75,6 +75,22 @@ NONLINEARITIES = {
     # a general block that is no object is an error: only a missing block means F = u
     "general-list": [],
 }
+# data whose sign or direction lies between samples, each with the runs that read it:
+# g < 0 on an arc between build_G's Lobatto samples, u0 < 0 on a sliver between 4097
+# samples, g' < 0 only between 513 samples (monotonicity mixed), and g = 1 - 2t,
+# which passes 0 mid-run
+_F_LINE = poly(1.0, -2.0)
+_ONE = {"kind": "constant", "params": {"value": 1.0}}
+BETWEEN_SAMPLES = {
+    "trig-g-dips": ((_F_LINE, _ONE, trig(1.0, (1.5, 102.4, 0.5))),
+                    [["classify"], ["classify", "--method", "quadrature"]]),
+    "table-u0-dips": ((_F_LINE, {"kind": "table", "params": {
+        "nodes": [0.0, 0.50001, 0.500061, 0.50012, 1.0], "values": [1.0, 1.0, -0.5, 1.0, 1.0]}}, poly(1.0, 2.0)),
+                      [["classify"]]),
+    "trig-g-fast-slope": ((_F_LINE, _ONE, trig(1.0, (0.001, 0.05, 0.0), (0.0005, 512.0, math.pi / 2))),
+                          [["simulate", "--t-max", "1"]]),
+    "linear-g-falls": ((_F_LINE, _ONE, poly(1.0, -2.0)), [["simulate"]]),
+}
 RUNS = {
     "classify": ["classify"],
     "classify-quadrature": ["classify", "--method", "quadrature"],
@@ -125,6 +141,11 @@ def listing(src, specs):
             # classify solves F = u only, and refuses another F
             yield run(src, f"{name} classify F=u^2",
                       ["classify", "--spec", str(Path(tmp) / f"{name}-F=u^2.json")], tmp)
+        for name, ((f, u0, g), runs) in BETWEEN_SAMPLES.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps({"f": f, "u0": u0, "g": g, "n_alpha": 129}))
+            for argv in runs:
+                yield run(src, f"{name} {' '.join(argv)}", [*argv, "--spec", str(path)], tmp)
         yield run(src, "verify", ["verify"], tmp)
         yield run(src, "reproduce-examples", ["reproduce-examples", "--plot"], tmp)
 
